@@ -278,7 +278,7 @@ def _system_from_args(args, injective: bool = False):
 
 
 def _system_bounds(args, **extra):
-    out = {"max_nodes": args.max_nodes or search_mod.DEFAULT_NODE_BUDGET}
+    out = {"max_nodes": search_mod.node_budget(args.max_nodes)}
     out.update(extra)
     return out
 
@@ -741,7 +741,7 @@ def build_parser() -> _ArgumentParser:
     common.add_argument("--json", action="store_true", help="emit one JSON envelope")
     common.add_argument("--threads", type=int, default=1, help="worker count (results are identical for any value)")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized verbs")
-    common.add_argument("--max-nodes", type=int, default=None, dest="max_nodes", help="search node budget")
+    common.add_argument("--max-nodes", type=int, default=None, dest="max_nodes", help="total search node budget (>= 0)")
 
     root = _ArgumentParser(prog="prlab", description="partition regularity laboratory")
     sub = root.add_subparsers(dest="verb", metavar="verb")
@@ -942,6 +942,9 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return 3
     timing = round((time.perf_counter() - start) * 1000, 3)
     if getattr(args, "json", False):

@@ -23,6 +23,15 @@ class SearchBudgetExceeded(RuntimeError):
         self.nodes = nodes
 
 
+def node_budget(max_nodes: int | None) -> int:
+    """The node budget in force: the default when none is given."""
+    if max_nodes is None:
+        return DEFAULT_NODE_BUDGET
+    if max_nodes < 0:
+        raise ValueError("node budget must be >= 0")
+    return max_nodes
+
+
 @dataclass(frozen=True)
 class SolutionSystem:
     """What the colorings must avoid: one equation P = 0, a homogeneous
@@ -119,6 +128,104 @@ def _univariate_roots(P: Poly, var: str, lo: int, hi: int):
     return sorted(set(roots))
 
 
+class _PolyResidual:
+    """P = 0 with its variables assigned in the given order; the state is the
+    residual polynomial of the unassigned variables over the box [lo, hi]."""
+
+    def __init__(self, P: Poly, order, lo: int, hi: int):
+        self.start = P
+        self.order = order
+        self.lo, self.hi = lo, hi
+
+    def feasible(self, residual: Poly, depth: int) -> bool:
+        lo, hi = _poly_range(residual, self.lo, self.hi)
+        return lo <= 0 <= hi
+
+    def assign(self, residual: Poly, depth: int, x: int) -> Poly:
+        return residual.substitute({self.order[depth]: Poly.const(x)})
+
+    def last_values(self, residual: Poly, values):
+        var = self.order[-1]
+        if max((key[0][1] for key in residual.monomials), default=0) <= 2:
+            return _univariate_roots(residual, var, self.lo, self.hi)
+        return [x for x in values if residual.evaluate({var: x}) == 0]
+
+
+class _RowSums:
+    """A x = 0 with its columns assigned left to right; the state is the list
+    of partial row sums, and the tail bounds are over the box [lo, hi]."""
+
+    def __init__(self, M: IntMatrix, lo: int, hi: int):
+        self.start = [0] * M.rows
+        self.rows = M.entries
+        # tails[j][r]: [min, max] of row r's sum over columns j and later
+        self.tails = [
+            [(sum(min(a * lo, a * hi) for a in row[j:]),
+              sum(max(a * lo, a * hi) for a in row[j:])) for row in self.rows]
+            for j in range(M.cols)
+        ]
+
+    def feasible(self, partial, depth: int) -> bool:
+        return all(p + lo <= 0 <= p + hi for p, (lo, hi) in zip(partial, self.tails[depth]))
+
+    def assign(self, partial, depth: int, x: int):
+        return [p + row[depth] * x for p, row in zip(partial, self.rows)]
+
+    def last_values(self, partial, values):
+        """Solve the last column one row at a time: a row with a nonzero
+        entry fixes the value, a zero entry needs a zero partial sum."""
+        x = None
+        for p, row in zip(partial, self.rows):
+            a = row[-1]
+            if a == 0:
+                if p:
+                    return ()
+                continue
+            q, rem = divmod(-p, a)
+            if rem or x not in (None, q):
+                return ()
+            x = q
+        return values if x is None else (x,)
+
+
+def _walk(constraint, k: int, values, injective: bool, first: bool):
+    """Depth-first walk over assignments of k variables from the ascending
+    value list, in lexicographic order.  Returns every solution of the
+    constraint, or only the first.  Interval pruning runs above the last
+    level; the constraint solves the last variable exactly."""
+    members = set(values)
+    feasible, assign, last_values = (
+        constraint.feasible, constraint.assign, constraint.last_values
+    )
+    out: list[tuple[int, ...]] = []
+    prefix: list[int] = []
+
+    def walk(depth: int, state) -> bool:
+        if depth == k - 1:
+            for x in last_values(state, values):
+                if x not in members or (injective and x in prefix):
+                    continue
+                out.append((*prefix, x))
+                if first:
+                    return True
+                if len(out) > MAX_SOLUTIONS:
+                    raise ValueError(f"solution count exceeds {MAX_SOLUTIONS}")
+            return False
+        if not feasible(state, depth):
+            return False
+        for x in values:
+            if injective and x in prefix:
+                continue
+            prefix.append(x)
+            if walk(depth + 1, assign(state, depth, x)):
+                return True
+            prefix.pop()
+        return False
+
+    walk(0, constraint.start)
+    return out
+
+
 def _enumerate_poly(P: Poly, n: int, injective: bool):
     props = poly_props(P)
     variables = P.variables()
@@ -129,75 +236,9 @@ def _enumerate_poly(P: Poly, n: int, injective: bool):
             f"partial degree exceeds enumeration bound {MAX_POLY_PARTIAL_DEGREE}"
         )
     order = sorted(variables, key=lambda v: (-props.partial_degrees[v], v))
-    k = len(order)
-    out: list[tuple[int, ...]] = []
-    assigned: dict[str, int] = {}
-
-    def emit(asg):
-        out.append(tuple(asg[v] for v in variables))
-        if len(out) > MAX_SOLUTIONS:
-            raise ValueError(f"solution count exceeds {MAX_SOLUTIONS}")
-
-    def walk(depth: int, residual: Poly):
-        if depth == k - 1:
-            last = order[depth]
-            for x in _univariate_roots(residual, last, 1, n):
-                if injective and x in assigned.values():
-                    continue
-                assigned[last] = x
-                emit(assigned)
-                del assigned[last]
-            return
-        lo, hi = _poly_range(residual, 1, n)
-        if lo > 0 or hi < 0:
-            return
-        var = order[depth]
-        for x in range(1, n + 1):
-            if injective and x in assigned.values():
-                continue
-            assigned[var] = x
-            walk(depth + 1, residual.substitute({var: Poly.const(x)}))
-            del assigned[var]
-
-    walk(0, P)
-    return sorted(out)
-
-
-def _enumerate_matrix(M: IntMatrix, n: int, injective: bool):
-    rows = M.entries
-    k = M.cols
-    out: list[tuple[int, ...]] = []
-    vec: list[int] = []
-
-    def walk(depth: int, partial):
-        if depth == k:
-            if all(s == 0 for s in partial):
-                if len(out) >= MAX_SOLUTIONS:
-                    raise ValueError(f"solution count exceeds {MAX_SOLUTIONS}")
-                out.append(tuple(vec))
-            return
-        # interval feasibility per row over the unassigned tail
-        for r in range(M.rows):
-            lo = hi = partial[r]
-            for j in range(depth, k):
-                a = rows[r][j]
-                if a > 0:
-                    lo += a
-                    hi += a * n
-                elif a < 0:
-                    lo += a * n
-                    hi += a
-            if lo > 0 or hi < 0:
-                return
-        for x in range(1, n + 1):
-            if injective and x in vec:
-                continue
-            vec.append(x)
-            walk(depth + 1, [p + rows[r][depth] * x for r, p in enumerate(partial)])
-            vec.pop()
-
-    walk(0, [0] * M.rows)
-    return out
+    sols = _walk(_PolyResidual(P, order, 1, n), len(order), range(1, n + 1), injective, False)
+    slots = [order.index(v) for v in variables]
+    return sorted(tuple(sol[i] for i in slots) for sol in sols)
 
 
 def _enumerate_ap(k: int, n: int):
@@ -218,7 +259,8 @@ def enumerate_solutions(system: SolutionSystem, n: int):
     if system.kind == "poly":
         return _enumerate_poly(system.poly, n, system.injective)
     if system.kind == "matrix":
-        return _enumerate_matrix(system.matrix, n, system.injective)
+        M = system.matrix
+        return _walk(_RowSums(M, 1, n), M.cols, range(1, n + 1), system.injective, False)
     return _enumerate_ap(system.ap_length, n)
 
 
@@ -258,7 +300,7 @@ def good_coloring(
         raise ValueError("need at least one color")
     if n < 1:
         raise ValueError("bound must be >= 1")
-    budget = DEFAULT_NODE_BUDGET if max_nodes is None else max_nodes
+    budget = node_budget(max_nodes)
     index = solutions_by_max(system, n)
     colors = [0] * (n + 1)
     nodes = 0
@@ -299,9 +341,17 @@ def forcing_number(
     system: SolutionSystem, r: int, n_max: int, max_nodes: int | None = None
 ):
     """Least n <= n_max at which every r-coloring of [1,n] contains a
-    monochromatic solution, or None if no such n is found."""
+    monochromatic solution, or None if no such n is found.  The node budget
+    is one total across every n of the sweep."""
+    budget = node_budget(max_nodes)
+    used = 0
     for n in range(1, n_max + 1):
-        if good_coloring(system, n, r, max_nodes=max_nodes).forced:
+        try:
+            outcome = good_coloring(system, n, r, max_nodes=budget - used)
+        except SearchBudgetExceeded as exc:
+            raise SearchBudgetExceeded(used + exc.nodes) from None
+        used += outcome.nodes
+        if outcome.forced:
             return n
     return None
 
@@ -369,67 +419,6 @@ def _linear_class_witness(P: Poly, values, injective: bool):
     return tuple(out) if walk(0, target) else None
 
 
-def _generic_class_witness(P: Poly, values, injective: bool):
-    variables = P.variables()
-    k = len(variables)
-    vmin, vmax = values[0], values[-1]
-    out: list[int] = []
-    asg: dict[str, int] = {}
-
-    def walk(depth: int, residual: Poly):
-        if depth == k:
-            return residual.is_zero() and residual.constant == 0
-        var = variables[depth]
-        lo, hi = _poly_range(residual, vmin, vmax)
-        if lo > 0 or hi < 0:
-            return False
-        for x in values:
-            if injective and x in asg.values():
-                continue
-            asg[var] = x
-            out.append(x)
-            if walk(depth + 1, residual.substitute({var: Poly.const(x)})):
-                return True
-            out.pop()
-            del asg[var]
-        return False
-
-    return tuple(out) if walk(0, P) else None
-
-
-def _matrix_class_witness(M: IntMatrix, values, injective: bool):
-    rows = M.entries
-    k = M.cols
-    vmin, vmax = values[0], values[-1]
-    vec: list[int] = []
-
-    def walk(depth: int, partial) -> bool:
-        if depth == k:
-            return all(s == 0 for s in partial)
-        for r in range(M.rows):
-            lo = hi = partial[r]
-            for j in range(depth, k):
-                a = rows[r][j]
-                if a > 0:
-                    lo += a * vmin
-                    hi += a * vmax
-                elif a < 0:
-                    lo += a * vmax
-                    hi += a * vmin
-            if lo > 0 or hi < 0:
-                return False
-        for x in values:
-            if injective and x in vec:
-                continue
-            vec.append(x)
-            if walk(depth + 1, [p + rows[r][depth] * x for r, p in enumerate(partial)]):
-                return True
-            vec.pop()
-        return False
-
-    return tuple(vec) if walk(0, [0] * M.rows) else None
-
-
 def _ap_class_witness(k: int, values):
     present = set(values)
     for a in values:
@@ -447,14 +436,20 @@ def _class_witness(system: SolutionSystem, values):
         return None
     if system.kind == "ap":
         return _ap_class_witness(system.ap_length, values)
+    lo, hi = values[0], values[-1]
     if system.kind == "matrix":
-        return _matrix_class_witness(system.matrix, values, system.injective)
-    P = system.poly
-    if poly_props(P).max_partial_degree == 1 and all(
-        len(key) == 1 for key in P.monomials
-    ):
-        return _linear_class_witness(P, values, system.injective)
-    return _generic_class_witness(P, values, system.injective)
+        M = system.matrix
+        constraint, k = _RowSums(M, lo, hi), M.cols
+    else:
+        P = system.poly
+        if poly_props(P).max_partial_degree == 1 and all(
+            len(key) == 1 for key in P.monomials
+        ):
+            return _linear_class_witness(P, values, system.injective)
+        variables = P.variables()
+        constraint, k = _PolyResidual(P, variables, lo, hi), len(variables)
+    found = _walk(constraint, k, values, system.injective, True)
+    return found[0] if found else None
 
 
 def mono_witness(coloring: Coloring, system: SolutionSystem):

@@ -130,6 +130,54 @@ def test_budget_exhaustion_exits_two():
     assert env["bounds"]["max_nodes"] == 5
 
 
+def test_zero_node_budget_is_reported_as_zero():
+    code, env = run_json(
+        ["search", "good-coloring", "--poly", "x+y-z", "-n", "12", "-r", "2",
+         "--max-nodes", "0"]
+    )
+    assert code == 2
+    assert env["verdict"] == "budget-exceeded"
+    assert env["bounds"]["max_nodes"] == 0
+
+
+def test_negative_node_budget_exits_three():
+    for verb in (["good-coloring", "-n", "12"], ["forcing-number", "--max", "12"]):
+        code, out, err = run(
+            ["search", *verb, "--poly", "x+y-z", "-r", "2", "--max-nodes", "-5"]
+        )
+        assert code == 3, verb
+        assert out == ""
+        assert err.startswith("error:")
+
+
+def test_forcing_number_budget_is_total_across_the_sweep():
+    code, env = run_json(
+        ["search", "forcing-number", "--poly", "x+y-z", "-r", "3", "--max", "14",
+         "--max-nodes", "2000"]
+    )
+    assert code == 2
+    assert env["verdict"] == "budget-exceeded"
+    assert env["bounds"]["max_nodes"] == 2000
+
+
+def test_deep_coloring_search_exits_three(tmp_path):
+    path = tmp_path / "deep.txt"
+    path.write_text("1 1 -3000\n")
+    code, out, err = run(
+        ["search", "good-coloring", "--matrix", str(path), "-n", "1200", "-r", "2"]
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "error: input nested too deeply\n"
+
+
+def test_deeply_nested_omega_term_exits_three():
+    code, out, err = run(["omega", "eval", "(" * 2000 + "a" + ")" * 2000])
+    assert code == 3
+    assert out == ""
+    assert err == "error: input nested too deeply\n"
+
+
 def test_threads_and_seed_flags_are_accepted():
     code, out, _ = run(["check-linear", "x+y-z", "--threads", "4", "--seed", "7"])
     assert code == 0

@@ -106,6 +106,24 @@ def test_two_row_system_enumeration():
     assert got == want
 
 
+def brute_solutions(holds, k, n, injective=False):
+    return [
+        xs
+        for xs in product(range(1, n + 1), repeat=k)
+        if holds(xs) and (not injective or len(set(xs)) == k)
+    ]
+
+
+def test_enumerate_matrix_with_zero_last_column_matches_brute_force():
+    got = enumerate_solutions(matrix_system(parse_matrix("1 -1 0")), 6)
+    assert got == brute_solutions(lambda v: v[0] == v[1], 3, 6)
+    M = parse_matrix("1 1 -1 0\n0 0 0 0")
+    for injective in (False, True):
+        got = enumerate_solutions(matrix_system(M, injective=injective), 7)
+        want = brute_solutions(lambda v: v[0] + v[1] == v[2], 4, 7, injective)
+        assert got == want
+
+
 def test_solutions_indexed_by_maximum():
     idx = solutions_by_max(SCHUR, 4)
     assert idx[2] == [(1, 2)]
@@ -144,6 +162,21 @@ def test_forcing_number_exhaustion_returns_none():
 def test_node_budget_raises():
     with pytest.raises(SearchBudgetExceeded):
         good_coloring(SCHUR, 13, 3, max_nodes=10)
+
+
+def test_forcing_number_spends_one_budget_across_the_sweep():
+    # each n alone stays under 2000 nodes; the sweep up to 14 takes 2805
+    assert forcing_number(SCHUR, 3, 14) == 14
+    with pytest.raises(SearchBudgetExceeded) as info:
+        forcing_number(SCHUR, 3, 14, max_nodes=2000)
+    assert info.value.nodes == 2001
+
+
+def test_negative_node_budget_is_rejected():
+    with pytest.raises(ValueError):
+        good_coloring(SCHUR, 5, 2, max_nodes=-1)
+    with pytest.raises(ValueError):
+        forcing_number(SCHUR, 2, 5, max_nodes=-1)
 
 
 def naive_good_coloring_exists(system, n, r):
@@ -230,6 +263,49 @@ def test_witness_is_lexicographically_least_monochromatic_solution():
             ]
             got = mono_witness(coloring, system)
             assert got == (min(mono) if mono else None), (system.kind, coloring)
+
+
+def brute_witness(holds, k, coloring, injective=False):
+    classes = [set(v) for v in coloring.color_classes().values()]
+    mono = [
+        xs
+        for xs in brute_solutions(holds, k, coloring.hi, injective)
+        if any(set(xs) <= cls for cls in classes)
+    ]
+    return min(mono) if mono else None
+
+
+def test_witness_with_cubic_last_variable_matches_brute_force():
+    # z has partial degree 3, so the last variable is found by a scan
+    rng = random.Random(3)
+    cases = [
+        ("x+y-z^3", lambda v: v[0] + v[1] == v[2] ** 3),
+        ("2*x*y-z^3", lambda v: 2 * v[0] * v[1] == v[2] ** 3),
+    ]
+    for text, holds in cases:
+        for injective in (False, True):
+            system = poly_system(parse_poly(text), injective=injective)
+            for _ in range(20):
+                n = rng.randint(3, 16)
+                r = rng.randint(1, 3)
+                coloring = Coloring(
+                    1, tuple(rng.randint(1, r) for _ in range(n)), num_colors=r
+                )
+                want = brute_witness(holds, 3, coloring, injective)
+                assert mono_witness(coloring, system) == want, (text, coloring)
+
+
+def test_injective_two_row_matrix_witness_matches_brute_force():
+    rng = random.Random(5)
+    system = matrix_system(parse_matrix("1 1 -1 0\n0 1 1 -1"), injective=True)
+    holds = lambda v: v[0] + v[1] == v[2] and v[1] + v[2] == v[3]
+    for _ in range(30):
+        n = rng.randint(4, 14)
+        r = rng.randint(1, 3)
+        coloring = Coloring(1, tuple(rng.randint(1, r) for _ in range(n)), num_colors=r)
+        want = brute_witness(holds, 4, coloring, injective=True)
+        assert mono_witness(coloring, system) == want, coloring
+    assert mono_witness(Coloring(1, (1,) * 8), system) == (1, 2, 3, 5)
 
 
 def test_blocking_coloring_admits_no_witness_on_long_interval():
