@@ -548,7 +548,8 @@ def verify_table_construction(c, d) -> TableConstructionResult:
     for dj, t in zip(d, eta_terms):
         combo = combo.sub(canonical(t).mul(CanonicalForm.const(dj)))
     symbolic_zero = combo == CanonicalForm.const(0)
-    assert symbolic_zero == zero
+    if symbolic_zero != zero:
+        raise RuntimeError("internal check failed: symbolic and ledger verdicts differ")
 
     vectors = xi + eta
     distinct = len(set(vectors)) == len(vectors)

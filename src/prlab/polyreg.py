@@ -153,7 +153,8 @@ def attach_products(L: Poly, subsets, n: int) -> ConstructResult:
             term = term * Poly.variable(f"y{j}")
         out = out + term
     verdict = sufficient_ipr(out)
-    assert verdict.status == "IPR_certified"
+    if verdict.status != "IPR_certified":
+        raise RuntimeError(f"internal check failed: construction is {verdict.status}")
     return ConstructResult(out, verdict)
 
 

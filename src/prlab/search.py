@@ -74,11 +74,13 @@ def ap_system(k: int) -> SolutionSystem:
 
 # -- solution enumeration ---------------------------------------------------
 
-def _monomial_range(key, lo: int, hi: int):
-    """Exact [min, max] of a power product over a product of integer boxes
-    [lo, hi] (the same box for every variable)."""
+def _monomial_range(exps, lo: int, hi: int):
+    """Exact [min, max] of a power product with the given exponents over a
+    product of integer boxes [lo, hi] (the same box for every variable)."""
     vlo, vhi = 1, 1
-    for _, e in key:
+    for e in exps:
+        if e == 0:
+            continue
         ends = [lo**e, hi**e]
         if lo <= 0 <= hi:
             ends.append(0)
@@ -88,67 +90,61 @@ def _monomial_range(key, lo: int, hi: int):
     return vlo, vhi
 
 
-def _poly_range(P: Poly, lo: int, hi: int):
-    total_lo = P.constant
-    total_hi = P.constant
-    for key, coeff in P.monomials.items():
-        mlo, mhi = _monomial_range(key, lo, hi)
-        if coeff > 0:
-            total_lo += coeff * mlo
-            total_hi += coeff * mhi
-        else:
-            total_lo += coeff * mhi
-            total_hi += coeff * mlo
-    return total_lo, total_hi
-
-
-def _univariate_roots(P: Poly, var: str, lo: int, hi: int):
-    """Integer roots of a polynomial of degree <= 2 in a single variable,
-    restricted to [lo, hi], ascending."""
-    c = {0: P.constant, 1: 0, 2: 0}
-    for key, coeff in P.monomials.items():
-        assert len(key) == 1 and key[0][0] == var
-        c[key[0][1]] = coeff
-    if c[2] == 0 and c[1] == 0:
-        return list(range(lo, hi + 1)) if c[0] == 0 else []
-    if c[2] == 0:
-        q, r = divmod(-c[0], c[1])
-        return [q] if r == 0 and lo <= q <= hi else []
-    disc = c[1] * c[1] - 4 * c[2] * c[0]
-    if disc < 0:
-        return []
-    s = math.isqrt(disc)
+def _quadratic_roots(c0: int, c1: int, c2: int, lo: int, hi: int):
+    """Integer roots of c2*x^2 + c1*x + c0 in [lo, hi], ascending; every
+    value of [lo, hi] when all three coefficients vanish."""
+    if c2 == 0:
+        if c1 == 0:
+            return range(lo, hi + 1) if c0 == 0 else ()
+        q, r = divmod(-c0, c1)
+        return (q,) if r == 0 and lo <= q <= hi else ()
+    disc = c1 * c1 - 4 * c2 * c0
+    s = math.isqrt(disc) if disc >= 0 else -1  # -1 squares to no negative disc
     if s * s != disc:
-        return []
-    roots = []
-    for sign in (-1, 1):
-        q, r = divmod(-c[1] + sign * s, 2 * c[2])
-        if r == 0 and lo <= q <= hi:
-            roots.append(q)
-    return sorted(set(roots))
+        return ()
+    roots = (divmod(-c1 + sign * s, 2 * c2) for sign in (-1, 1))
+    return sorted({q for q, r in roots if r == 0 and lo <= q <= hi})
 
 
 class _PolyResidual:
-    """P = 0 with its variables assigned in the given order; the state is the
-    residual polynomial of the unassigned variables over the box [lo, hi]."""
+    """P = 0 with its variables assigned in the given order.  The state maps
+    each exponent tuple over the unassigned variables to its integer
+    coefficient (the constant term is the all-zero tuple); the [min, max]
+    of every such monomial over the box [lo, hi] is tabulated once."""
 
     def __init__(self, P: Poly, order, lo: int, hi: int):
-        self.start = P
-        self.order = order
+        k = len(order)
+        self.start = {(0,) * k: P.constant}
+        for key, coeff in P.monomials.items():
+            self.start[tuple(dict(key).get(v, 0) for v in order)] = coeff
+        self.ranges = {
+            key[d:]: _monomial_range(key[d:], lo, hi)
+            for key in self.start for d in range(k)
+        }
+        self.scan = max(key[-1] for key in self.start) > 2
         self.lo, self.hi = lo, hi
 
-    def feasible(self, residual: Poly, depth: int) -> bool:
-        lo, hi = _poly_range(residual, self.lo, self.hi)
+    def feasible(self, state, depth: int) -> bool:
+        lo = hi = 0
+        for key, c in state.items():
+            mlo, mhi = self.ranges[key]
+            lo += c * (mlo if c > 0 else mhi)
+            hi += c * (mhi if c > 0 else mlo)
         return lo <= 0 <= hi
 
-    def assign(self, residual: Poly, depth: int, x: int) -> Poly:
-        return residual.substitute({self.order[depth]: Poly.const(x)})
+    def assign(self, state, depth: int, x: int):
+        """Fold c * x**e0 into each key with its first exponent dropped."""
+        out: dict[tuple[int, ...], int] = {}
+        for key, c in state.items():
+            rest = key[1:]
+            out[rest] = out.get(rest, 0) + c * x ** key[0]
+        return out
 
-    def last_values(self, residual: Poly, values):
-        var = self.order[-1]
-        if max((key[0][1] for key in residual.monomials), default=0) <= 2:
-            return _univariate_roots(residual, var, self.lo, self.hi)
-        return [x for x in values if residual.evaluate({var: x}) == 0]
+    def last_values(self, state, values):
+        if self.scan:
+            return [x for x in values if sum(c * x**e for (e,), c in state.items()) == 0]
+        get = state.get
+        return _quadratic_roots(get((0,), 0), get((1,), 0), get((2,), 0), self.lo, self.hi)
 
 
 class _RowSums:
@@ -288,6 +284,14 @@ class SearchOutcome:
     nodes: int
 
 
+def _check_good_coloring(coloring: Coloring, index) -> None:
+    """Raise unless no solution of the by-maximum index is monochromatic."""
+    for by_max in index.values():
+        for values in by_max:
+            if len({coloring.color(u) for u in values}) == 1:
+                raise RuntimeError(f"internal check failed: {values} is monochromatic")
+
+
 def good_coloring(
     system: SolutionSystem, n: int, r: int, max_nodes: int | None = None
 ) -> SearchOutcome:
@@ -329,10 +333,7 @@ def good_coloring(
 
     if walk(1):
         coloring = Coloring(1, tuple(colors[1:]), num_colors=r)
-        classes = {c: set(vals) for c, vals in coloring.color_classes().items()}
-        for by_max in index.values():
-            for values in by_max:
-                assert not any(set(values) <= cls for cls in classes.values())
+        _check_good_coloring(coloring, index)
         return SearchOutcome(False, coloring, nodes)
     return SearchOutcome(True, None, nodes)
 
@@ -491,15 +492,12 @@ def vdw325_extract(coloring: Coloring):
     patterns = [None] + [
         tuple(c(base[i] + t) for t in range(5)) for i in range(1, 66)
     ]
-    pair = None
-    for j in range(2, 34):
-        for i in range(1, j):
-            if patterns[i] == patterns[j]:
-                pair = (i, j)
-                break
-        if pair:
-            break
-    assert pair is not None  # 33 blocks, 32 possible patterns
+    pair = next(
+        ((i, j) for j in range(2, 34) for i in range(1, j) if patterns[i] == patterns[j]),
+        None,
+    )
+    if pair is None:  # 33 blocks, 32 possible patterns
+        raise RuntimeError("internal check failed: no two blocks share a pattern")
     i, j = pair
     for a, b in ((0, 1), (0, 2), (1, 2)):
         if c(base[i] + a) == c(base[i] + b):
@@ -515,7 +513,8 @@ def vdw325_extract(coloring: Coloring):
             triple = (base[i] + e, base[j] + e, base[k] + e)
         else:
             triple = (base[i] + a, base[j] + b, base[k] + e)
-    assert is_mono_3ap(coloring, triple)
+    if not is_mono_3ap(coloring, triple):
+        raise RuntimeError(f"internal check failed: {triple} is no monochromatic progression")
     return triple
 
 

@@ -1,12 +1,18 @@
+import ast
+import math
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from prlab.core import Coloring, FiniteSet, parse_matrix, parse_poly
+import prlab
+from prlab.core import Coloring, FiniteSet, Poly, parse_matrix, parse_poly
 from prlab.rado import smod
 from prlab.search import (
     SearchBudgetExceeded,
+    _check_good_coloring,
     ap_system,
     contains_ap,
     enumerate_solutions,
@@ -311,6 +317,92 @@ def test_injective_two_row_matrix_witness_matches_brute_force():
 def test_blocking_coloring_admits_no_witness_on_long_interval():
     coloring = Coloring.from_function(1, 2000, lambda n: smod(5, n), num_colors=4)
     assert mono_witness(coloring, poly_system(parse_poly("x+y-3*z"))) is None
+
+
+# -- the compiled polynomial residual ---------------------------------------
+
+@st.composite
+def small_polys(draw, last_degree=2):
+    """A random P in two or three variables with partial degree <= 2 (the
+    last variable up to last_degree) and coefficients in -3..3, with optional
+    constant and cross terms; returned with a direct evaluator over
+    P.variables()."""
+    names = "xyz"[: draw(st.integers(2, 3))]
+    degrees = [2] * (len(names) - 1) + [last_degree]
+    exponents = st.tuples(*(st.integers(0, d) for d in degrees))
+    terms = draw(
+        st.dictionaries(exponents, st.integers(-3, 3).filter(bool), min_size=1, max_size=5)
+    )
+    P = Poly({tuple((v, e) for v, e in zip(names, ex) if e): c for ex, c in terms.items()})
+    variables = P.variables()
+    assume(len(variables) >= 2)
+
+    def holds(xs):
+        at = dict(zip(variables, xs))
+        return 0 == sum(
+            c * math.prod(at.get(v, 1) ** e for v, e in zip(names, ex))
+            for ex, c in terms.items()
+        )
+
+    return P, holds
+
+
+@settings(deadline=None)
+@given(small_polys(), st.integers(1, 7))
+def test_compiled_enumeration_matches_brute_force(case, n):
+    P, holds = case
+    for injective in (False, True):
+        got = enumerate_solutions(poly_system(P, injective=injective), n)
+        assert got == brute_solutions(holds, len(P.variables()), n, injective), P
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(small_polys(), small_polys(last_degree=3)),
+    st.lists(st.integers(1, 3), min_size=1, max_size=8),
+)
+def test_compiled_witness_matches_brute_force(case, colors):
+    P, holds = case
+    coloring = Coloring(1, colors)
+    for injective in (False, True):
+        want = brute_witness(holds, len(P.variables()), coloring, injective)
+        assert mono_witness(coloring, poly_system(P, injective=injective)) == want, P
+
+
+def test_vanishing_last_coefficients_admit_every_value():
+    # once x = y, every coefficient of z vanishes and every z is a solution
+    got = enumerate_solutions(poly_system(parse_poly("x*z-y*z")), 6)
+    assert got == brute_solutions(lambda v: v[0] == v[1], 3, 6)
+    # (x-1)*z^2 + (y-1) = 0 holds for every z once x = y = 1
+    P = parse_poly("x*z^2-z^2+y-1")
+    holds = lambda v: (v[0] - 1) * v[2] ** 2 + v[1] - 1 == 0
+    for colors in ((1,) * 5, (2, 1, 2, 2, 1), (1, 2, 2, 1, 1)):
+        coloring = Coloring(1, colors)
+        for injective in (False, True):
+            want = brute_witness(holds, 3, coloring, injective)
+            assert mono_witness(coloring, poly_system(P, injective=injective)) == want
+    assert mono_witness(Coloring(1, (1,) * 5), poly_system(P)) == (1, 1, 1)
+
+
+# -- explicit result checks -------------------------------------------------
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so every result check must raise
+    root = Path(prlab.__file__).parent
+    found = [
+        f"{path.relative_to(root)}:{node.lineno}"
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_good_coloring_check_rejects_a_monochromatic_solution():
+    index = solutions_by_max(SCHUR, 4)
+    _check_good_coloring(Coloring(1, (1, 2, 2, 1)), index)
+    with pytest.raises(RuntimeError, match="internal check failed"):
+        _check_good_coloring(Coloring(1, (1, 1, 2, 2)), index)  # 1 + 1 = 2
 
 
 # -- the 325 extractor ------------------------------------------------------
