@@ -946,6 +946,9 @@ def main(argv=None) -> int:
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)
         return 3
+    except RuntimeError as exc:  # a failed internal check: no verdict
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     timing = round((time.perf_counter() - start) * 1000, 3)
     if getattr(args, "json", False):
         envelope = {

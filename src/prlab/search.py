@@ -292,50 +292,90 @@ def _check_good_coloring(coloring: Coloring, index) -> None:
                 raise RuntimeError(f"internal check failed: {values} is monochromatic")
 
 
+def _search(index, n: int, r: int, budget: int) -> SearchOutcome:
+    """Iterative depth-first search for the lexicographically least good
+    r-coloring of [1,n] avoiding every value set of the by-maximum index
+    (all of whose maxima are <= n).
+
+    Element v may take the colors 1..min(r, 1 + largest color on 1..v-1):
+    colors are interchangeable, and the lex-least good coloring is its own
+    first-occurrence relabelling.  Forward checking: each value set is
+    watched under its second-largest value; when that value gets color c
+    and the smaller values all have color c, c is banned at the largest.
+    banned[w] is a bitmask of colors; each ban made at v goes on a trail
+    that backing up over v unwinds.  A node is one color assignment tried."""
+    watch: list[list] = [[] for _ in range(n + 1)]
+    for by_max in index.values():
+        for values in by_max:
+            if len(values) == 1:  # this element completes a solution alone
+                return SearchOutcome(True, None, 0)
+            rest = 0
+            for u in values[:-2]:
+                rest |= 1 << u
+            watch[values[-2]].append((rest, values[-1]))
+    full = (1 << (r + 1)) - 2  # bits 1..r
+    banned = [0] * (n + 1)
+    colors = [0] * (n + 1)
+    classes = [0] * (r + 1)  # classes[c]: bitmask of the elements colored c
+    high = [0] * (n + 2)  # high[v]: largest color on 1..v-1
+    marks = [0] * (n + 1)
+    trail: list[int] = []
+    nodes = 0
+    v, c = 1, 0
+    while v:
+        if c:  # retract color c at v and the bans it made
+            classes[c] ^= 1 << v
+            bit = 1 << c
+            for w in trail[marks[v]:]:
+                banned[w] ^= bit
+            del trail[marks[v]:]
+        mask = banned[v]
+        top = min(r, high[v] + 1)
+        c += 1
+        while c <= top and mask >> c & 1:
+            c += 1
+        if c > top:  # every color at v tried: back up to v - 1
+            v -= 1
+            c = colors[v]
+            continue
+        nodes += 1
+        if nodes > budget:
+            raise SearchBudgetExceeded(nodes)
+        colors[v] = c
+        same = classes[c] = classes[c] | 1 << v
+        marks[v] = len(trail)
+        bit = 1 << c
+        for rest, w in watch[v]:
+            if same & rest == rest and not banned[w] & bit:
+                banned[w] |= bit
+                trail.append(w)
+                if banned[w] == full:  # w has no color left: try the next at v
+                    break
+        else:
+            if v == n:
+                coloring = Coloring(1, tuple(colors[1:]), num_colors=r)
+                _check_good_coloring(coloring, index)
+                return SearchOutcome(False, coloring, nodes)
+            high[v + 1] = max(high[v], c)
+            v, c = v + 1, 0
+    return SearchOutcome(True, None, nodes)
+
+
 def good_coloring(
     system: SolutionSystem, n: int, r: int, max_nodes: int | None = None
 ) -> SearchOutcome:
-    """Complete backtracking search for an r-coloring of [1,n] with no
-    monochromatic solution.  Elements are colored in increasing order and
-    colors tried in increasing order, so a returned coloring is the
-    lexicographically least one; color(1) is pinned to 1 (any good coloring
-    has a color-swapped twin with color(1) = 1)."""
+    """Complete search for an r-coloring of [1,n] with no monochromatic
+    solution.  Elements are colored in increasing order and colors tried in
+    increasing order, so a returned coloring is the lexicographically least
+    one.  Colors are interchangeable, so element v tries only the colors up
+    to one above the largest already used; this keeps the least coloring,
+    which is its own first-occurrence relabelling."""
     if r < 1:
         raise ValueError("need at least one color")
     if n < 1:
         raise ValueError("bound must be >= 1")
     budget = node_budget(max_nodes)
-    index = solutions_by_max(system, n)
-    colors = [0] * (n + 1)
-    nodes = 0
-
-    def conflict(v: int) -> bool:
-        col = colors[v]
-        for values in index.get(v, ()):
-            if all(colors[u] == col for u in values):
-                return True
-        return False
-
-    def walk(v: int) -> bool:
-        nonlocal nodes
-        if v > n:
-            return True
-        top = 1 if v == 1 else r
-        for col in range(1, top + 1):
-            nodes += 1
-            if nodes > budget:
-                raise SearchBudgetExceeded(nodes)
-            colors[v] = col
-            if not conflict(v) and walk(v + 1):
-                return True
-        colors[v] = 0
-        return False
-
-    if walk(1):
-        coloring = Coloring(1, tuple(colors[1:]), num_colors=r)
-        _check_good_coloring(coloring, index)
-        return SearchOutcome(False, coloring, nodes)
-    return SearchOutcome(True, None, nodes)
+    return _search(solutions_by_max(system, n), n, r, budget)
 
 
 def forcing_number(
@@ -343,12 +383,19 @@ def forcing_number(
 ):
     """Least n <= n_max at which every r-coloring of [1,n] contains a
     monochromatic solution, or None if no such n is found.  The node budget
-    is one total across every n of the sweep."""
+    is one total across every n of the sweep.  One by-maximum index serves
+    every n up to the bound it was built for; past that bound it is rebuilt
+    at twice the current n (capped at n_max), never at n_max up front."""
     budget = node_budget(max_nodes)
     used = 0
+    index, built = {}, 0
     for n in range(1, n_max + 1):
+        if n > built:
+            built = min(n_max, 2 * n)
+            index = solutions_by_max(system, built)
+        upto = {m: sets for m, sets in index.items() if m <= n}
         try:
-            outcome = good_coloring(system, n, r, max_nodes=budget - used)
+            outcome = _search(upto, n, r, budget - used)
         except SearchBudgetExceeded as exc:
             raise SearchBudgetExceeded(used + exc.nodes) from None
         used += outcome.nodes

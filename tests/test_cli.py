@@ -5,6 +5,7 @@ import json
 import pytest
 
 import test_omega
+from prlab import search
 from prlab.cli import main
 from prlab.core.coloring import Coloring
 from prlab.core.poly import parse_poly
@@ -151,24 +152,40 @@ def test_negative_node_budget_exits_three():
 
 
 def test_forcing_number_budget_is_total_across_the_sweep():
+    # each n alone stays under 300 nodes; the sweep up to 14 takes more
     code, env = run_json(
         ["search", "forcing-number", "--poly", "x+y-z", "-r", "3", "--max", "14",
-         "--max-nodes", "2000"]
+         "--max-nodes", "300"]
     )
     assert code == 2
     assert env["verdict"] == "budget-exceeded"
-    assert env["bounds"]["max_nodes"] == 2000
+    assert env["bounds"]["max_nodes"] == 300
 
 
-def test_deep_coloring_search_exits_three(tmp_path):
+def test_deep_coloring_search_returns_all_ones(tmp_path):
+    # x + y = 3000 z has no solution in [1, 1200]
     path = tmp_path / "deep.txt"
     path.write_text("1 1 -3000\n")
-    code, out, err = run(
+    code, env = run_json(
         ["search", "good-coloring", "--matrix", str(path), "-n", "1200", "-r", "2"]
     )
-    assert code == 3
-    assert out == ""
-    assert err == "error: input nested too deeply\n"
+    assert code == 0
+    assert env["verdict"] == "good-coloring"
+    assert env["certificate"]["colors"] == [1] * 1200
+
+
+def test_internal_check_failure_exits_three(monkeypatch):
+    def fail(coloring, index):
+        raise RuntimeError("internal check failed: planted")
+
+    monkeypatch.setattr(search, "_check_good_coloring", fail)
+    for extra in ([], ["--json"]):
+        code, out, err = run(
+            ["search", "good-coloring", "--poly", "x+y-z", "-n", "4", "-r", "2", *extra]
+        )
+        assert code == 3, extra
+        assert out == ""
+        assert err == "error: internal check failed: planted\n"
 
 
 def test_deeply_nested_omega_term_exits_three():

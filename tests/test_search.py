@@ -171,11 +171,18 @@ def test_node_budget_raises():
 
 
 def test_forcing_number_spends_one_budget_across_the_sweep():
-    # each n alone stays under 2000 nodes; the sweep up to 14 takes 2805
+    # each n alone fits in the budget; the sweep up to 14 does not
+    per_n = [good_coloring(SCHUR, n, 3).nodes for n in range(1, 15)]
+    assert max(per_n) < 300 < sum(per_n)
     assert forcing_number(SCHUR, 3, 14) == 14
     with pytest.raises(SearchBudgetExceeded) as info:
-        forcing_number(SCHUR, 3, 14, max_nodes=2000)
-    assert info.value.nodes == 2001
+        forcing_number(SCHUR, 3, 14, max_nodes=300)
+    assert info.value.nodes == 301
+
+
+def test_forcing_number_does_not_index_the_whole_bound_up_front():
+    # an index of x + y = z over [1, 10^5] would exceed MAX_SOLUTIONS
+    assert forcing_number(SCHUR, 2, 10**5) == 5
 
 
 def test_negative_node_budget_is_rejected():
@@ -185,16 +192,18 @@ def test_negative_node_budget_is_rejected():
         forcing_number(SCHUR, 2, 5, max_nodes=-1)
 
 
-def naive_good_coloring_exists(system, n, r):
+def naive_least_good_coloring(system, n, r):
     index = solutions_by_max(system, n)
     value_sets = [vals for by_max in index.values() for vals in by_max]
     for assignment in product(range(1, r + 1), repeat=n):
         colors = (0,) + assignment
-        if not any(
-            len({colors[u] for u in vals}) == 1 for vals in value_sets
-        ):
-            return True
-    return False
+        if not any(len({colors[u] for u in vals}) == 1 for vals in value_sets):
+            return assignment
+    return None
+
+
+def naive_good_coloring_exists(system, n, r):
+    return naive_least_good_coloring(system, n, r) is not None
 
 
 CORPUS = [
@@ -217,6 +226,32 @@ def test_backtracking_agrees_with_naive_enumeration():
                 n,
                 r,
             )
+
+
+def test_search_returns_the_lexicographically_least_good_coloring():
+    for system, r in CORPUS:
+        for n in range(1, 9 if r == 2 else 7):
+            got = good_coloring(system, n, r)
+            want = naive_least_good_coloring(system, n, r)
+            assert (got.coloring.values() if got.coloring else None) == want, (
+                system.kind,
+                n,
+                r,
+            )
+
+
+def test_van_der_waerden_three_three_needs_few_nodes():
+    # W(3;3) = 27; plain backtracking with color(1) pinned takes 675,277 nodes
+    out = good_coloring(ap_system(3), 27, 3)
+    assert out.forced
+    assert out.nodes <= 40_000
+
+
+def test_search_deeper_than_the_recursion_limit():
+    # x + y = 3000 z has no solution in [1, 1200]
+    out = good_coloring(matrix_system(parse_matrix("1 1 -3000")), 1200, 2)
+    assert not out.forced
+    assert out.coloring.values() == (1,) * 1200
 
 
 def test_forced_is_monotone_in_the_bound():
