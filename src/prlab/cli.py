@@ -940,13 +940,10 @@ def main(argv=None) -> int:
     except CliUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except RecursionError:
+    except RecursionError:  # a RuntimeError subclass, so it must come first
         print("error: input nested too deeply", file=sys.stderr)
         return 3
-    except RuntimeError as exc:  # a failed internal check: no verdict
+    except (ValueError, OSError, RuntimeError) as exc:  # RuntimeError: failed internal check
         print(f"error: {exc}", file=sys.stderr)
         return 3
     timing = round((time.perf_counter() - start) * 1000, 3)

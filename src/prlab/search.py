@@ -386,6 +386,8 @@ def forcing_number(
     is one total across every n of the sweep.  One by-maximum index serves
     every n up to the bound it was built for; past that bound it is rebuilt
     at twice the current n (capped at n_max), never at n_max up front."""
+    if r < 1:
+        raise ValueError("need at least one color")
     budget = node_budget(max_nodes)
     used = 0
     index, built = {}, 0

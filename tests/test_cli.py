@@ -151,6 +151,14 @@ def test_negative_node_budget_exits_three():
         assert err.startswith("error:")
 
 
+def test_zero_colors_exit_three():
+    for verb in (["good-coloring", "-n", "5"], ["forcing-number", "--max", "5"]):
+        code, out, err = run(["search", *verb, "--poly", "x+y-z", "-r", "0"])
+        assert code == 3, verb
+        assert out == ""
+        assert err == "error: need at least one color\n"
+
+
 def test_forcing_number_budget_is_total_across_the_sweep():
     # each n alone stays under 300 nodes; the sweep up to 14 takes more
     code, env = run_json(

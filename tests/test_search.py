@@ -185,6 +185,14 @@ def test_forcing_number_does_not_index_the_whole_bound_up_front():
     assert forcing_number(SCHUR, 2, 10**5) == 5
 
 
+def test_zero_colors_are_rejected():
+    for r in (0, -1):
+        with pytest.raises(ValueError):
+            good_coloring(SCHUR, 5, r)
+        with pytest.raises(ValueError):
+            forcing_number(SCHUR, r, 5)
+
+
 def test_negative_node_budget_is_rejected():
     with pytest.raises(ValueError):
         good_coloring(SCHUR, 5, 2, max_nodes=-1)
