@@ -5,6 +5,12 @@ negative, 2 for an unknown or bounds-limited verdict, 3 for usage or input
 errors.  With --json, exactly one envelope object is printed on standard
 output with the fixed keys verdict / certificate / provenance / timing_ms /
 bounds.
+
+The verb table VERBS is the single list of verbs.  Each row gives the verb
+path, help text, provenance, argument specs and handler; a handler returns
+(exit code, text lines, verdict[, certificate[, bounds]]).  build_parser
+and main are loops over the table, and main alone adds the provenance and
+builds the envelope.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import embed as embed_mod
 from . import folkman as folkman_mod
@@ -25,10 +32,10 @@ from . import search as search_mod
 from .core.coloring import Coloring
 from .core.matrix import parse_matrix
 from .core.poly import parse_poly
-from .core.sets import FiniteSet, PeriodicSet, parse_finite, parse_periodic
+from .core.sets import parse_finite, parse_periodic
 
 
-class CliUsageError(Exception):
+class CliUsageError(ValueError):
     pass
 
 
@@ -40,11 +47,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 # -- small helpers -----------------------------------------------------------
 
 def _read_text(path: str) -> str:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise CliUsageError(str(exc)) from None
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _int_list(text: str) -> list[int]:
@@ -127,105 +131,102 @@ def _bounds_payload(fam: embed_mod.FamilySpec) -> dict:
     }
 
 
+# -- shared renderers --------------------------------------------------------
+
+def _yes_no(ok, yes: str, no: str):
+    return (0 if ok else 1), [yes if ok else no], bool(ok)
+
+
+def _flag_list(flags, labels):
+    """One `label: yes|no` line per flag; the JSON keys are the labels with
+    spaces replaced by underscores, which are also the attribute names."""
+    keys = [label.replace(" ", "_") for label in labels]
+    values = [getattr(flags, key) for key in keys]
+    lines = [f"{label}: {'yes' if val else 'no'}" for label, val in zip(labels, values)]
+    return 0, lines, dict(zip(keys, values))
+
+
+def _budget_exceeded(exc: search_mod.SearchBudgetExceeded, bounds: dict):
+    lines = [f"search exhausted the node budget after {exc.nodes} nodes"]
+    return 2, lines, "budget-exceeded", None, bounds
+
+
+def _as_text(value):
+    return 0, [str(value)], str(value)
+
+
+def _status_json(code: int, v: polyreg.PrVerdict):
+    payload = _verdict_payload(v)
+    return code, [json.dumps(payload)], v.status, payload
+
+
+def _verdict_payload(v: polyreg.PrVerdict) -> dict:
+    return {
+        "status": v.status,
+        "method": v.method,
+        "certificate": _jsonable(v.certificate),
+        "notes": list(v.notes),
+    }
+
+
 # -- matrix / linear / affine verbs ------------------------------------------
 
-def _cmd_check_matrix(args):
-    M = parse_matrix(_read_text(args.file))
-    verdict = rado.columns_condition(M)
-    if verdict.satisfied:
-        cert = verdict.certificate
-        lines = ["columns condition: satisfied"]
-        for i, (block, combo) in enumerate(
-            zip(cert.blocks, (None,) + cert.combinations), start=1
-        ):
-            extra = "" if combo is None else f"  via {tuple(str(c) for c in combo)}"
-            lines.append(f"block {i}: columns {list(block)}{extra}")
-        payload = {
-            "blocks": cert.blocks,
-            "combinations": [[str(c) for c in combo] for combo in cert.combinations],
-        }
-        return 0, lines, {
-            "verdict": "columns-condition-satisfied",
-            "certificate": payload,
-            "provenance": "ordered-block-partition-search",
-        }
-    return 1, ["columns condition: not satisfied"], {
-        "verdict": "columns-condition-failed",
-        "provenance": "ordered-block-partition-search",
+def _check_matrix(args):
+    verdict = rado.columns_condition(parse_matrix(_read_text(args.file)))
+    if not verdict.satisfied:
+        return 1, ["columns condition: not satisfied"], "columns-condition-failed"
+    cert = verdict.certificate
+    lines = ["columns condition: satisfied"]
+    for i, (block, combo) in enumerate(
+        zip(cert.blocks, (None,) + cert.combinations), start=1
+    ):
+        extra = "" if combo is None else f"  via {tuple(str(c) for c in combo)}"
+        lines.append(f"block {i}: columns {list(block)}{extra}")
+    combinations = [[str(c) for c in combo] for combo in cert.combinations]
+    return 0, lines, "columns-condition-satisfied", {
+        "blocks": cert.blocks, "combinations": combinations,
     }
 
 
-def _cmd_check_linear(args):
+def _check_linear(args):
     verdict = rado.linear_pr(parse_poly(args.expr))
     if verdict.pr:
-        lines = [
-            "partition regular: yes",
-            f"zero-sum subset: {list(verdict.subset)}",
-        ]
-        return 0, lines, {
-            "verdict": "partition-regular",
-            "certificate": {"zero_sum_subset": verdict.subset},
-            "provenance": "zero-sum-subset-criterion",
-        }
-    lines = [
-        "partition regular: no",
-        f"blocking prime: {verdict.blocking_prime}",
-    ]
-    return 1, lines, {
-        "verdict": "not-partition-regular",
-        "certificate": {"blocking_prime": verdict.blocking_prime},
-        "provenance": "zero-sum-subset-criterion",
-    }
+        lines = ["partition regular: yes", f"zero-sum subset: {list(verdict.subset)}"]
+        return 0, lines, "partition-regular", {"zero_sum_subset": verdict.subset}
+    lines = ["partition regular: no", f"blocking prime: {verdict.blocking_prime}"]
+    return 1, lines, "not-partition-regular", {"blocking_prime": verdict.blocking_prime}
 
 
-def _cmd_check_affine(args):
+def _check_affine(args):
     verdict = rado.affine_pr(parse_poly(args.expr))
-    if verdict.pr:
-        lines = ["partition regular: yes", f"route: {verdict.route}"]
-        cert = {"route": verdict.route}
-        if verdict.k is not None:
-            lines.append(f"constant solution: every variable = {verdict.k}")
-            cert["k"] = verdict.k
-        if verdict.subset is not None:
-            lines.append(f"shift z = {verdict.z}, zero-sum subset {list(verdict.subset)}")
-            cert["z"] = verdict.z
-            cert["zero_sum_subset"] = verdict.subset
-        return 0, lines, {
-            "verdict": "partition-regular",
-            "certificate": cert,
-            "provenance": "affine-two-route-criterion",
-        }
-    return 1, ["partition regular: no"], {
-        "verdict": "not-partition-regular",
-        "provenance": "affine-two-route-criterion",
-    }
+    if not verdict.pr:
+        return 1, ["partition regular: no"], "not-partition-regular"
+    lines = ["partition regular: yes", f"route: {verdict.route}"]
+    cert = {"route": verdict.route}
+    if verdict.k is not None:
+        lines.append(f"constant solution: every variable = {verdict.k}")
+        cert["k"] = verdict.k
+    if verdict.subset is not None:
+        lines.append(f"shift z = {verdict.z}, zero-sum subset {list(verdict.subset)}")
+        cert["z"] = verdict.z
+        cert["zero_sum_subset"] = verdict.subset
+    return 0, lines, "partition-regular", cert
 
 
-def _cmd_smod(args):
+def _smod(args):
     color = rado.smod(args.p, args.n)
-    lines = [f"smod({args.p}) color of {args.n}: {color}"]
-    return 0, lines, {
-        "verdict": color,
-        "provenance": "strip-prime-powers-then-reduce",
-    }
+    return 0, [f"smod({args.p}) color of {args.n}: {color}"], color
 
 
-def _cmd_blocking_prime(args):
-    coeffs = _int_list(args.coeffs)
-    p = rado.blocking_prime(coeffs)
+def _blocking_prime(args):
+    p = rado.blocking_prime(_int_list(args.coeffs))
     if p is None:
         lines = ["no blocking prime: some subset of the coefficients sums to zero"]
-        return 1, lines, {
-            "verdict": "no-blocking-prime",
-            "provenance": "subset-sum-scan-over-primes",
-        }
-    return 0, [f"blocking prime: {p}"], {
-        "verdict": p,
-        "provenance": "subset-sum-scan-over-primes",
-    }
+        return 1, lines, "no-blocking-prime"
+    return 0, [f"blocking prime: {p}"], p
 
 
-def _cmd_parametric(args):
+def _parametric(args):
     P = parse_poly(args.expr)
     tokens = [t.strip() for t in args.subset.split(",") if t.strip()]
     names = P.variables()
@@ -242,28 +243,11 @@ def _cmd_parametric(args):
         lines.append(f"  {v} = a + {zv}*b" if zv else f"  {v} = a")
     for v in ps.other_vars:
         lines.append(f"  {v} = {ps.m}*b")
-    cert = {
-        "j_vars": ps.j_vars,
-        "zs": ps.zs,
-        "m": ps.m,
-        "c": ps.c,
-        "d": ps.d,
-        "z": ps.z,
-    }
-    return 0, lines, {
-        "verdict": "parametric-family",
-        "certificate": cert,
-        "provenance": "bezout-multipliers-on-zero-sum-subset",
-    }
+    cert = {key: getattr(ps, key) for key in ("j_vars", "zs", "m", "c", "d", "z")}
+    return 0, lines, "parametric-family", cert
 
 
 # -- search verbs ------------------------------------------------------------
-
-def _add_system_flags(p):
-    p.add_argument("--poly", help="polynomial equation P = 0")
-    p.add_argument("--matrix", help="file with a homogeneous system, one row per line")
-    p.add_argument("--ap", type=int, help="length of the arithmetic progression")
-
 
 def _system_from_args(args, injective: bool = False):
     given = [x for x in (args.poly, args.matrix, args.ap) if x is not None]
@@ -283,7 +267,7 @@ def _system_bounds(args, **extra):
     return out
 
 
-def _cmd_good_coloring(args):
+def _good_coloring(args):
     system = _system_from_args(args, injective=args.injective)
     bounds = _system_bounds(args, n=args.n, r=args.r)
     try:
@@ -291,202 +275,104 @@ def _cmd_good_coloring(args):
             system, args.n, args.r, max_nodes=args.max_nodes
         )
     except search_mod.SearchBudgetExceeded as exc:
-        return 2, [f"search exhausted the node budget after {exc.nodes} nodes"], {
-            "verdict": "budget-exceeded",
-            "provenance": "backtracking-coloring-search",
-            "bounds": bounds,
-        }
+        return _budget_exceeded(exc, bounds)
     if outcome.forced:
         lines = [f"forced: every {args.r}-coloring of [1,{args.n}] has a monochromatic solution"]
-        return 1, lines, {
-            "verdict": "forced",
-            "provenance": "backtracking-coloring-search",
-            "bounds": bounds,
-        }
+        return 1, lines, "forced", None, bounds
     values = outcome.coloring.values()
     lines = [f"good coloring found: {' '.join(str(v) for v in values)}"]
     for color, members in sorted(outcome.coloring.color_classes().items()):
         lines.append(f"  color {color}: {members}")
-    return 0, lines, {
-        "verdict": "good-coloring",
-        "certificate": {"colors": values},
-        "provenance": "backtracking-coloring-search",
-        "bounds": bounds,
-    }
+    return 0, lines, "good-coloring", {"colors": values}, bounds
 
 
-def _cmd_forcing_number(args):
+def _forcing_number(args):
     system = _system_from_args(args)
     bounds = _system_bounds(args, r=args.r, max=args.max)
     try:
         n = search_mod.forcing_number(system, args.r, args.max, max_nodes=args.max_nodes)
     except search_mod.SearchBudgetExceeded as exc:
-        return 2, [f"search exhausted the node budget after {exc.nodes} nodes"], {
-            "verdict": "budget-exceeded",
-            "provenance": "incremental-forcing-search",
-            "bounds": bounds,
-        }
+        return _budget_exceeded(exc, bounds)
     if n is None:
-        lines = [f"no forcing number up to {args.max}"]
-        return 2, lines, {
-            "verdict": "not-forced-within-bound",
-            "provenance": "incremental-forcing-search",
-            "bounds": bounds,
-        }
-    return 0, [f"forcing number: {n}"], {
-        "verdict": n,
-        "provenance": "incremental-forcing-search",
-        "bounds": bounds,
-    }
+        return 2, [f"no forcing number up to {args.max}"], "not-forced-within-bound", None, bounds
+    return 0, [f"forcing number: {n}"], n, None, bounds
 
 
-def _cmd_witness(args):
+def _witness(args):
     system = _system_from_args(args, injective=args.injective)
     coloring = Coloring.from_text(_read_text(args.coloring))
     w = search_mod.mono_witness(coloring, system)
     if w is None:
-        return 1, ["no monochromatic solution: the coloring is good"], {
-            "verdict": "no-witness",
-            "provenance": "per-class-least-witness-search",
-        }
-    return 0, [f"monochromatic solution: {list(w)}"], {
-        "verdict": "witness",
-        "certificate": {"values": w},
-        "provenance": "per-class-least-witness-search",
-    }
+        return 1, ["no monochromatic solution: the coloring is good"], "no-witness"
+    return 0, [f"monochromatic solution: {list(w)}"], "witness", {"values": w}
 
 
-def _cmd_vdw_extract(args):
+def _vdw_extract(args):
     coloring = Coloring.from_text(_read_text(args.coloring), lo=0)
     triple = search_mod.vdw325_extract(coloring)
     x, y, z = triple
     color = coloring.color(x)
     lines = [f"monochromatic progression: {x}, {y}, {z} (color {color})"]
-    return 0, lines, {
-        "verdict": "progression",
-        "certificate": {"triple": triple, "color": color},
-        "provenance": "block-pattern-case-analysis",
-    }
+    return 0, lines, "progression", {"triple": triple, "color": color}
 
 
 # -- folkman verbs -----------------------------------------------------------
 
-def _cmd_folkman_fs(args):
+def _folkman_fs(args):
     S = parse_finite(args.set)
     sums = folkman_mod.fs(S)
-    lines = [f"FS({S}) = {sums}"]
-    return 0, lines, {
-        "verdict": sums.elements,
-        "provenance": "incremental-subset-sums",
-    }
+    return 0, [f"FS({S}) = {sums}"], sums.elements
 
 
-def _cmd_folkman_matrix(args):
+def _folkman_matrix(args):
     M = folkman_mod.folkman_matrix(args.n)
-    lines = str(M).splitlines()
-    env = {
-        "verdict": "matrix",
-        "certificate": {"entries": M.entries},
-        "provenance": "membership-columns-with-negated-identity",
-    }
+    lines, cert, code = str(M).splitlines(), {"entries": M.entries}, 0
     if args.check:
-        verdict = rado.columns_condition(M)
-        lines.append(f"columns condition: {'satisfied' if verdict.satisfied else 'failed'}")
-        env["certificate"]["columns_condition"] = verdict.satisfied
-        if not verdict.satisfied:
-            return 1, lines, env
-    return 0, lines, env
+        satisfied = rado.columns_condition(M).satisfied
+        lines.append(f"columns condition: {'satisfied' if satisfied else 'failed'}")
+        cert["columns_condition"] = satisfied
+        code = 0 if satisfied else 1
+    return code, lines, "matrix", cert
 
 
-def _cmd_folkman_weak_mono(args):
+def _folkman_weak_mono(args):
     coloring = Coloring.from_text(_read_text(args.coloring))
-    S = parse_finite(args.set)
-    ok = folkman_mod.weakly_monochromatic(coloring, S)
-    lines = [f"weakly monochromatic: {'yes' if ok else 'no'}"]
-    return (0 if ok else 1), lines, {
-        "verdict": bool(ok),
-        "provenance": "prefix-sum-color-walk",
-    }
+    ok = folkman_mod.weakly_monochromatic(coloring, parse_finite(args.set))
+    return _yes_no(ok, "weakly monochromatic: yes", "weakly monochromatic: no")
 
 
 # -- poly verbs --------------------------------------------------------------
 
-def _verdict_payload(v: polyreg.PrVerdict) -> dict:
-    return {
-        "status": v.status,
-        "method": v.method,
-        "certificate": _jsonable(v.certificate),
-        "notes": list(v.notes),
-    }
-
-
-def _cmd_poly_reduct(args):
-    out = polyreg.reduct(parse_poly(args.expr))
-    return 0, [str(out)], {
-        "verdict": str(out),
-        "provenance": "fresh-variable-per-monomial",
-    }
-
-
-def _cmd_poly_exclusive(args):
+def _poly_exclusive(args):
     sets = polyreg.exclusive_sets(parse_poly(args.expr))
     payload = sorted(sorted(s) for s in sets)
-    if payload:
-        lines = ["exclusive variable sets:"] + [
-            "  {" + ", ".join(s) + "}" for s in payload
-        ]
-    else:
-        lines = ["no exclusive variable sets"]
-    return 0, lines, {
-        "verdict": payload,
-        "provenance": "per-monomial-private-variables",
-    }
+    if not payload:
+        return 0, ["no exclusive variable sets"], payload
+    lines = ["exclusive variable sets:"] + ["  {" + ", ".join(s) + "}" for s in payload]
+    return 0, lines, payload
 
 
-def _cmd_poly_check(args):
+def _poly_check(args):
     P = parse_poly(args.expr)
     suff = polyreg.sufficient_ipr(P)
     if suff.status == "IPR_certified":
-        verdict, code = suff, 0
-    else:
-        nec = polyreg.necessary_check(P)
-        if nec.status == "not_PR_certified":
-            verdict, code = nec, 1
-        else:
-            notes = tuple(dict.fromkeys(suff.notes + nec.notes))
-            verdict = polyreg.PrVerdict("unknown", notes=notes)
-            code = 2
-    payload = _verdict_payload(verdict)
-    return code, [json.dumps(payload)], {
-        "verdict": verdict.status,
-        "certificate": payload,
-        "provenance": "sufficiency-then-necessity-checks",
-    }
+        return _status_json(0, suff)
+    nec = polyreg.necessary_check(P)
+    if nec.status == "not_PR_certified":
+        return _status_json(1, nec)
+    notes = tuple(dict.fromkeys(suff.notes + nec.notes))
+    return _status_json(2, polyreg.PrVerdict("unknown", notes=notes))
 
 
-def _cmd_poly_construct(args):
+def _poly_construct(args):
     L = parse_poly(args.linear)
-    subsets = []
-    for chunk in args.subsets.split("|"):
-        subsets.append(tuple(_int_list(chunk)))
+    subsets = [tuple(_int_list(chunk)) for chunk in args.subsets.split("|")]
     result = polyreg.attach_products(L, subsets, args.n)
     lines = [str(result.poly), f"status: {result.verdict.status}"]
-    return 0, lines, {
-        "verdict": str(result.poly),
-        "certificate": _verdict_payload(result.verdict),
-        "provenance": "regular-linear-form-with-attached-products",
-    }
+    return 0, lines, str(result.poly), _verdict_payload(result.verdict)
 
 
-def _cmd_poly_reciprocal(args):
-    out = polyreg.reciprocal(parse_poly(args.expr), d=args.degree)
-    return 0, [str(out)], {
-        "verdict": str(out),
-        "provenance": "degree-complement-exponent-flip",
-    }
-
-
-def _cmd_poly_transform(args):
+def _poly_transform(args):
     if args.negate == (args.power is not None):
         raise CliUsageError("give exactly one of --negate, --power")
     P = parse_poly(args.expr)
@@ -495,118 +381,55 @@ def _cmd_poly_transform(args):
     else:
         result = polyreg.transform(P, "power", z=args.power)
     lines = [str(result.poly), f"regularity transfers over: {result.pr_transfer_domain}"]
-    return 0, lines, {
-        "verdict": str(result.poly),
-        "certificate": {"pr_transfer_domain": result.pr_transfer_domain},
-        "provenance": "variable-wise-substitution",
-    }
+    return 0, lines, str(result.poly), {"pr_transfer_domain": result.pr_transfer_domain}
 
 
-def _cmd_poly_expsum(args):
+def _poly_expsum(args):
     verdict = polyreg.exp_sum_ipr(_int_list(args.left), _int_list(args.right))
-    payload = _verdict_payload(verdict)
-    code = 0 if verdict.status == "IPR_certified" else 2
-    return code, [json.dumps(payload)], {
-        "verdict": verdict.status,
-        "certificate": payload,
-        "provenance": "exponent-sum-comparison",
-    }
-
-
-def _cmd_poly_invariance(args):
-    flags = polyreg.invariance(parse_poly(args.expr))
-    pairs = (
-        ("translation invariant", flags.translation_invariant),
-        ("dilation invariant", flags.dilation_invariant),
-        ("additive", flags.additive),
-        ("multiplicative", flags.multiplicative),
-    )
-    lines = [f"{name}: {'yes' if val else 'no'}" for name, val in pairs]
-    return 0, lines, {
-        "verdict": {
-            "translation_invariant": flags.translation_invariant,
-            "dilation_invariant": flags.dilation_invariant,
-            "additive": flags.additive,
-            "multiplicative": flags.multiplicative,
-        },
-        "provenance": "symbolic-substitution-identities",
-    }
+    return _status_json(0 if verdict.status == "IPR_certified" else 2, verdict)
 
 
 # -- omega verbs -------------------------------------------------------------
 
-def _cmd_omega_eval(args):
-    t = omega_mod.parse_term(args.term)
-    form = omega_mod.canonical(t)
+def _omega_eval(args):
+    form = omega_mod.canonical(omega_mod.parse_term(args.term))
     h = omega_mod.height(form)
-    lines = [f"canonical: {form}", f"height: {h}"]
-    return 0, lines, {
-        "verdict": {"canonical": str(form), "height": h},
-        "provenance": "star-depth-normal-form",
-    }
+    return 0, [f"canonical: {form}", f"height: {h}"], {"canonical": str(form), "height": h}
 
 
-def _cmd_omega_eq(args):
-    s = omega_mod.parse_term(args.left)
-    t = omega_mod.parse_term(args.right)
-    equal = omega_mod.term_eq(s, t)
-    lines = ["equal" if equal else "different"]
-    return (0 if equal else 1), lines, {
-        "verdict": bool(equal),
-        "provenance": "star-depth-normal-form",
-    }
+def _omega_pair(args):
+    return omega_mod.parse_term(args.left), omega_mod.parse_term(args.right)
 
 
-def _cmd_omega_tensorized(args):
+def _omega_tensorized(args):
     terms = [omega_mod.parse_term(chunk) for chunk in args.terms.split(";")]
-    out = omega_mod.tensorized(terms)
-    lines = [str(t) for t in out]
-    return 0, lines, {
-        "verdict": [str(t) for t in out],
-        "provenance": "cumulative-height-shifts",
-    }
+    out = [str(t) for t in omega_mod.tensorized(terms)]
+    return 0, out, out
 
 
-def _cmd_omega_rpair(args):
-    a = omega_mod.parse_term(args.left)
-    b = omega_mod.parse_term(args.right)
-    ok = omega_mod.tensor_pair_R(a, b)
-    lines = ["tensor pair" if ok else "not a tensor pair"]
-    return (0 if ok else 1), lines, {
-        "verdict": bool(ok),
-        "provenance": "minimum-star-depth-threshold",
-    }
-
-
-def _cmd_omega_verify354(args):
+def _omega_verify354(args):
     result = omega_mod.verify_table_construction(_int_list(args.c), _int_list(args.d))
     ok = result.zero_check and result.distinct_check
-    lines = []
-    for i, v in enumerate(result.xi, start=1):
-        lines.append(f"xi_{i}  = {list(v)}")
-    for j, v in enumerate(result.eta, start=1):
-        lines.append(f"eta_{j} = {list(v)}")
+    ledger = [line.text() for line in result.ledger]
+    lines = [f"xi_{i}  = {list(v)}" for i, v in enumerate(result.xi, start=1)]
+    lines += [f"eta_{j} = {list(v)}" for j, v in enumerate(result.eta, start=1)]
     if args.ledger:
-        lines.extend(line.text() for line in result.ledger)
+        lines.extend(ledger)
     lines.append(f"zero check: {'pass' if result.zero_check else 'fail'}")
     lines.append(f"distinct check: {'pass' if result.distinct_check else 'fail'}")
     cert = {
         "xi": result.xi,
         "eta": result.eta,
-        "ledger": [line.text() for line in result.ledger],
+        "ledger": ledger,
         "zero_check": result.zero_check,
         "distinct_check": result.distinct_check,
     }
-    return (0 if ok else 1), lines, {
-        "verdict": "balanced" if ok else "unbalanced",
-        "certificate": cert,
-        "provenance": "two-table-coefficient-construction",
-    }
+    return (0 if ok else 1), lines, "balanced" if ok else "unbalanced", cert
 
 
 # -- embed verbs -------------------------------------------------------------
 
-def _cmd_embed_fe(args):
+def _embed_fe(args):
     finite_pair = args.finite is not None or args.target is not None
     periodic_pair = args.periodic is not None or args.target_periodic is not None
     if finite_pair == periodic_pair:
@@ -616,92 +439,40 @@ def _cmd_embed_fe(args):
     if finite_pair:
         if args.finite is None or args.target is None:
             raise CliUsageError("--finite and --in go together")
-        F = parse_finite(args.finite)
-        B = parse_finite(args.target)
-        n = embed_mod.fe_shift(F, B)
+        n = embed_mod.fe_shift(parse_finite(args.finite), parse_finite(args.target))
         if n is None:
-            return 1, ["not embeddable"], {
-                "verdict": "not-embeddable",
-                "provenance": "least-shift-scan",
-            }
-        return 0, [f"embeds with shift {n}"], {
-            "verdict": "embeddable",
-            "certificate": {"shift": n},
-            "provenance": "least-shift-scan",
-        }
+            return 1, ["not embeddable"], "not-embeddable"
+        return 0, [f"embeds with shift {n}"], "embeddable", {"shift": n}
     if args.periodic is None or args.target_periodic is None:
         raise CliUsageError("--periodic and --in-periodic go together")
     A = parse_periodic(args.periodic)
     B = parse_periodic(args.target_periodic)
     ok = embed_mod.fe_periodic(A, B)
-    lines = ["finitely embeddable" if ok else "not finitely embeddable"]
-    return (0 if ok else 1), lines, {
-        "verdict": bool(ok),
-        "provenance": "residue-rotation-with-boundary-checks",
-    }
+    return _yes_no(ok, "finitely embeddable", "not finitely embeddable")
 
 
-def _cmd_embed_classify(args):
-    flags = embed_mod.classify(parse_periodic(args.spec))
-    pairs = (
-        ("thick", flags.thick),
-        ("syndetic", flags.syndetic),
-        ("piecewise syndetic", flags.piecewise_syndetic),
-        ("finite", flags.finite),
-    )
-    lines = [f"{name}: {'yes' if val else 'no'}" for name, val in pairs]
-    return 0, lines, {
-        "verdict": {
-            "thick": flags.thick,
-            "syndetic": flags.syndetic,
-            "piecewise_syndetic": flags.piecewise_syndetic,
-            "finite": flags.finite,
-        },
-        "provenance": "residue-set-analysis",
-    }
-
-
-def _cmd_embed_bd(args):
+def _embed_bd(args):
     density = embed_mod.bd(parse_periodic(args.spec))
-    return 0, [f"banach density: {density}"], {
-        "verdict": density,
-        "provenance": "residue-count-over-period",
-    }
+    return 0, [f"banach density: {density}"], density
 
 
-def _cmd_embed_fmap(args):
+def _embed_fmap(args):
     F = parse_finite(args.set)
     B = _parse_set_or_periodic(args.target)
     fam = _family_spec(args.family, args.bounds)
     got = embed_mod.fmap_witness(F, B, fam)
     bounds = _bounds_payload(fam)
     if not got.found():
-        return 2, ["no witness within the declared bounds"], {
-            "verdict": "none-within-bounds",
-            "provenance": "bounded-family-parameter-scan",
-            "bounds": bounds,
-        }
-    return 0, [f"witness: {fam.describe(got.params)}"], {
-        "verdict": "witness",
-        "certificate": {"params": got.params},
-        "provenance": "bounded-family-parameter-scan",
-        "bounds": bounds,
-    }
+        return 2, ["no witness within the declared bounds"], "none-within-bounds", None, bounds
+    return 0, [f"witness: {fam.describe(got.params)}"], "witness", {"params": got.params}, bounds
 
 
-def _cmd_embed_apmax(args):
-    A = _parse_set_or_periodic(args.spec)
-    ok = embed_mod.a_maximal_probe(A, args.len)
-    lines = [
-        f"contains a {args.len}-term progression" if ok else f"no {args.len}-term progression"
-    ]
-    return (0 if ok else 1), lines, {
-        "verdict": bool(ok),
-        "provenance": "windowed-progression-scan",
-    }
+def _embed_apmax(args):
+    ok = embed_mod.a_maximal_probe(_parse_set_or_periodic(args.spec), args.len)
+    return _yes_no(ok, f"contains a {args.len}-term progression", f"no {args.len}-term progression")
 
 
-def _cmd_embed_probe_family(args):
+def _embed_probe_family(args):
     fam = _family_spec(args.family, args.bounds)
     report = embed_mod.wellstructured_probe(fam)
     lines = []
@@ -720,206 +491,183 @@ def _cmd_embed_probe_family(args):
         cert["reflexivity_counterexample"] = report.reflexivity_counterexample.elements
     bounds = _bounds_payload(fam)
     if not lines:
-        return 2, ["no counterexample found within bounds"], {
-            "verdict": "no-counterexample-within-bounds",
-            "certificate": cert,
-            "provenance": "bounded-closure-probe",
-            "bounds": bounds,
-        }
-    return 0, lines, {
-        "verdict": "counterexample",
-        "certificate": cert,
-        "provenance": "bounded-closure-probe",
-        "bounds": bounds,
-    }
+        lines = ["no counterexample found within bounds"]
+        return 2, lines, "no-counterexample-within-bounds", cert, bounds
+    return 0, lines, "counterexample", cert, bounds
 
 
-# -- parser assembly ---------------------------------------------------------
+# -- the verb table ----------------------------------------------------------
+
+def _arg(*names, **kwargs):
+    return names, kwargs
+
+
+class Verb(NamedTuple):
+    path: str  # "verb" or "group action"
+    help: str
+    provenance: str | Callable  # a function of the parsed args where the method depends on them
+    args: tuple  # _arg specs, after the common --json and --max-nodes
+    handler: Callable  # args -> (code, lines, verdict[, certificate[, bounds]])
+
+
+class _Reply(NamedTuple):
+    code: int
+    lines: list
+    verdict: object
+    certificate: object = None
+    bounds: object = None
+
+
+_SYSTEM = (
+    _arg("--poly", help="polynomial equation P = 0"),
+    _arg("--matrix", help="file with a homogeneous system, one row per line"),
+    _arg("--ap", type=int, help="length of the arithmetic progression"),
+)
+_EXPR = (_arg("expr"),)
+_SPEC = (_arg("spec"),)
+_PAIR = (_arg("left"), _arg("right"))
+
+_GROUPS = {
+    "search": "coloring searches",
+    "vdw": "progression extraction",
+    "folkman": "finite sums and the membership matrix",
+    "poly": "nonlinear partition regularity tools",
+    "omega": "star-calculus terms",
+    "embed": "embeddability, density, families",
+}
+
+VERBS = (
+    Verb("check-matrix", "columns condition for an integer matrix",
+         "ordered-block-partition-search",
+         (_arg("file", help="matrix file, one row per line"),), _check_matrix),
+    Verb("check-linear", "partition regularity of a homogeneous linear equation",
+         "zero-sum-subset-criterion", _EXPR, _check_linear),
+    Verb("check-affine", "partition regularity of a linear equation with constant term",
+         "affine-two-route-criterion", _EXPR, _check_affine),
+    Verb("smod", "super-modulo color of one number", "strip-prime-powers-then-reduce",
+         (_arg("p", type=int), _arg("n", type=int)), _smod),
+    Verb("blocking-prime", "least prime whose super-modulo coloring blocks the coefficients",
+         "subset-sum-scan-over-primes", (_arg("coeffs"),), _blocking_prime),
+    Verb("parametric", "two-parameter solution family over a zero-sum subset",
+         "bezout-multipliers-on-zero-sum-subset",
+         (_arg("expr"), _arg("--subset", required=True,
+                             help="variable names or 1-based positions, comma-separated")),
+         _parametric),
+    Verb("search good-coloring", "find a coloring with no monochromatic solution",
+         "backtracking-coloring-search",
+         _SYSTEM + (_arg("-n", type=int, required=True, help="interval end"),
+                    _arg("-r", type=int, required=True, help="number of colors"),
+                    _arg("--injective", action="store_true",
+                         help="only count solutions with distinct values")),
+         _good_coloring),
+    Verb("search forcing-number", "least n at which every coloring is forced",
+         "incremental-forcing-search",
+         _SYSTEM + (_arg("-r", type=int, required=True),
+                    _arg("--max", type=int, required=True, help="largest n to try")),
+         _forcing_number),
+    Verb("search witness", "least monochromatic solution under a given coloring",
+         "per-class-least-witness-search",
+         _SYSTEM + (_arg("--coloring", required=True,
+                         help="file with one line of 1-based colors for [1,n]"),
+                    _arg("--injective", action="store_true")),
+         _witness),
+    Verb("vdw extract325", "monochromatic 3-term progression from a 2-coloring of [0,324]",
+         "block-pattern-case-analysis",
+         (_arg("--coloring", required=True, help="file with one line of 325 colors (1 or 2)"),),
+         _vdw_extract),
+    Verb("folkman fs", "all nonempty subset sums", "incremental-subset-sums",
+         (_arg("set", help="comma-separated elements"),), _folkman_fs),
+    Verb("folkman matrix", "membership matrix for n generators",
+         "membership-columns-with-negated-identity",
+         (_arg("n", type=int),
+          _arg("--check", action="store_true", help="also verify the columns condition")),
+         _folkman_matrix),
+    Verb("folkman weak-mono", "does the coloring make the subset sums weakly monochromatic",
+         "prefix-sum-color-walk",
+         (_arg("--coloring", required=True), _arg("--set", required=True)), _folkman_weak_mono),
+    Verb("poly reduct", "replace each monomial by a fresh variable", "fresh-variable-per-monomial",
+         _EXPR, lambda a: _as_text(polyreg.reduct(parse_poly(a.expr)))),
+    Verb("poly exclusive", "systems of variables private to each monomial",
+         "per-monomial-private-variables", _EXPR, _poly_exclusive),
+    Verb("poly check", "sufficiency and necessity checks", "sufficiency-then-necessity-checks",
+         _EXPR, _poly_check),
+    Verb("poly construct3513", "attach fresh-variable products to a regular linear form",
+         "regular-linear-form-with-attached-products",
+         (_arg("--linear", required=True),
+          _arg("--subsets", required=True, help='pipe-separated index lists, e.g. "1,2|1,2,3|3|1"'),
+          _arg("-n", type=int, required=True, help="number of fresh variables")),
+         _poly_construct),
+    Verb("poly reciprocal", "reverse the exponent pattern of a homogeneous polynomial",
+         "degree-complement-exponent-flip", (_arg("expr"), _arg("--degree", type=int)),
+         lambda a: _as_text(polyreg.reciprocal(parse_poly(a.expr), d=a.degree))),
+    Verb("poly transform", "regularity-preserving substitutions", "variable-wise-substitution",
+         (_arg("expr"), _arg("--negate", action="store_true", help="negate every variable"),
+          _arg("--power", type=int, help="raise every variable to this power")),
+         _poly_transform),
+    Verb("poly expsum", "difference of power products, compared by exponent sums",
+         "exponent-sum-comparison",
+         (_arg("--left", required=True), _arg("--right", required=True)), _poly_expsum),
+    Verb("poly invariance", "structural invariance flags", "symbolic-substitution-identities",
+         _EXPR, lambda a: _flag_list(
+             polyreg.invariance(parse_poly(a.expr)),
+             ("translation invariant", "dilation invariant", "additive", "multiplicative"))),
+    Verb("omega eval", "canonical form and height", "star-depth-normal-form",
+         (_arg("term"),), _omega_eval),
+    Verb("omega eq", "term equality", "star-depth-normal-form", _PAIR,
+         lambda a: _yes_no(omega_mod.term_eq(*_omega_pair(a)), "equal", "different")),
+    Verb("omega tensorized", "height-shifted tuple", "cumulative-height-shifts",
+         (_arg("terms", help="semicolon-separated terms"),), _omega_tensorized),
+    Verb("omega rpair", "tensor-pair test", "minimum-star-depth-threshold", _PAIR,
+         lambda a: _yes_no(omega_mod.tensor_pair_R(*_omega_pair(a)),
+                           "tensor pair", "not a tensor pair")),
+    Verb("omega verify354", "two-table coefficient construction",
+         "two-table-coefficient-construction",
+         (_arg("--c", required=True, help="comma-separated positive weights"),
+          _arg("--d", required=True, help="comma-separated positive weights"),
+          _arg("--ledger", action="store_true", help="print the per-depth coefficient identities")),
+         _omega_verify354),
+    Verb("embed fe", "finite embeddability",
+         lambda a: "least-shift-scan" if a.finite is not None
+         else "residue-rotation-with-boundary-checks",
+         (_arg("--finite", help="finite pattern, comma-separated"),
+          _arg("--in", dest="target", help="finite target, comma-separated"),
+          _arg("--periodic", help="periodic pattern, p=..; residues={..} form"),
+          _arg("--in-periodic", dest="target_periodic", help="periodic target")),
+         _embed_fe),
+    Verb("embed classify", "thick / syndetic / piecewise syndetic / finite",
+         "residue-set-analysis", _SPEC,
+         lambda a: _flag_list(embed_mod.classify(parse_periodic(a.spec)),
+                              ("thick", "syndetic", "piecewise syndetic", "finite"))),
+    Verb("embed bd", "exact Banach density", "residue-count-over-period", _SPEC, _embed_bd),
+    Verb("embed fmap", "family-map witness search", "bounded-family-parameter-scan",
+         (_arg("--set", required=True, help="finite pattern"),
+          _arg("--in", dest="target", required=True, help="target set (finite or periodic)"),
+          _arg("--family", required=True),
+          _arg("--bounds", help="e.g. a=1..10,b=0..20")),
+         _embed_fmap),
+    Verb("embed apmax", "progression probe", "windowed-progression-scan",
+         (_arg("spec", help="finite set or periodic spec"), _arg("--len", type=int, required=True)),
+         _embed_apmax),
+    Verb("embed probe-family", "closure counterexample probe", "bounded-closure-probe",
+         (_arg("--family", required=True), _arg("--bounds")), _embed_probe_family),
+)
+
 
 def build_parser() -> _ArgumentParser:
     common = _ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit one JSON envelope")
-    common.add_argument("--threads", type=int, default=1, help="worker count (results are identical for any value)")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized verbs")
-    common.add_argument("--max-nodes", type=int, default=None, dest="max_nodes", help="total search node budget (>= 0)")
-
+    common.add_argument("--max-nodes", type=int, help="total search node budget (>= 0)")
     root = _ArgumentParser(prog="prlab", description="partition regularity laboratory")
-    sub = root.add_subparsers(dest="verb", metavar="verb")
-
-    p = sub.add_parser("check-matrix", parents=[common], help="columns condition for an integer matrix")
-    p.add_argument("file", help="matrix file, one row per line")
-    p.set_defaults(handler=_cmd_check_matrix)
-
-    p = sub.add_parser("check-linear", parents=[common], help="partition regularity of a homogeneous linear equation")
-    p.add_argument("expr")
-    p.set_defaults(handler=_cmd_check_linear)
-
-    p = sub.add_parser("check-affine", parents=[common], help="partition regularity of a linear equation with constant term")
-    p.add_argument("expr")
-    p.set_defaults(handler=_cmd_check_affine)
-
-    p = sub.add_parser("smod", parents=[common], help="super-modulo color of one number")
-    p.add_argument("p", type=int)
-    p.add_argument("n", type=int)
-    p.set_defaults(handler=_cmd_smod)
-
-    p = sub.add_parser("blocking-prime", parents=[common], help="least prime whose super-modulo coloring blocks the coefficients")
-    p.add_argument("coeffs")
-    p.set_defaults(handler=_cmd_blocking_prime)
-
-    p = sub.add_parser("parametric", parents=[common], help="two-parameter solution family over a zero-sum subset")
-    p.add_argument("expr")
-    p.add_argument("--subset", required=True, help="variable names or 1-based positions, comma-separated")
-    p.set_defaults(handler=_cmd_parametric)
-
-    ps = sub.add_parser("search", help="coloring searches")
-    search_sub = ps.add_subparsers(dest="action", metavar="action")
-
-    p = search_sub.add_parser("good-coloring", parents=[common], help="find a coloring with no monochromatic solution")
-    _add_system_flags(p)
-    p.add_argument("-n", type=int, required=True, help="interval end")
-    p.add_argument("-r", type=int, required=True, help="number of colors")
-    p.add_argument("--injective", action="store_true", help="only count solutions with distinct values")
-    p.set_defaults(handler=_cmd_good_coloring)
-
-    p = search_sub.add_parser("forcing-number", parents=[common], help="least n at which every coloring is forced")
-    _add_system_flags(p)
-    p.add_argument("-r", type=int, required=True)
-    p.add_argument("--max", type=int, required=True, help="largest n to try")
-    p.set_defaults(handler=_cmd_forcing_number)
-
-    p = search_sub.add_parser("witness", parents=[common], help="least monochromatic solution under a given coloring")
-    _add_system_flags(p)
-    p.add_argument("--coloring", required=True, help="file with one line of 1-based colors for [1,n]")
-    p.add_argument("--injective", action="store_true")
-    p.set_defaults(handler=_cmd_witness)
-
-    pv = sub.add_parser("vdw", help="progression extraction")
-    vdw_sub = pv.add_subparsers(dest="action", metavar="action")
-    p = vdw_sub.add_parser("extract325", parents=[common], help="monochromatic 3-term progression from a 2-coloring of [0,324]")
-    p.add_argument("--coloring", required=True, help="file with one line of 325 colors (1 or 2)")
-    p.set_defaults(handler=_cmd_vdw_extract)
-
-    pf = sub.add_parser("folkman", help="finite sums and the membership matrix")
-    folkman_sub = pf.add_subparsers(dest="action", metavar="action")
-
-    p = folkman_sub.add_parser("fs", parents=[common], help="all nonempty subset sums")
-    p.add_argument("set", help="comma-separated elements")
-    p.set_defaults(handler=_cmd_folkman_fs)
-
-    p = folkman_sub.add_parser("matrix", parents=[common], help="membership matrix for n generators")
-    p.add_argument("n", type=int)
-    p.add_argument("--check", action="store_true", help="also verify the columns condition")
-    p.set_defaults(handler=_cmd_folkman_matrix)
-
-    p = folkman_sub.add_parser("weak-mono", parents=[common], help="does the coloring make the subset sums weakly monochromatic")
-    p.add_argument("--coloring", required=True)
-    p.add_argument("--set", required=True)
-    p.set_defaults(handler=_cmd_folkman_weak_mono)
-
-    pp = sub.add_parser("poly", help="nonlinear partition regularity tools")
-    poly_sub = pp.add_subparsers(dest="action", metavar="action")
-
-    p = poly_sub.add_parser("reduct", parents=[common], help="replace each monomial by a fresh variable")
-    p.add_argument("expr")
-    p.set_defaults(handler=_cmd_poly_reduct)
-
-    p = poly_sub.add_parser("exclusive", parents=[common], help="systems of variables private to each monomial")
-    p.add_argument("expr")
-    p.set_defaults(handler=_cmd_poly_exclusive)
-
-    p = poly_sub.add_parser("check", parents=[common], help="sufficiency and necessity checks")
-    p.add_argument("expr")
-    p.set_defaults(handler=_cmd_poly_check)
-
-    p = poly_sub.add_parser("construct3513", parents=[common], help="attach fresh-variable products to a regular linear form")
-    p.add_argument("--linear", required=True)
-    p.add_argument("--subsets", required=True, help='pipe-separated index lists, e.g. "1,2|1,2,3|3|1"')
-    p.add_argument("-n", type=int, required=True, help="number of fresh variables")
-    p.set_defaults(handler=_cmd_poly_construct)
-
-    p = poly_sub.add_parser("reciprocal", parents=[common], help="reverse the exponent pattern of a homogeneous polynomial")
-    p.add_argument("expr")
-    p.add_argument("--degree", type=int, default=None)
-    p.set_defaults(handler=_cmd_poly_reciprocal)
-
-    p = poly_sub.add_parser("transform", parents=[common], help="regularity-preserving substitutions")
-    p.add_argument("expr")
-    p.add_argument("--negate", action="store_true", help="negate every variable")
-    p.add_argument("--power", type=int, default=None, help="raise every variable to this power")
-    p.set_defaults(handler=_cmd_poly_transform)
-
-    p = poly_sub.add_parser("expsum", parents=[common], help="difference of power products, compared by exponent sums")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.set_defaults(handler=_cmd_poly_expsum)
-
-    p = poly_sub.add_parser("invariance", parents=[common], help="structural invariance flags")
-    p.add_argument("expr")
-    p.set_defaults(handler=_cmd_poly_invariance)
-
-    po = sub.add_parser("omega", help="star-calculus terms")
-    omega_sub = po.add_subparsers(dest="action", metavar="action")
-
-    p = omega_sub.add_parser("eval", parents=[common], help="canonical form and height")
-    p.add_argument("term")
-    p.set_defaults(handler=_cmd_omega_eval)
-
-    p = omega_sub.add_parser("eq", parents=[common], help="term equality")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(handler=_cmd_omega_eq)
-
-    p = omega_sub.add_parser("tensorized", parents=[common], help="height-shifted tuple")
-    p.add_argument("terms", help="semicolon-separated terms")
-    p.set_defaults(handler=_cmd_omega_tensorized)
-
-    p = omega_sub.add_parser("rpair", parents=[common], help="tensor-pair test")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(handler=_cmd_omega_rpair)
-
-    p = omega_sub.add_parser("verify354", parents=[common], help="two-table coefficient construction")
-    p.add_argument("--c", required=True, help="comma-separated positive weights")
-    p.add_argument("--d", required=True, help="comma-separated positive weights")
-    p.add_argument("--ledger", action="store_true", help="print the per-depth coefficient identities")
-    p.set_defaults(handler=_cmd_omega_verify354)
-
-    pe = sub.add_parser("embed", help="embeddability, density, families")
-    embed_sub = pe.add_subparsers(dest="action", metavar="action")
-
-    p = embed_sub.add_parser("fe", parents=[common], help="finite embeddability")
-    p.add_argument("--finite", help="finite pattern, comma-separated")
-    p.add_argument("--in", dest="target", help="finite target, comma-separated")
-    p.add_argument("--periodic", help="periodic pattern, p=..; residues={..} form")
-    p.add_argument("--in-periodic", dest="target_periodic", help="periodic target")
-    p.set_defaults(handler=_cmd_embed_fe)
-
-    p = embed_sub.add_parser("classify", parents=[common], help="thick / syndetic / piecewise syndetic / finite")
-    p.add_argument("spec")
-    p.set_defaults(handler=_cmd_embed_classify)
-
-    p = embed_sub.add_parser("bd", parents=[common], help="exact Banach density")
-    p.add_argument("spec")
-    p.set_defaults(handler=_cmd_embed_bd)
-
-    p = embed_sub.add_parser("fmap", parents=[common], help="family-map witness search")
-    p.add_argument("--set", required=True, help="finite pattern")
-    p.add_argument("--in", dest="target", required=True, help="target set (finite or periodic)")
-    p.add_argument("--family", required=True)
-    p.add_argument("--bounds", default=None, help="e.g. a=1..10,b=0..20")
-    p.set_defaults(handler=_cmd_embed_fmap)
-
-    p = embed_sub.add_parser("apmax", parents=[common], help="progression probe")
-    p.add_argument("spec", help="finite set or periodic spec")
-    p.add_argument("--len", type=int, required=True)
-    p.set_defaults(handler=_cmd_embed_apmax)
-
-    p = embed_sub.add_parser("probe-family", parents=[common], help="closure counterexample probe")
-    p.add_argument("--family", required=True)
-    p.add_argument("--bounds", default=None)
-    p.set_defaults(handler=_cmd_embed_probe_family)
-
+    subparsers = {"": root.add_subparsers(dest="verb", metavar="verb")}
+    for verb in VERBS:
+        group, _, name = verb.path.rpartition(" ")
+        if group not in subparsers:
+            parent = subparsers[""].add_parser(group, help=_GROUPS[group])
+            subparsers[group] = parent.add_subparsers(dest="action", metavar="action")
+        p = subparsers[group].add_parser(name, help=verb.help, parents=[common])
+        for names, kwargs in verb.args:
+            p.add_argument(*names, **kwargs)
+        p.set_defaults(row=verb)
     return root
 
 
@@ -927,39 +675,33 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except CliUsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    handler = getattr(args, "handler", None)
-    if handler is None:
-        parser.print_usage(sys.stderr)
-        return 3
-    start = time.perf_counter()
-    try:
-        code, lines, env = handler(args)
-    except CliUsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        verb = getattr(args, "row", None)
+        if verb is None:
+            parser.print_usage(sys.stderr)
+            return 3
+        start = time.perf_counter()
+        reply = _Reply(*verb.handler(args))
     except RecursionError:  # a RuntimeError subclass, so it must come first
         print("error: input nested too deeply", file=sys.stderr)
         return 3
-    except (ValueError, OSError, RuntimeError) as exc:  # RuntimeError: failed internal check
+    except (ValueError, OSError, RuntimeError) as exc:  # usage, input, failed internal check
         print(f"error: {exc}", file=sys.stderr)
         return 3
     timing = round((time.perf_counter() - start) * 1000, 3)
-    if getattr(args, "json", False):
+    if args.json:
+        provenance = verb.provenance(args) if callable(verb.provenance) else verb.provenance
         envelope = {
-            "verdict": _jsonable(env.get("verdict")),
-            "certificate": _jsonable(env.get("certificate")),
-            "provenance": env.get("provenance"),
+            "verdict": _jsonable(reply.verdict),
+            "certificate": _jsonable(reply.certificate),
+            "provenance": provenance,
             "timing_ms": timing,
-            "bounds": _jsonable(env.get("bounds")),
+            "bounds": _jsonable(reply.bounds),
         }
         print(json.dumps(envelope))
     else:
-        for line in lines:
+        for line in reply.lines:
             print(line)
-    return code
+    return reply.code
 
 
 def entry() -> None:

@@ -388,6 +388,8 @@ def forcing_number(
     at twice the current n (capped at n_max), never at n_max up front."""
     if r < 1:
         raise ValueError("need at least one color")
+    if n_max < 1:
+        raise ValueError("bound must be >= 1")
     budget = node_budget(max_nodes)
     used = 0
     index, built = {}, 0

@@ -193,6 +193,12 @@ def test_zero_colors_are_rejected():
             forcing_number(SCHUR, r, 5)
 
 
+def test_forcing_bound_below_one_is_rejected():
+    for n_max in (0, -3):
+        with pytest.raises(ValueError, match="bound must be >= 1"):
+            forcing_number(SCHUR, 2, n_max)
+
+
 def test_negative_node_budget_is_rejected():
     with pytest.raises(ValueError):
         good_coloring(SCHUR, 5, 2, max_nodes=-1)
