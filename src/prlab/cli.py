@@ -394,7 +394,8 @@ def _poly_expsum(args):
 def _omega_eval(args):
     form = omega_mod.canonical(omega_mod.parse_term(args.term))
     h = omega_mod.height(form)
-    return 0, [f"canonical: {form}", f"height: {h}"], {"canonical": str(form), "height": h}
+    text = omega_mod.form_text(form)
+    return 0, [f"canonical: {text}", f"height: {h}"], {"canonical": text, "height": h}
 
 
 def _omega_pair(args):
@@ -506,7 +507,7 @@ class Verb(NamedTuple):
     path: str  # "verb" or "group action"
     help: str
     provenance: str | Callable  # a function of the parsed args where the method depends on them
-    args: tuple  # _arg specs, after the common --json and --max-nodes
+    args: tuple  # _arg specs, after the common --json
     handler: Callable  # args -> (code, lines, verdict[, certificate[, bounds]])
 
 
@@ -523,6 +524,7 @@ _SYSTEM = (
     _arg("--matrix", help="file with a homogeneous system, one row per line"),
     _arg("--ap", type=int, help="length of the arithmetic progression"),
 )
+_MAX_NODES = _arg("--max-nodes", type=int, help="total search node budget (>= 0)")
 _EXPR = (_arg("expr"),)
 _SPEC = (_arg("spec"),)
 _PAIR = (_arg("left"), _arg("right"))
@@ -558,12 +560,12 @@ VERBS = (
          _SYSTEM + (_arg("-n", type=int, required=True, help="interval end"),
                     _arg("-r", type=int, required=True, help="number of colors"),
                     _arg("--injective", action="store_true",
-                         help="only count solutions with distinct values")),
+                         help="only count solutions with distinct values"), _MAX_NODES),
          _good_coloring),
     Verb("search forcing-number", "least n at which every coloring is forced",
          "incremental-forcing-search",
          _SYSTEM + (_arg("-r", type=int, required=True),
-                    _arg("--max", type=int, required=True, help="largest n to try")),
+                    _arg("--max", type=int, required=True, help="largest n to try"), _MAX_NODES),
          _forcing_number),
     Verb("search witness", "least monochromatic solution under a given coloring",
          "per-class-least-witness-search",
@@ -656,7 +658,6 @@ VERBS = (
 def build_parser() -> _ArgumentParser:
     common = _ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit one JSON envelope")
-    common.add_argument("--max-nodes", type=int, help="total search node budget (>= 0)")
     root = _ArgumentParser(prog="prlab", description="partition regularity laboratory")
     subparsers = {"": root.add_subparsers(dest="verb", metavar="verb")}
     for verb in VERBS:

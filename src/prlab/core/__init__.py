@@ -1,9 +1,4 @@
-"""Shared exact-arithmetic value types: polynomials, matrices, colorings, sets.
-
-Rationals are stdlib fractions.Fraction (always reduced, positive denominator).
-"""
-
-from fractions import Fraction as Rational
+"""Shared exact-arithmetic value types: polynomials, matrices, colorings, sets."""
 
 from .coloring import Coloring
 from .matrix import IntMatrix, parse_matrix
@@ -25,7 +20,6 @@ __all__ = [
     "Poly",
     "PolyParseError",
     "PolyProps",
-    "Rational",
     "eval_poly",
     "parse_finite",
     "parse_matrix",

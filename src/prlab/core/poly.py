@@ -1,5 +1,8 @@
 """Exact multivariate polynomials over the integers with named variables.
 
+A variable is a parser name such as "x1" or any other sortable, hashable
+key; prlab.omega's canonical forms use (atom, depth) pairs.
+
 Coefficients are arbitrary-precision ints.  A polynomial is kept in normal
 reduced form: no duplicate exponent vectors, no zero coefficients.  Monomials
 remember the order in which they first appeared; printing and the linear
@@ -11,8 +14,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-# exponent vector: ((var, exp), ...) sorted by variable name, exp >= 1
-MonomialKey = tuple[tuple[str, int], ...]
+# exponent vector: ((var, exp), ...) sorted by variable, exp >= 1; a var is a
+# parser name or any sortable, hashable key such as omega's (atom, depth)
+MonomialKey = tuple[tuple[object, int], ...]
 
 _VAR_RE = re.compile(r"[a-z][a-z0-9_]*")
 
@@ -39,7 +43,7 @@ class Poly:
         if monomials:
             items = monomials.items() if isinstance(monomials, dict) else monomials
             for key, coeff in items:
-                self._add_key(key, coeff)
+                self._add_key(key, int(coeff))
 
     # -- construction ------------------------------------------------------
 
@@ -58,8 +62,7 @@ class Poly:
         return cls({((name, 1),): 1})
 
     def _add_key(self, key: MonomialKey, coeff: int) -> None:
-        """Accumulate coeff onto the monomial key, keeping normal form."""
-        coeff = int(coeff)
+        """Accumulate an int coeff onto the monomial key, keeping normal form."""
         if coeff == 0:
             return
         if not key:
@@ -101,10 +104,10 @@ class Poly:
 
     def __add__(self, other) -> "Poly":
         other = _coerce(other)
-        out = Poly(self.monomials, self.constant)
+        out = Poly(constant=self.constant + other.constant)
+        out.monomials = dict(self.monomials)  # already in normal form
         for k, c in other.monomials.items():
             out._add_key(k, c)
-        out.constant += other.constant
         return out
 
     __radd__ = __add__
@@ -118,10 +121,11 @@ class Poly:
     def __mul__(self, other) -> "Poly":
         other = _coerce(other)
         out = Poly()
-        for k1, c1 in list(self.monomials.items()) + [((), self.constant)]:
+        right = [*other.monomials.items(), ((), other.constant)]
+        for k1, c1 in [*self.monomials.items(), ((), self.constant)]:
             if c1 == 0:
                 continue
-            for k2, c2 in list(other.monomials.items()) + [((), other.constant)]:
+            for k2, c2 in right:
                 if c2 == 0:
                     continue
                 out._add_key(_merge_keys(k1, k2), c1 * c2)

@@ -1,10 +1,9 @@
 """Finite embeddability between finite and eventually periodic sets of
 naturals, structural classification (thick / syndetic / piecewise syndetic),
-exact and windowed Banach density, and bounded searches over generated
-function families (translations, homotheties, powers, exponentials,
-affinities, polynomials): witness mapping, progression probes, and a
-counterexample probe for the closure properties a well-structured family
-needs.
+exact Banach density, and bounded searches over generated function families
+(translations, homotheties, powers, exponentials, affinities, polynomials):
+witness mapping, progression probes, and a counterexample probe for the
+closure properties a well-structured family needs.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ __all__ = [
     "SetFlags",
     "classify",
     "bd",
-    "bd_window",
     "FamilySpec",
     "family",
     "DEFAULT_FAMILY_BOUNDS",
@@ -134,21 +132,6 @@ def bd(A: PeriodicSet) -> Fraction:
     """Banach density: the best windows of length k*period eventually contain
     exactly k elements per residue, so the density is exact."""
     return Fraction(len(A.residues), A.period)
-
-
-def bd_window(A: FiniteSet, L: int) -> Fraction:
-    """Best density of A over intervals of length L."""
-    if L < 1:
-        raise ValueError("window length must be >= 1")
-    if not A:
-        return Fraction(0)
-    best = 0
-    elems = A.elements
-    for start in range(A.max() + 1):
-        count = sum(1 for x in elems if start <= x < start + L)
-        if count > best:
-            best = count
-    return Fraction(best, L)
 
 
 # -- generated function families --------------------------------------------

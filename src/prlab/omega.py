@@ -4,15 +4,18 @@ height-shifted sum and product (written heart and diamond), tensorized
 tuples, the tensor-pair test, and the symbolic verifier for the two-table
 coefficient construction with its per-depth ledger.
 
-Star maps fix the naturals and commute with + and *, which is exactly what
-makes the canonical form well defined: S_k applied to a term simply raises
-every indeterminate's depth tag by k.
+The canonical form of a term is a core.Poly whose variables are
+(atom, depth) pairs.  Star maps fix the naturals and commute with + and *,
+which is exactly what makes the canonical form well defined: S_k applied to
+a term simply raises every indeterminate's depth tag by k.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+
+from .core.poly import Poly
 
 # -- terms ------------------------------------------------------------------
 
@@ -112,174 +115,63 @@ def star(t: OmegaTerm, k: int = 1) -> OmegaTerm:
 
 
 # -- canonical forms --------------------------------------------------------
+#
+# Negative coefficients are allowed as formal bookkeeping (needed only to test
+# differences for zero); a form with any negative part does not denote a
+# value of the star calculus.
 
-class CanonicalForm:
-    """Integer-coefficient polynomial over (atom, star-depth) indeterminates
-    plus an integer constant.  Negative coefficients are allowed as formal
-    bookkeeping (needed only to test differences for zero); a form with any
-    negative part does not denote a value of the star calculus.
-    """
+def _shift(form: Poly, k: int) -> Poly:
+    """Apply S_k: every indeterminate's depth rises by k, the constant part
+    is fixed.  Raising every depth by k keeps each key sorted."""
+    out = Poly(constant=form.constant)
+    out.monomials = {
+        tuple([((name, d + k), e) for (name, d), e in key]): c
+        for key, c in form.monomials.items()
+    }
+    return out
 
-    __slots__ = ("monomials", "constant")
 
-    def __init__(self, monomials=None, constant=0):
-        self.monomials: dict = dict(monomials or {})
-        self.constant = constant
+def _depths(form: Poly) -> list[int]:
+    return [d for key in form.monomials for (_, d), _ in key]
 
-    @classmethod
-    def const(cls, n: int) -> "CanonicalForm":
-        return cls({}, n)
 
-    @classmethod
-    def indeterminate(cls, name: str, depth: int) -> "CanonicalForm":
-        return cls({(((name, depth), 1),): 1}, 0)
-
-    def is_constant(self) -> bool:
-        return not self.monomials
-
-    def has_negative(self) -> bool:
-        return self.constant < 0 or any(c < 0 for c in self.monomials.values())
-
-    def depths(self):
-        return sorted(
-            {d for key in self.monomials for (_, d), _ in key}
+def form_text(form: Poly) -> str:
+    """Monomials by total degree, then by key; depth 0 prints as the bare
+    atom, depth k as Sk(atom)."""
+    parts = []
+    for key in sorted(form.monomials, key=lambda k: (sum(e for _, e in k), k)):
+        c = form.monomials[key]
+        body = "*".join(
+            (n if d == 0 else f"S{d}({n})") + (f"^{e}" if e > 1 else "")
+            for (n, d), e in key
         )
-
-    def max_depth(self):
-        ds = self.depths()
-        return ds[-1] if ds else None
-
-    def min_depth(self):
-        ds = self.depths()
-        return ds[0] if ds else None
-
-    def add(self, other: "CanonicalForm") -> "CanonicalForm":
-        out = dict(self.monomials)
-        for key, c in other.monomials.items():
-            c2 = out.get(key, 0) + c
-            if c2:
-                out[key] = c2
-            else:
-                out.pop(key, None)
-        return CanonicalForm(out, self.constant + other.constant)
-
-    def neg(self) -> "CanonicalForm":
-        return CanonicalForm(
-            {k: -c for k, c in self.monomials.items()}, -self.constant
-        )
-
-    def sub(self, other: "CanonicalForm") -> "CanonicalForm":
-        return self.add(other.neg())
-
-    def mul(self, other: "CanonicalForm") -> "CanonicalForm":
-        out = CanonicalForm.const(self.constant * other.constant)
-        acc: dict = dict(out.monomials)
-        constant = self.constant * other.constant
-
-        def add_term(key, coeff):
-            if not key:
-                nonlocal constant
-                constant += coeff
-                return
-            c2 = acc.get(key, 0) + coeff
-            if c2:
-                acc[key] = c2
-            else:
-                acc.pop(key, None)
-
-        for key, c in self.monomials.items():
-            if other.constant:
-                add_term(key, c * other.constant)
-        for key, c in other.monomials.items():
-            if self.constant:
-                add_term(key, c * self.constant)
-        for k1, c1 in self.monomials.items():
-            for k2, c2 in other.monomials.items():
-                powers: dict = {}
-                for ind, e in k1 + k2:
-                    powers[ind] = powers.get(ind, 0) + e
-                key = tuple(sorted(powers.items()))
-                add_term(key, c1 * c2)
-        return CanonicalForm(acc, constant)
-
-    def shift(self, k: int) -> "CanonicalForm":
-        """Apply S_k: every indeterminate's depth rises by k, the constant
-        part is fixed."""
-        if k == 0:
-            return self
-        out = {}
-        for key, c in self.monomials.items():
-            new_key = tuple(
-                sorted((((name, d + k), e) for (name, d), e in key))
-            )
-            out[new_key] = c
-        return CanonicalForm(out, self.constant)
-
-    def __eq__(self, other):
-        if not isinstance(other, CanonicalForm):
-            return NotImplemented
-        return self.monomials == other.monomials and self.constant == other.constant
-
-    def __hash__(self):
-        return hash((frozenset(self.monomials.items()), self.constant))
-
-    @staticmethod
-    def _indet_str(name, depth):
-        return name if depth == 0 else f"S{depth}({name})"
-
-    def __str__(self):
-        parts = []
-        for key in sorted(
-            self.monomials, key=lambda k: (sum(e for _, e in k), k)
-        ):
-            c = self.monomials[key]
-            body = "*".join(
-                self._indet_str(n, d) + (f"^{e}" if e > 1 else "")
-                for (n, d), e in key
-            )
-            if c == 1:
-                text = body
-            elif c == -1:
-                text = f"-{body}"
-            else:
-                text = f"{c}*{body}"
-            if parts and not text.startswith("-"):
-                parts.append("+" + text)
-            else:
-                parts.append(text)
-        if self.constant or not parts:
-            text = str(self.constant)
-            if parts and self.constant > 0:
-                parts.append("+" + text)
-            else:
-                parts.append(text)
-        return "".join(parts)
-
-    def __repr__(self):
-        return f"CanonicalForm({self})"
+        text = body if c == 1 else f"-{body}" if c == -1 else f"{c}*{body}"
+        parts.append(text if not parts or text.startswith("-") else "+" + text)
+    if form.constant or not parts:
+        text = str(form.constant)
+        parts.append("+" + text if parts and form.constant > 0 else text)
+    return "".join(parts)
 
 
-def canonical(t: OmegaTerm) -> CanonicalForm:
+def canonical(t: OmegaTerm) -> Poly:
     if isinstance(t, Nat):
-        return CanonicalForm.const(t.value)
+        return Poly.const(t.value)
     if isinstance(t, Atom):
-        return CanonicalForm.indeterminate(t.name, 0)
+        return Poly({(((t.name, 0), 1),): 1})
     if isinstance(t, Star):
-        return canonical(t.body).shift(t.k)
+        return _shift(canonical(t.body), t.k)
     if isinstance(t, Sum):
-        return canonical(t.left).add(canonical(t.right))
+        return canonical(t.left) + canonical(t.right)
     if isinstance(t, Prod):
-        return canonical(t.left).mul(canonical(t.right))
+        return canonical(t.left) * canonical(t.right)
     raise TypeError(f"not a term: {t!r}")
 
 
 def height(t) -> int:
     """0 for pure naturals; otherwise one more than the deepest star tag in
     the canonical form."""
-    form = t if isinstance(t, CanonicalForm) else canonical(t)
-    if form.is_constant():
-        return 0
-    return 1 + form.max_depth()
+    form = t if isinstance(t, Poly) else canonical(t)
+    return 1 + max(_depths(form)) if form.monomials else 0
 
 
 def term_eq(s: OmegaTerm, t: OmegaTerm) -> bool:
@@ -318,9 +210,7 @@ def tensor_pair_R(a: OmegaTerm, b: OmegaTerm) -> bool:
     star depth at least h(a), so b arises by an h(a)-fold star of some
     term."""
     form = canonical(b)
-    if form.is_constant():
-        return True
-    return form.min_depth() >= height(a)
+    return not form.monomials or min(_depths(form)) >= height(a)
 
 
 # -- parsing ----------------------------------------------------------------
@@ -542,13 +432,12 @@ def verify_table_construction(c, d) -> TableConstructionResult:
 
     xi_terms = tuple(vector_term(v) for v in xi)
     eta_terms = tuple(vector_term(v) for v in eta)
-    combo = CanonicalForm.const(0)
+    combo = Poly.zero()
     for ci, t in zip(c, xi_terms):
-        combo = combo.add(canonical(t).mul(CanonicalForm.const(ci)))
+        combo = combo + ci * canonical(t)
     for dj, t in zip(d, eta_terms):
-        combo = combo.sub(canonical(t).mul(CanonicalForm.const(dj)))
-    symbolic_zero = combo == CanonicalForm.const(0)
-    if symbolic_zero != zero:
+        combo = combo - dj * canonical(t)
+    if combo.is_zero() != zero:
         raise RuntimeError("internal check failed: symbolic and ledger verdicts differ")
 
     vectors = xi + eta
@@ -568,39 +457,3 @@ def verify_table_construction(c, d) -> TableConstructionResult:
         zero_check=zero,
         distinct_check=distinct,
     )
-
-
-# -- random term generation (for property tests) ----------------------------
-
-def random_term(rng, max_depth=3, atoms=("a", "b", "c"), max_nat=9) -> OmegaTerm:
-    """A random star-calculus term: naturals drawn from 1..max_nat (zero is
-    excluded so products never collapse), star budget limited by max_depth."""
-
-    def build(size, stars):
-        if size <= 1:
-            if rng.random() < 0.4:
-                return Nat(rng.randint(1, max_nat))
-            return Atom(rng.choice(atoms))
-        roll = rng.random()
-        if roll < 0.25 and stars > 0:
-            k = rng.randint(1, stars)
-            return star(build(size - 1, stars - k), k)
-        if roll < 0.45:
-            return Nat(rng.randint(1, max_nat))
-        if roll < 0.6:
-            return Atom(rng.choice(atoms))
-        left = build(size // 2, stars)
-        right = build(size // 2, stars)
-        return Sum(left, right) if roll < 0.8 else Prod(left, right)
-
-    return build(rng.randint(1, 6), max_depth)
-
-
-def random_term_of_height(rng, H, atoms=("a", "b", "c"), max_nat=9) -> OmegaTerm:
-    """A random term whose height is exactly H."""
-    if H == 0:
-        return Nat(rng.randint(1, max_nat))
-    t = random_term(rng, max_depth=H - 1, atoms=atoms, max_nat=max_nat)
-    if height(t) == 0:
-        t = Sum(t, Atom(rng.choice(atoms)))
-    return star(t, H - height(t))

@@ -158,63 +158,6 @@ def attach_products(L: Poly, subsets, n: int) -> ConstructResult:
     return ConstructResult(out, verdict)
 
 
-def multiply_disjoint(P: Poly, Q: Poly, p_verdict: PrVerdict | None = None):
-    """Product of polynomials over disjoint variables; an injective-regularity
-    certificate for P carries over to the product."""
-    shared = set(P.variables()) & set(Q.variables())
-    if shared:
-        raise ValueError(f"shared variables: {sorted(shared)}")
-    out = P * Q
-    inherited = None
-    if p_verdict is not None and p_verdict.status == "IPR_certified":
-        inherited = PrVerdict(
-            "IPR_certified",
-            method="product-with-disjoint-factor",
-            certificate={"factor": str(P), **p_verdict.certificate},
-        )
-    return out, inherited
-
-
-@dataclass
-class FactorReduceResult:
-    factors: tuple[Poly, ...]
-    verdicts: tuple[tuple[PrVerdict, PrVerdict | None], ...]
-    overall: PrVerdict
-
-
-def factor_reduce(P: Poly, factors) -> FactorReduceResult:
-    """Verify a stated factorization of P and reduce the regularity question
-    to the factors: the product is injectively regular when some factor is."""
-    prod = Poly.const(1)
-    for f in factors:
-        prod = prod * f
-    if prod != P:
-        raise ValueError("stated factors do not multiply back to the polynomial")
-    verdicts = []
-    ipr_factor = None
-    for f in factors:
-        try:
-            suff = sufficient_ipr(f)
-        except ValueError as exc:
-            suff = PrVerdict("unknown", notes=(str(exc),))
-        try:
-            nec = necessary_check(f)
-        except ValueError as exc:
-            nec = PrVerdict("unknown", notes=(str(exc),))
-        verdicts.append((suff, nec))
-        if suff.status == "IPR_certified" and ipr_factor is None:
-            ipr_factor = f
-    if ipr_factor is not None:
-        overall = PrVerdict(
-            "IPR_certified",
-            method="certified-factor",
-            certificate={"factor": str(ipr_factor)},
-        )
-    else:
-        overall = PrVerdict("unknown", notes=("no factor certified",))
-    return FactorReduceResult(tuple(factors), tuple(verdicts), overall)
-
-
 def reciprocal(P: Poly, d: int | None = None) -> Poly:
     """Multiply P(1/x_1, ..., 1/x_n) by (x_1 * ... * x_n)^d: each monomial's
     exponent on each variable v becomes d minus the old exponent.  Regularity

@@ -204,7 +204,8 @@ def test_deeply_nested_omega_term_exits_three():
 
 
 def test_retired_threads_and_seed_flags_exit_three():
-    for flag in (["--threads", "4"], ["--seed", "7"]):
+    # --max-nodes too: only the two search verbs take it
+    for flag in (["--threads", "4"], ["--seed", "7"], ["--max-nodes", "-5"]):
         code, out, err = run(["check-linear", "x+y-z", *flag])
         assert code == 3, flag
         assert out == ""
@@ -1225,6 +1226,7 @@ EXACT = [
     (['embed', 'probe-family', '--family', 'spiral'], 3, '', None),
     (['check-linear', 'x+y-z', '--threads', '4'], 3, '', None),
     (['check-linear', 'x+y-z', '--seed', '7'], 3, '', None),
+    (['check-linear', 'x+y-z', '--max-nodes', '5'], 3, '', None),
     ([], 3, '', None),
     (['poly'], 3, '', None),
     (['no-such-verb'], 3, '', None),

@@ -66,7 +66,7 @@ def cli_argv(draw):
             left_out = draw(st.integers(0, 5)) == 0
             if names[0] in ("--poly", "--matrix", "--ap") and names[0] != system:
                 left_out = not left_out  # mostly just one of the three
-            if left_out:
+            if left_out or names[0] == "--max-nodes":  # drawn below, for every verb
                 continue
             if kwargs.get("action") == "store_true":
                 argv.append(names[0])

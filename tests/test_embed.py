@@ -9,7 +9,6 @@ from prlab.embed import (
     FamilySpec,
     a_maximal_probe,
     bd,
-    bd_window,
     classify,
     family,
     fe_periodic,
@@ -212,15 +211,6 @@ def test_bd_monotone_under_fe():
         for B in sets:
             if fe_periodic(A, B):
                 assert bd(A) <= bd(B), (A, B)
-
-
-def test_bd_window_fixtures():
-    A = FiniteSet((0, 1, 2, 10))
-    assert bd_window(A, 3) == 1
-    assert bd_window(A, 5) == Fraction(3, 5)
-    assert bd_window(FiniteSet(), 4) == 0
-    with pytest.raises(ValueError):
-        bd_window(A, 0)
 
 
 # -- generated families ------------------------------------------------------

@@ -2,27 +2,66 @@ import random
 
 import pytest
 
+from prlab.core import Poly
 from prlab.omega import (
     Atom,
-    CanonicalForm,
     Nat,
+    OmegaTerm,
     Prod,
     Star,
     Sum,
     TermParseError,
     canonical,
     diamond,
+    form_text,
     heart,
     height,
     parse_term,
-    random_term,
-    random_term_of_height,
     star,
     tensor_pair_R,
     tensorized,
     term_eq,
     verify_table_construction,
 )
+
+
+# -- random term generation (for property tests) ----------------------------
+
+def random_term(rng, max_depth=3, atoms=("a", "b", "c"), max_nat=9) -> OmegaTerm:
+    """A random star-calculus term: naturals drawn from 1..max_nat (zero is
+    excluded so products never collapse), star budget limited by max_depth."""
+
+    def build(size, stars):
+        if size <= 1:
+            if rng.random() < 0.4:
+                return Nat(rng.randint(1, max_nat))
+            return Atom(rng.choice(atoms))
+        roll = rng.random()
+        if roll < 0.25 and stars > 0:
+            k = rng.randint(1, stars)
+            return star(build(size - 1, stars - k), k)
+        if roll < 0.45:
+            return Nat(rng.randint(1, max_nat))
+        if roll < 0.6:
+            return Atom(rng.choice(atoms))
+        left = build(size // 2, stars)
+        right = build(size // 2, stars)
+        return Sum(left, right) if roll < 0.8 else Prod(left, right)
+
+    return build(rng.randint(1, 6), max_depth)
+
+
+def random_term_of_height(rng, H, atoms=("a", "b", "c"), max_nat=9) -> OmegaTerm:
+    """A random term whose height is exactly H."""
+    if H == 0:
+        return Nat(rng.randint(1, max_nat))
+    t = random_term(rng, max_depth=H - 1, atoms=atoms, max_nat=max_nat)
+    if height(t) == 0:
+        t = Sum(t, Atom(rng.choice(atoms)))
+    return star(t, H - height(t))
+
+
+# -- canonical forms ---------------------------------------------------------
 
 
 def test_canonical_pushes_stars_to_leaves():
@@ -64,15 +103,41 @@ def test_height_fixtures():
 
 
 def test_height_of_cancelled_difference_is_zero():
-    diff = canonical(parse_term("S1(a)")).sub(canonical(parse_term("S1(a)")))
-    assert diff == CanonicalForm.const(0)
-    assert height(diff.add(CanonicalForm.const(3))) == 0
+    diff = canonical(parse_term("S1(a)")) - canonical(parse_term("S1(a)"))
+    assert diff == Poly.const(0)
+    assert height(diff + Poly.const(3)) == 0
 
 
 def test_negative_flag_on_formal_differences():
-    diff = canonical(Atom("a")).sub(canonical(Atom("b")))
-    assert diff.has_negative()
-    assert not canonical(parse_term("a*b + 2")).has_negative()
+    diff = canonical(Atom("a")) - canonical(Atom("b"))
+    assert any(c < 0 for c in diff.coefficients())
+    assert all(c > 0 for c in canonical(parse_term("a*b + 2")).coefficients())
+
+
+# (term, subtracted term or None, printed form, height): monomials by degree,
+# then by (atom, depth) key; signs fold into the joins; 0 for a cancellation.
+PRINTED_FORMS = (
+    ("a*S1(a)", None, "a*S1(a)", 2),
+    ("S2(a)*S2(a)", None, "S2(a)^2", 3),
+    ("S2(a*b+1)", None, "S2(a)*S2(b)+1", 3),
+    ("(a+S1(b)+2)*(a+3)", None, "5*a+3*S1(b)+a*S1(b)+a^2+6", 2),
+    ("S1(a*b+c)*S2(a)+c*c*c+b", None, "b+S2(a)*S1(c)+S1(a)*S2(a)*S1(b)+c^3", 3),
+    ("3*(2+4)", None, "18", 0),
+    ("S1(a)", "S1(a)", "0", 0),
+    ("a", "S1(b)*b", "a-b*S1(b)", 2),
+    ("S1(a)+1", "2*(a+3)", "-2*a+S1(a)-5", 2),
+    ("a*a+S3(b)", "a*a+2*S3(b)+c", "-S3(b)-c", 4),
+    ("heart(a, b)*2", "diamond(a, a)", "2*a+2*S1(b)-a*S1(a)", 2),
+)
+
+
+@pytest.mark.parametrize("left,right,text,h", PRINTED_FORMS)
+def test_printed_form_and_height(left, right, text, h):
+    form = canonical(parse_term(left))
+    if right is not None:
+        form = form - canonical(parse_term(right))
+    assert form_text(form) == text
+    assert height(form) == h
 
 
 def test_heart_structure():

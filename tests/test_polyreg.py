@@ -7,9 +7,7 @@ from prlab.polyreg import (
     attach_products,
     exclusive_sets,
     exp_sum_ipr,
-    factor_reduce,
     invariance,
-    multiply_disjoint,
     necessary_check,
     reciprocal,
     reduct,
@@ -175,44 +173,6 @@ def test_construction_keeps_the_linear_coefficients():
         got = attach_products(L, subsets, n)
         assert sorted(got.poly.coefficients()) == sorted(L.coefficients())
         assert reduct(got.poly) == reduct(L)
-
-
-# -- products and factorizations --------------------------------------------
-
-def test_disjoint_product_inherits_certificate():
-    P = parse_poly("x+y-z")
-    prod, verdict = multiply_disjoint(P, parse_poly("w"), sufficient_ipr(P))
-    assert prod == parse_poly("x*w+y*w-z*w")
-    assert verdict.status == "IPR_certified"
-
-
-def test_disjoint_product_expansion():
-    prod, verdict = multiply_disjoint(parse_poly("x+y-z"), parse_poly("u+v"))
-    assert prod == parse_poly("x*u+x*v+y*u+y*v-z*u-z*v")
-    assert verdict is None
-
-
-def test_shared_variables_rejected():
-    with pytest.raises(ValueError):
-        multiply_disjoint(parse_poly("x+y"), parse_poly("y-1"))
-
-
-def test_factorization_certifies_through_a_factor():
-    got = factor_reduce(
-        parse_poly("x*w+y*w-z*w"), [parse_poly("w"), parse_poly("x+y-z")]
-    )
-    assert got.overall.status == "IPR_certified"
-    assert got.overall.certificate["factor"] == "x+y-z"
-
-
-def test_factorization_of_itself():
-    got = factor_reduce(parse_poly("x+y-z"), [parse_poly("x+y-z")])
-    assert got.overall.status == "IPR_certified"
-
-
-def test_mismatched_factorization_rejected():
-    with pytest.raises(ValueError):
-        factor_reduce(parse_poly("x*w+y*w"), [parse_poly("w"), parse_poly("x-y")])
 
 
 # -- reciprocals ------------------------------------------------------------
