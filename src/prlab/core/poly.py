@@ -100,7 +100,9 @@ class Poly:
     # -- arithmetic --------------------------------------------------------
 
     def __neg__(self) -> "Poly":
-        return Poly({k: -c for k, c in self.monomials.items()}, -self.constant)
+        out = Poly(constant=-self.constant)
+        out.monomials = {k: -c for k, c in self.monomials.items()}  # still normal
+        return out
 
     def __add__(self, other) -> "Poly":
         other = _coerce(other)

@@ -74,10 +74,6 @@ class RationalSpan:
                     coeffs[i] = coeffs.get(i, Fraction(0)) + f * c
         return v, coeffs
 
-    def contains(self, vec) -> bool:
-        v, _ = self._reduce(vec)
-        return not any(v)
-
     def solve(self, vec):
         v, coeffs = self._reduce(vec)
         if any(v):
@@ -204,7 +200,7 @@ def columns_condition(M: IntMatrix) -> ColumnsConditionVerdict:
     combos = tuple(combo for _, combo in found[1:])
     cert = ColumnsConditionCertificate(blocks, combos)
     if not verify_columns_certificate(M, cert):
-        raise AssertionError("internal error: certificate failed re-verification")
+        raise RuntimeError("internal check failed: columns certificate does not re-verify")
     return ColumnsConditionVerdict(True, cert)
 
 
@@ -403,7 +399,7 @@ def parametric_solution(P: Poly, J) -> ParametricSolution:
     coef_a = sum(cj)
     coef_b = sum(ci * zi for ci, zi in zip(cj, zs)) + m * d
     if coef_a != 0 or coef_b != 0:
-        raise AssertionError("internal error: parametric family does not vanish")
+        raise RuntimeError("internal check failed: parametric family does not vanish")
     return ParametricSolution(
         k=len(j_vars),
         zs=zs,

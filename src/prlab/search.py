@@ -44,13 +44,6 @@ class SolutionSystem:
     ap_length: int | None = None
     injective: bool = False
 
-    def variable_names(self) -> tuple[str, ...]:
-        if self.kind == "poly":
-            return self.poly.variables()
-        if self.kind == "matrix":
-            return tuple(f"x{j + 1}" for j in range(self.matrix.cols))
-        return tuple(f"x{j + 1}" for j in range(self.ap_length))
-
 
 def poly_system(P: Poly, injective: bool = False) -> SolutionSystem:
     if len(P.variables()) < 2:
@@ -184,11 +177,47 @@ class _RowSums:
         return values if x is None else (x,)
 
 
+class _LinearSums:
+    """c_1 x_1 + ... + c_k x_k + constant = 0 over a fixed ascending value
+    list; the state is what the unassigned variables still owe.  Feasibility
+    is exact: masks[j] has bit s - lows[j] set for every sum s that the
+    variables j and later can reach over the value list (lows[j] is the
+    least such sum)."""
+
+    def __init__(self, coeffs, constant: int, values):
+        k = len(coeffs)
+        self.start = -constant
+        self.coeffs = coeffs
+        vmin, vmax = values[0], values[-1]
+        self.lows = lows = [0] * (k + 1)
+        self.masks = masks = [0] * (k + 1)
+        masks[k] = 1
+        for j in range(k - 1, -1, -1):
+            c = coeffs[j]
+            lows[j] = lows[j + 1] + min(c * vmin, c * vmax)
+            shift = lows[j + 1] - lows[j]
+            acc = 0
+            for x in values:
+                acc |= masks[j + 1] << (c * x + shift)
+            masks[j] = acc
+
+    def feasible(self, need: int, depth: int) -> bool:
+        low = self.lows[depth]
+        return need >= low and self.masks[depth] >> (need - low) & 1
+
+    def assign(self, need: int, depth: int, x: int):
+        return need - self.coeffs[depth] * x
+
+    def last_values(self, need: int, values):
+        q, rem = divmod(need, self.coeffs[-1])
+        return () if rem else (q,)
+
+
 def _walk(constraint, k: int, values, injective: bool, first: bool):
     """Depth-first walk over assignments of k variables from the ascending
     value list, in lexicographic order.  Returns every solution of the
-    constraint, or only the first.  Interval pruning runs above the last
-    level; the constraint solves the last variable exactly."""
+    constraint, or only the first.  The constraint's feasibility test prunes
+    above the last level, and it solves the last variable exactly."""
     members = set(values)
     feasible, assign, last_values = (
         constraint.feasible, constraint.assign, constraint.last_values
@@ -410,96 +439,26 @@ def forcing_number(
 
 # -- monochromatic witnesses ------------------------------------------------
 
-def _linear_class_witness(P: Poly, values, injective: bool):
-    """Lexicographically least assignment over the given value list solving a
-    linear equation, via a subset-sum bitmask built over suffixes."""
-    variables = P.variables()
-    coeffs = [P.monomials[((v, 1),)] for v in variables]
-    target = -P.constant
-    k = len(coeffs)
-    vmin, vmax = values[0], values[-1]
-    los = [0] * (k + 1)
-    his = [0] * (k + 1)
-    for j in range(k - 1, -1, -1):
-        c = coeffs[j]
-        los[j] = los[j + 1] + (c * vmin if c > 0 else c * vmax)
-        his[j] = his[j + 1] + (c * vmax if c > 0 else c * vmin)
-    masks = [0] * (k + 1)
-    masks[k] = 1
-    for j in range(k - 1, -1, -1):
-        c = coeffs[j]
-        acc = 0
-        for x in values:
-            acc |= masks[j + 1] << (c * x + los[j + 1] - los[j])
-        masks[j] = acc
-
-    def feasible(j: int, need: int) -> bool:
-        return los[j] <= need <= his[j] and (masks[j] >> (need - los[j])) & 1
-
-    if not feasible(0, target):
-        return None
-    if not injective:
-        out = []
-        need = target
-        for j in range(k):
-            for x in values:
-                if feasible(j + 1, need - coeffs[j] * x):
-                    out.append(x)
-                    need -= coeffs[j] * x
-                    break
-            else:
-                return None
-        return tuple(out)
-
-    used: set[int] = set()
-    out = []
-
-    def walk(j: int, need: int) -> bool:
-        if j == k:
-            return need == 0
-        for x in values:
-            if x in used or not feasible(j + 1, need - coeffs[j] * x):
-                continue
-            used.add(x)
-            out.append(x)
-            if walk(j + 1, need - coeffs[j] * x):
-                return True
-            out.pop()
-            used.remove(x)
-        return False
-
-    return tuple(out) if walk(0, target) else None
-
-
-def _ap_class_witness(k: int, values):
-    present = set(values)
-    for a in values:
-        for second in values:
-            if second <= a:
-                continue
-            d = second - a
-            if all(a + t * d in present for t in range(2, k)):
-                return tuple(a + t * d for t in range(k))
-    return None
-
-
 def _class_witness(system: SolutionSystem, values):
     if not values:
         return None
     if system.kind == "ap":
-        return _ap_class_witness(system.ap_length, values)
+        k = system.ap_length
+        found = contains_ap(FiniteSet(values), k)
+        return None if found is None else tuple(found[0] + t * found[1] for t in range(k))
     lo, hi = values[0], values[-1]
     if system.kind == "matrix":
         M = system.matrix
         constraint, k = _RowSums(M, lo, hi), M.cols
     else:
         P = system.poly
-        if poly_props(P).max_partial_degree == 1 and all(
-            len(key) == 1 for key in P.monomials
-        ):
-            return _linear_class_witness(P, values, system.injective)
         variables = P.variables()
-        constraint, k = _PolyResidual(P, variables, lo, hi), len(variables)
+        k = len(variables)
+        if poly_props(P).is_linear:
+            coeffs = [P.monomials[((v, 1),)] for v in variables]
+            constraint = _LinearSums(coeffs, P.constant, values)
+        else:
+            constraint = _PolyResidual(P, variables, lo, hi)
     found = _walk(constraint, k, values, system.injective, True)
     return found[0] if found else None
 
@@ -581,12 +540,12 @@ def contains_ap(A: FiniteSet, k: int):
     if k == 1:
         return (A.min(), 1)
     elems = A.elements
-    present = set(elems)
-    span = A.max() - A.min()
-    for a in elems:
-        for d in range(1, span + 1):
-            if a + (k - 1) * d > A.max():
+    present, last = set(elems), elems[-1]
+    for i, a in enumerate(elems):
+        for b in elems[i + 1:]:
+            d = b - a
+            if a + (k - 1) * d > last:
                 break
-            if all(a + t * d in present for t in range(1, k)):
+            if all(a + t * d in present for t in range(2, k)):
                 return (a, d)
     return None

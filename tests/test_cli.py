@@ -5,7 +5,7 @@ import json
 import pytest
 
 import test_omega
-from prlab import search
+from prlab import rado, search
 from prlab.cli import main
 from prlab.core.coloring import Coloring
 from prlab.core.poly import parse_poly
@@ -182,7 +182,7 @@ def test_deep_coloring_search_returns_all_ones(tmp_path):
     assert env["certificate"]["colors"] == [1] * 1200
 
 
-def test_internal_check_failure_exits_three(monkeypatch):
+def test_internal_check_failure_exits_three(monkeypatch, tmp_path):
     def fail(coloring, index):
         raise RuntimeError("internal check failed: planted")
 
@@ -194,6 +194,15 @@ def test_internal_check_failure_exits_three(monkeypatch):
         assert code == 3, extra
         assert out == ""
         assert err == "error: internal check failed: planted\n"
+
+    # a columns certificate that fails its re-check
+    monkeypatch.setattr(rado, "verify_columns_certificate", lambda M, cert: False)
+    path = tmp_path / "m.txt"
+    path.write_text("1 1 -1\n")
+    code, out, err = run(["check-matrix", str(path)])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: internal check failed: ")
 
 
 def test_deeply_nested_omega_term_exits_three():

@@ -302,6 +302,8 @@ def test_witness_is_lexicographically_least_monochromatic_solution():
         ap_system(3),
         matrix_system(parse_matrix("1 1 -1 0\n0 1 1 -1")),
         poly_system(parse_poly("x^2+y^2-z^2")),
+        poly_system(parse_poly("2*x-y+3*z-w+1"), injective=True),
+        ap_system(4),
     ]
     for system in systems:
         for _ in range(25):
@@ -436,13 +438,15 @@ def test_vanishing_last_coefficients_admit_every_value():
 # -- explicit result checks -------------------------------------------------
 
 def test_package_has_no_assert_statements():
-    # python -O strips assert statements, so every result check must raise
+    # python -O strips assert statements, and cli.main does not map an
+    # AssertionError to exit 3, so every result check must raise otherwise
     root = Path(prlab.__file__).parent
     found = [
         f"{path.relative_to(root)}:{node.lineno}"
         for path in sorted(root.rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assert)
+        or isinstance(node, ast.Raise) and ast.unparse(node).startswith("raise AssertionError")
     ]
     assert found == []
 
@@ -498,6 +502,8 @@ def test_contains_ap_fixtures():
     assert contains_ap(FiniteSet((5, 9)), 1) == (5, 1)
     assert contains_ap(FiniteSet(()), 2) is None
     assert contains_ap(FiniteSet((2, 5, 8, 11)), 4) == (2, 3)
+    assert contains_ap(FiniteSet((1, 50, 99, 148)), 4) == (1, 49)
+    assert contains_ap(FiniteSet((3, 10, 11, 17, 24)), 3) == (3, 7)
 
 
 def test_contains_ap_prefers_small_start_then_small_step():
