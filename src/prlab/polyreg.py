@@ -43,10 +43,8 @@ def reduct(P: Poly) -> Poly:
     return out
 
 
-def exclusive_sets(P: Poly):
-    """All systems of representatives picking, for each monomial, a variable
-    that occurs in no other monomial; empty tuple when some monomial has no
-    private variable."""
+def _private_variables(P: Poly) -> list[tuple[str, ...]]:
+    """For each monomial, its variables that occur in no other monomial."""
     _require_zero_constant(P)
     monomials = [key for key, _ in P.monomial_items()]
     if len(monomials) > MAX_EXCLUSIVE_MONOMIALS:
@@ -55,9 +53,14 @@ def exclusive_sets(P: Poly):
     for key in monomials:
         for v, _ in key:
             occurrences[v] = occurrences.get(v, 0) + 1
-    per_monomial = [
-        tuple(v for v, _ in key if occurrences[v] == 1) for key in monomials
-    ]
+    return [tuple(v for v, _ in key if occurrences[v] == 1) for key in monomials]
+
+
+def exclusive_sets(P: Poly):
+    """All systems of representatives picking, for each monomial, a variable
+    that occurs in no other monomial; empty tuple when some monomial has no
+    private variable."""
+    per_monomial = _private_variables(P)
     if any(not cands for cands in per_monomial):
         return ()
     return tuple(product(*per_monomial))
@@ -71,8 +74,8 @@ def sufficient_ipr(P: Poly) -> PrVerdict:
     props = poly_props(P)
     if props.max_partial_degree > 1:
         return PrVerdict("unknown", notes=("a variable occurs with power > 1",))
-    excl = exclusive_sets(P)
-    if not excl:
+    per_monomial = _private_variables(P)
+    if any(not cands for cands in per_monomial):
         return PrVerdict("unknown", notes=("no set of exclusive variables",))
     red = reduct(P)
     if len(red.variables()) < 2:
@@ -84,7 +87,7 @@ def sufficient_ipr(P: Poly) -> PrVerdict:
         "IPR_certified",
         method="exclusive-variables-with-regular-reduct",
         certificate={
-            "exclusive_variables": excl[0],
+            "exclusive_variables": tuple(cands[0] for cands in per_monomial),
             "reduct": str(red),
             "zero_sum_subset": lin.subset,
         },

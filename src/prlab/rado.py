@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from .core import IntMatrix, Poly, poly_props
 
@@ -49,26 +49,20 @@ class RationalSpan:
     """Incrementally built rational span of integer vectors.
 
     solve(v) returns coefficients over the added generators (in insertion
-    order) expressing v exactly, or None if v is outside the span.
+    order) expressing v exactly, or None if v is outside the span.  A vector
+    stays integer until it is reduced against a pivot row.
     """
 
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.rows: list[tuple[int, list[Fraction], dict[int, Fraction]]] = []
+    def __init__(self):
+        self.rows: list[tuple[int, list, dict[int, Fraction]]] = []
         self.n_added = 0
 
-    def copy(self) -> "RationalSpan":
-        out = RationalSpan(self.dim)
-        out.rows = list(self.rows)
-        out.n_added = self.n_added
-        return out
-
     def _reduce(self, vec):
-        v = [Fraction(x) for x in vec]
+        v = list(vec)
         coeffs: dict[int, Fraction] = {}
         for pivot, rvec, rrep in self.rows:
             if v[pivot]:
-                f = v[pivot] / rvec[pivot]
+                f = Fraction(v[pivot]) / rvec[pivot]
                 v = [a - f * b for a, b in zip(v, rvec)]
                 for i, c in rrep.items():
                     coeffs[i] = coeffs.get(i, Fraction(0)) + f * c
@@ -147,58 +141,41 @@ def verify_columns_certificate(M: IntMatrix, cert: ColumnsConditionCertificate) 
 
 
 def columns_condition(M: IntMatrix) -> ColumnsConditionVerdict:
-    """Exhaustive search for an ordered block partition of the columns whose
-    first block sums to zero and whose later block sums lie in the rational
-    span of all earlier columns.  Deterministic: candidate blocks are tried
-    smallest-first, then lexicographically.
+    """Ordered block partition of the columns whose first block sums to zero
+    and whose later block sums lie in the rational span of all earlier
+    columns.  Each block is the first remaining subset, smallest first and
+    then lexicographic, whose sum lies in the span of the columns placed so
+    far (an empty span holds only the zero vector).
+
+    No choice is ever undone.  The span only grows, so a block that is valid
+    now stays valid after any other valid block B is placed, once B's columns
+    are removed from it: the removed part sums into B's span.  Hence if any
+    partition completes the columns placed so far, one completes them after
+    B too, and a step that finds no valid block proves there is none.
     """
     n = M.cols
     if n > MAX_COLUMNS:
         raise ValueError(f"too many columns for exhaustive search (max {MAX_COLUMNS})")
     cols = [M.column(j) for j in range(n)]
-    zero = tuple([0] * M.rows)
-    dead: set[frozenset[int]] = set()
-
-    def colsum(block):
-        out = [0] * M.rows
+    span = RationalSpan()
+    remaining = list(range(n))
+    blocks, combos = [], []
+    while remaining:
+        candidates = chain.from_iterable(
+            combinations(remaining, size) for size in range(1, len(remaining) + 1)
+        )
+        for block in candidates:
+            sol = span.solve([sum(x) for x in zip(*(cols[c] for c in block))])
+            if sol is not None:
+                break
+        else:
+            return ColumnsConditionVerdict(False, None)
+        blocks.append(tuple(c + 1 for c in block))
+        combos.append(tuple(sol.get(i, Fraction(0)) for i in range(span.n_added)))
         for c in block:
-            out = [a + b for a, b in zip(out, cols[c])]
-        return tuple(out)
-
-    def extend(used: frozenset, span: RationalSpan, order: tuple[int, ...]):
-        if len(used) == n:
-            return []
-        if used in dead:
-            return None
-        remaining = [c for c in range(n) if c not in used]
-        first = span.n_added == 0
-        for size in range(1, len(remaining) + 1):
-            for block in combinations(remaining, size):
-                s = colsum(block)
-                if first:
-                    if s != zero:
-                        continue
-                    combo = None
-                else:
-                    sol = span.solve(s)
-                    if sol is None:
-                        continue
-                    combo = tuple(sol.get(i, Fraction(0)) for i in range(span.n_added))
-                child = span.copy()
-                for c in block:
-                    child.add(cols[c])
-                rest = extend(used | set(block), child, order + block)
-                if rest is not None:
-                    return [(block, combo)] + rest
-        dead.add(used)
-        return None
-
-    found = extend(frozenset(), RationalSpan(M.rows), ())
-    if found is None:
-        return ColumnsConditionVerdict(False, None)
-    blocks = tuple(tuple(c + 1 for c in block) for block, _ in found)
-    combos = tuple(combo for _, combo in found[1:])
-    cert = ColumnsConditionCertificate(blocks, combos)
+            span.add(cols[c])
+        remaining = [c for c in remaining if c not in block]
+    cert = ColumnsConditionCertificate(tuple(blocks), tuple(combos[1:]))
     if not verify_columns_certificate(M, cert):
         raise RuntimeError("internal check failed: columns certificate does not re-verify")
     return ColumnsConditionVerdict(True, cert)

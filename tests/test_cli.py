@@ -594,6 +594,7 @@ def test_bounds_parsing_errors():
 FILES = {
     "sum": "1 1 -1\n",
     "bad": "2 3\n",
+    "pairs13": " ".join(["1 -1"] * 6) + " 0\n" + " ".join(["0"] * 12) + " 1\n",
     "c5": "1 1 2 2 1\n",
     "good4": "1 2 2 1\n",
     "c111": "1 1 1\n",
@@ -621,6 +622,13 @@ EXACT = [
       'provenance': 'ordered-block-partition-search',
       'bounds': None}),
     (['check-matrix', '@bad'],
+     1,
+     'columns condition: not satisfied\n',
+     {'verdict': 'columns-condition-failed',
+      'certificate': None,
+      'provenance': 'ordered-block-partition-search',
+      'bounds': None}),
+    (['check-matrix', '@pairs13'],
      1,
      'columns condition: not satisfied\n',
      {'verdict': 'columns-condition-failed',

@@ -78,6 +78,12 @@ def test_sufficiency_certifies_the_product_construction_example():
     v = sufficient_ipr(parse_poly("x1*y1*y2+4*x2*y1*y2*y3-3*x3*y3-2*x4*y1"))
     assert v.status == "IPR_certified"
     assert v.certificate["exclusive_variables"] == ("x1", "x2", "x3", "x4")
+    # 16 monomials with 3 private variables each: 3^16 systems of
+    # representatives, of which the certificate needs only the first
+    wide = "+".join(f"a{i}*b{i}*c{i}" for i in range(15)) + "-15*a15*b15*c15"
+    v = sufficient_ipr(parse_poly(wide))
+    assert v.status == "IPR_certified"
+    assert v.certificate["exclusive_variables"] == tuple(f"a{i}" for i in range(16))
 
 
 def test_sufficiency_never_certifies_squared_variable():

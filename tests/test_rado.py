@@ -50,8 +50,88 @@ def test_two_row_matrix_with_zero_column_sums():
     assert v.certificate.combinations == ()
 
 
+# pairs of +-1 columns and one column outside their span: a search that
+# backtracks over block choices tries exponentially many orders here
+OUTSIDE_PAIRS_13 = " ".join(["1 -1"] * 6) + " 0\n" + " ".join(["0"] * 12) + " 1"
+
+
 def test_identity_matrix_fails():
-    assert not columns_condition(parse_matrix("1 0\n0 1")).satisfied
+    for text in ("1 0\n0 1", OUTSIDE_PAIRS_13):
+        assert not columns_condition(parse_matrix(text)).satisfied
+
+
+def test_multi_block_certificate_literal():
+    v = columns_condition(parse_matrix("1 -2 -1 1 0 2\n1 -3 1 -3 3 0"))
+    F = Fraction
+    assert v.certificate.blocks == ((2, 5, 6), (1,), (3,), (4,))
+    assert v.certificate.combinations == (
+        (F(-1, 2), F(-1, 6), F(0)),
+        (F(1, 2), F(5, 6), F(0), F(0)),
+        (F(-1, 2), F(-3, 2), F(0), F(0), F(0)),
+    )
+    v = columns_condition(parse_matrix("-3 -1 2 3 1 1 1 0"))
+    assert v.certificate.blocks == ((8,), (1, 4), (2,), (3,), (5,), (6,), (7,))
+    assert v.certificate.combinations[:2] == ((F(0),), (F(0), F(1, 3), F(0)))
+
+
+def _rank(vectors):
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _ordered_partitions(items):
+    if not items:
+        yield ()
+        return
+    for size in range(1, len(items) + 1):
+        for block in combinations(items, size):
+            rest = [c for c in items if c not in block]
+            for tail in _ordered_partitions(rest):
+                yield (block,) + tail
+
+
+def _brute_columns_condition(rows):
+    cols = list(zip(*rows))
+
+    def valid(partition):
+        earlier = []
+        for block in partition:
+            s = [sum(x) for x in zip(*(cols[c] for c in block))]
+            if _rank(earlier + [s]) != _rank(earlier):
+                return False
+            earlier += [cols[c] for c in block]
+        return True
+
+    return any(valid(p) for p in _ordered_partitions(list(range(len(cols)))))
+
+
+@st.composite
+def small_matrices(draw):
+    n_rows = draw(st.integers(1, 3))
+    n_cols = draw(st.integers(1, 5))
+    return [draw(st.lists(st.integers(-3, 3), min_size=n_cols, max_size=n_cols))
+            for _ in range(n_rows)]
+
+
+@given(small_matrices())
+@settings(deadline=None, max_examples=150)
+def test_columns_condition_matches_brute_force_over_ordered_partitions(rows):
+    M = parse_matrix("\n".join(" ".join(map(str, r)) for r in rows))
+    v = columns_condition(M)
+    assert v.satisfied == _brute_columns_condition(rows)
+    if v.satisfied:
+        assert verify_columns_certificate(M, v.certificate)
 
 
 def test_certificates_reverify_independently():
