@@ -86,10 +86,7 @@ _BOUND_RE = re.compile(r"([A-Za-z][A-Za-z0-9]*)=(-?\d+)\.\.(-?\d+)")
 
 def _parse_bounds(text: str) -> dict[str, tuple[int, int]]:
     out = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for part in filter(None, (part.strip() for part in text.split(","))):
         m = _BOUND_RE.fullmatch(part)
         if m is None:
             raise CliUsageError(f"bad bounds fragment {part!r}; expected name=lo..hi")
@@ -97,38 +94,8 @@ def _parse_bounds(text: str) -> dict[str, tuple[int, int]]:
     return out
 
 
-def _family_spec(kind: str, bounds_text: str | None) -> embed_mod.FamilySpec:
-    if kind not in embed_mod.FAMILY_KINDS:
-        known = ", ".join(embed_mod.FAMILY_KINDS)
-        raise CliUsageError(f"unknown family {kind!r}; known kinds: {known}")
-    overrides = _parse_bounds(bounds_text) if bounds_text else {}
-    if kind == "polynomial" and overrides:
-        degree = -1
-        for name in overrides:
-            m = re.fullmatch(r"a(\d+)", name)
-            if m is None:
-                raise CliUsageError(f"polynomial bounds use a0..ad, got {name!r}")
-            degree = max(degree, int(m.group(1)))
-        if degree < 1:
-            raise CliUsageError("polynomial bounds must reach at least a1")
-        bounds = tuple(overrides.get(f"a{i}", (0, 0)) for i in range(degree + 1))
-        return embed_mod.FamilySpec(kind, bounds)
-    spec = embed_mod.family(kind)
-    if not overrides:
-        return spec
-    names = spec.param_names()
-    for name in overrides:
-        if name not in names:
-            raise CliUsageError(f"unknown parameter {name!r} for family {kind}")
-    bounds = tuple(overrides.get(nm, b) for nm, b in zip(names, spec.bounds))
-    return embed_mod.FamilySpec(kind, bounds)
-
-
 def _bounds_payload(fam: embed_mod.FamilySpec) -> dict:
-    return {
-        "family": fam.kind,
-        **{nm: list(b) for nm, b in zip(fam.param_names(), fam.bounds)},
-    }
+    return {"family": fam.kind, **dict(zip(fam.param_names(), fam.bounds))}
 
 
 # -- shared renderers --------------------------------------------------------
@@ -460,7 +427,7 @@ def _embed_bd(args):
 def _embed_fmap(args):
     F = parse_finite(args.set)
     B = _parse_set_or_periodic(args.target)
-    fam = _family_spec(args.family, args.bounds)
+    fam = embed_mod.family(args.family, _parse_bounds(args.bounds or ""))
     got = embed_mod.fmap_witness(F, B, fam)
     bounds = _bounds_payload(fam)
     if not got.found():
@@ -474,7 +441,7 @@ def _embed_apmax(args):
 
 
 def _embed_probe_family(args):
-    fam = _family_spec(args.family, args.bounds)
+    fam = embed_mod.family(args.family, _parse_bounds(args.bounds or ""))
     report = embed_mod.wellstructured_probe(fam)
     lines = []
     cert = {"h_bounds": report.h_bounds, "pairs_checked": report.pairs_checked}
@@ -600,8 +567,8 @@ VERBS = (
           _arg("-n", type=int, required=True, help="number of fresh variables")),
          _poly_construct),
     Verb("poly reciprocal", "reverse the exponent pattern of a homogeneous polynomial",
-         "degree-complement-exponent-flip", (_arg("expr"), _arg("--degree", type=int)),
-         lambda a: _as_text(polyreg.reciprocal(parse_poly(a.expr), d=a.degree))),
+         "degree-complement-exponent-flip", _EXPR,
+         lambda a: _as_text(polyreg.reciprocal(parse_poly(a.expr)))),
     Verb("poly transform", "regularity-preserving substitutions", "variable-wise-substitution",
          (_arg("expr"), _arg("--negate", action="store_true", help="negate every variable"),
           _arg("--power", type=int, help="raise every variable to this power")),

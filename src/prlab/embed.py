@@ -9,9 +9,11 @@ closure properties a well-structured family needs.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as cartesian
+from typing import Callable, NamedTuple
 
 from .core.sets import FiniteSet, PeriodicSet
 from .search import contains_ap
@@ -136,24 +138,50 @@ def bd(A: PeriodicSet) -> Fraction:
 
 # -- generated function families --------------------------------------------
 
-_SINGLE_PARAM_KINDS = (
-    "translation",
-    "proper_translation",
-    "homothety",
-    "power",
-    "exponential",
-)
-FAMILY_KINDS = _SINGLE_PARAM_KINDS + ("affinity", "polynomial")
+class _Rule(NamedTuple):
+    """One family kind.  params maps the number of bound pairs to each
+    parameter's name and least valid value, or to None when the kind takes
+    another number; every validity rule is such a lower bound."""
 
-DEFAULT_FAMILY_BOUNDS = {
-    "translation": ((0, 12),),
-    "proper_translation": ((1, 8),),
-    "homothety": ((1, 8),),
-    "power": ((1, 4),),
-    "exponential": ((2, 4),),
-    "affinity": ((1, 4), (0, 4)),
-    "polynomial": ((0, 2), (0, 2), (1, 2)),
+    params: Callable[[int], tuple[tuple[str, int], ...] | None]
+    arity_error: str
+    defaults: tuple[tuple[int, int], ...]
+    map: Callable[[tuple, int], int]
+    widen: Callable[[tuple], tuple]  # bounds wide enough for a composite
+
+
+# Composition widening: a family closed under composition has the exact
+# composite of two in-bounds members inside the widened bounds.  Shifts add,
+# scale-like parameters multiply, and an affinity composite has slope a2*a1
+# and offset a2*b1 + b2.  Polynomial composition raises the degree, so no
+# widening inside the family is possible there.
+
+def _one(least: int, default: tuple[int, int], fn, grow) -> _Rule:
+    return _Rule(lambda k: (("m", least),) if k == 1 else None, "{kind} takes one parameter",
+                 (default,), fn, lambda b: ((b[0][0], grow(b[0][1])),))
+
+
+def _affine_composite(b):
+    (alo, ahi), (blo, bhi) = b
+    return ((alo, ahi * ahi), (blo, ahi * bhi + bhi))
+
+
+_FAMILIES = {
+    "translation": _one(0, (0, 12), lambda p, n: n + p[0], lambda hi: 2 * hi),
+    "proper_translation": _one(1, (1, 8), lambda p, n: n + p[0], lambda hi: 2 * hi),
+    "homothety": _one(1, (1, 8), lambda p, n: n * p[0], lambda hi: hi * hi),
+    "power": _one(1, (1, 4), lambda p, n: n ** p[0], lambda hi: hi * hi),
+    "exponential": _one(2, (2, 4), lambda p, n: p[0] ** n, lambda hi: hi * hi),
+    "affinity": _Rule(lambda k: (("a", 1), ("b", 0)) if k == 2 else None,
+                      "affinity takes parameters a, b", ((1, 4), (0, 4)),
+                      lambda p, n: p[0] * n + p[1], _affine_composite),
+    "polynomial": _Rule(
+        lambda k: tuple((f"a{i}", int(i == k - 1)) for i in range(k)) if k >= 2 else None,
+        "polynomial needs degree >= 1 (at least two coefficients)", ((0, 2), (0, 2), (1, 2)),
+        lambda p, n: sum(a * n**i for i, a in enumerate(p)), lambda b: b),
 }
+FAMILY_KINDS = tuple(_FAMILIES)
+DEFAULT_FAMILY_BOUNDS = {kind: rule.defaults for kind, rule in _FAMILIES.items()}
 
 
 @dataclass(frozen=True)
@@ -167,65 +195,62 @@ class FamilySpec:
     bounds: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.kind not in FAMILY_KINDS:
+        rule = _FAMILIES.get(self.kind)
+        if rule is None:
             raise ValueError(f"unknown family kind {self.kind!r}")
         object.__setattr__(
             self, "bounds", tuple((int(lo), int(hi)) for lo, hi in self.bounds)
         )
-        arity = len(self.bounds)
-        if self.kind in _SINGLE_PARAM_KINDS and arity != 1:
-            raise ValueError(f"{self.kind} takes one parameter")
-        if self.kind == "affinity" and arity != 2:
-            raise ValueError("affinity takes parameters a, b")
-        if self.kind == "polynomial" and arity < 2:
-            raise ValueError("polynomial needs degree >= 1 (at least two coefficients)")
+        if rule.params(len(self.bounds)) is None:
+            raise ValueError(rule.arity_error.format(kind=self.kind))
         if any(lo > hi for lo, hi in self.bounds):
             raise ValueError("empty parameter range")
 
-    def param_names(self) -> tuple[str, ...]:
-        if self.kind == "affinity":
-            return ("a", "b")
-        if self.kind == "polynomial":
-            return tuple(f"a{i}" for i in range(len(self.bounds)))
-        return ("m",)
+    def _params(self) -> tuple[tuple[str, int], ...]:
+        return _FAMILIES[self.kind].params(len(self.bounds))
 
-    def _valid(self, params) -> bool:
-        if self.kind == "translation":
-            return params[0] >= 0
-        if self.kind in ("proper_translation", "homothety", "power"):
-            return params[0] >= 1
-        if self.kind == "exponential":
-            return params[0] >= 2
-        if self.kind == "affinity":
-            return params[0] >= 1 and params[1] >= 0
-        return all(a >= 0 for a in params) and params[-1] >= 1
+    def param_names(self) -> tuple[str, ...]:
+        return tuple(name for name, _ in self._params())
 
     def iter_params(self):
-        """All valid parameter tuples inside the bounds, lexicographically."""
-        ranges = [range(lo, hi + 1) for lo, hi in self.bounds]
-        for params in cartesian(*ranges):
-            if self._valid(params):
-                yield params
+        """All valid parameter tuples inside the bounds, lexicographically:
+        each range starts at its parameter's least valid value."""
+        return cartesian(*(
+            range(max(lo, least), hi + 1)
+            for (lo, hi), (_, least) in zip(self.bounds, self._params())
+        ))
 
     def apply(self, params, n: int) -> int:
-        if self.kind in ("translation", "proper_translation"):
-            return n + params[0]
-        if self.kind == "homothety":
-            return n * params[0]
-        if self.kind == "power":
-            return n ** params[0]
-        if self.kind == "exponential":
-            return params[0] ** n
-        if self.kind == "affinity":
-            return params[0] * n + params[1]
-        return sum(a * n**i for i, a in enumerate(params))
+        return _FAMILIES[self.kind].map(params, n)
 
     def describe(self, params) -> str:
         return ", ".join(f"{k}={v}" for k, v in zip(self.param_names(), params))
 
 
 def family(kind: str, bounds=None) -> FamilySpec:
-    return FamilySpec(kind, tuple(bounds) if bounds is not None else DEFAULT_FAMILY_BOUNDS[kind])
+    """The family of the given kind.  bounds is one (lo, hi) pair per
+    parameter, or a mapping from parameter names to pairs over the defaults.
+    Named polynomial bounds a0..ad set the degree d by the largest index, and
+    every coefficient left unnamed is fixed at (0, 0)."""
+    rule = _FAMILIES.get(kind)
+    if rule is None:
+        raise ValueError(f"unknown family {kind!r}; known kinds: {', '.join(FAMILY_KINDS)}")
+    if bounds is not None and not isinstance(bounds, dict):
+        return FamilySpec(kind, tuple(bounds))
+    bounds = bounds or {}
+    if kind == "polynomial" and bounds:
+        bad = next((name for name in bounds if not re.fullmatch(r"a\d+", name)), None)
+        if bad is not None:
+            raise ValueError(f"polynomial bounds use a0..ad, got {bad!r}")
+        degree = max(int(name[1:]) for name in bounds)
+        if degree < 1:
+            raise ValueError("polynomial bounds must reach at least a1")
+        return FamilySpec(kind, tuple(bounds.get(f"a{i}", (0, 0)) for i in range(degree + 1)))
+    names = [name for name, _ in rule.params(len(rule.defaults))]
+    for name in bounds:
+        if name not in names:
+            raise ValueError(f"unknown parameter {name!r} for family {kind}")
+    return FamilySpec(kind, tuple(bounds.get(nm, b) for nm, b in zip(names, rule.defaults)))
 
 
 @dataclass(frozen=True)
@@ -292,58 +317,24 @@ class FamilyProbeReport:
         )
 
 
-def _composition_bounds(fam: FamilySpec) -> tuple[tuple[int, int], ...]:
-    """Bounds wide enough to contain the exact composition of two in-bounds
-    members whenever the family is closed under composition: shifts add,
-    scale-like parameters multiply, and an affinity composite has slope a2*a1
-    and offset a2*b1 + b2.  Polynomial composition raises the degree, so no
-    widening inside the family is possible there."""
-    b = fam.bounds
-    if fam.kind in ("translation", "proper_translation"):
-        lo, hi = b[0]
-        return ((lo, 2 * hi),)
-    if fam.kind in ("homothety", "power", "exponential"):
-        lo, hi = b[0]
-        return ((lo, hi * hi),)
-    if fam.kind == "affinity":
-        (alo, ahi), (blo, bhi) = b
-        return ((alo, ahi * ahi), (blo, ahi * bhi + bhi))
-    return b
-
-
-def wellstructured_probe(fam: FamilySpec, samples=DEFAULT_PROBE_SAMPLES) -> FamilyProbeReport:
+def wellstructured_probe(fam: FamilySpec) -> FamilyProbeReport:
     """Search for violations of the two closure properties a well-structured
     family needs: for members f, g there should be a member h with h(F)
     inside (g o f)(F), and for every F some member should map F into itself.
     The h-search runs over composition-widened bounds; a clean report only
     means nothing was found within them, never that the family is closed."""
-    samples = tuple(samples)
-    h_fam = FamilySpec(fam.kind, _composition_bounds(fam))
-    params_list = list(fam.iter_params())
-
-    transitivity = None
-    pairs = 0
-    for f in params_list:
-        for g in params_list:
-            pairs += 1
-            for F in samples:
-                image = FiniteSet(
-                    fam.apply(g, fam.apply(f, x)) for x in F.elements
-                )
-                if not fmap_witness(F, image, h_fam).found():
-                    transitivity = (f, g, F)
-                    break
-            if transitivity:
-                break
-        if transitivity:
+    h_fam = FamilySpec(fam.kind, _FAMILIES[fam.kind].widen(fam.bounds))
+    transitivity, pairs = None, 0
+    for pairs, (f, g) in enumerate(cartesian(fam.iter_params(), repeat=2), start=1):
+        images = ((F, FiniteSet(fam.apply(g, fam.apply(f, x)) for x in F.elements))
+                  for F in DEFAULT_PROBE_SAMPLES)
+        F = next((F for F, image in images if not fmap_witness(F, image, h_fam).found()), None)
+        if F is not None:
+            transitivity = (f, g, F)
             break
-
-    reflexivity = None
-    for F in samples:
-        if not fmap_witness(F, F, fam).found():
-            reflexivity = F
-            break
-
+    reflexivity = next(
+        (F for F in DEFAULT_PROBE_SAMPLES if not fmap_witness(F, F, fam).found()), None
+    )
     return FamilyProbeReport(
         family=fam,
         h_bounds=h_fam.bounds,

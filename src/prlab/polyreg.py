@@ -161,17 +161,14 @@ def attach_products(L: Poly, subsets, n: int) -> ConstructResult:
     return ConstructResult(out, verdict)
 
 
-def reciprocal(P: Poly, d: int | None = None) -> Poly:
-    """Multiply P(1/x_1, ..., 1/x_n) by (x_1 * ... * x_n)^d: each monomial's
-    exponent on each variable v becomes d minus the old exponent.  Regularity
-    transfers both ways."""
+def reciprocal(P: Poly) -> Poly:
+    """Multiply P(1/x_1, ..., 1/x_n) by (x_1 * ... * x_n)^d, d the degree of
+    the homogeneous P: each monomial's exponent on each variable v becomes d
+    minus the old exponent.  Regularity transfers both ways."""
     props = poly_props(P)
     if not props.is_homogeneous:
         raise ValueError("polynomial must be homogeneous")
-    if d is None:
-        d = props.degree
-    elif d != props.degree:
-        raise ValueError("degree argument does not match the polynomial")
+    d = props.degree
     variables = P.variables()
     out = Poly.const(P.constant)
     for key, coeff in P.monomial_items():

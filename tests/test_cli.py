@@ -221,6 +221,28 @@ def test_retired_threads_and_seed_flags_exit_three():
         assert err == f"error: unrecognized arguments: {' '.join(flag)}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["embed", "probe-family", "--family", "spiral"],
+     "unknown family 'spiral'; known kinds: translation, proper_translation, homothety, "
+     "power, exponential, affinity, polynomial"),
+    (["embed", "probe-family", "--family", "polynomial", "--bounds", "m=1..2"],
+     "polynomial bounds use a0..ad, got 'm'"),
+    (["embed", "probe-family", "--family", "polynomial", "--bounds", "a0=1..2"],
+     "polynomial bounds must reach at least a1"),
+    (["embed", "fmap", "--set", "1", "--in", "1,2", "--family", "translation",
+      "--bounds", "q=1..3"],
+     "unknown parameter 'q' for family translation"),
+    (["embed", "fmap", "--set", "1", "--in", "1,2", "--family", "affinity",
+      "--bounds", "b=3..1"],
+     "empty parameter range"),
+    (["poly", "reciprocal", "x^3 + x*y^2 - z^3", "--degree", "3"],
+     "unrecognized arguments: --degree 3"),
+], ids=["unknown-kind", "polynomial-name", "polynomial-degree", "unknown-parameter",
+        "empty-range", "retired-degree"])
+def test_family_usage_error_messages(argv, message):
+    assert run(argv) == (3, "", f"error: {message}\n")
+
+
 def test_forcing_number_bound_below_one_exits_three():
     for bound in ("0", "-3"):
         code, out, err = run(
@@ -950,13 +972,7 @@ EXACT = [
       'certificate': None,
       'provenance': 'degree-complement-exponent-flip',
       'bounds': None}),
-    (['poly', 'reciprocal', 'x^3 + x*y^2 - z^3', '--degree', '3'],
-     0,
-     'y^3*z^3+x^2*y*z^3-x^3*y^3\n',
-     {'verdict': 'y^3*z^3+x^2*y*z^3-x^3*y^3',
-      'certificate': None,
-      'provenance': 'degree-complement-exponent-flip',
-      'bounds': None}),
+    (['poly', 'reciprocal', 'x^3 + x*y^2 - z^3', '--degree', '3'], 3, '', None),
     (['poly', 'reciprocal', 'x*y - z^2', '--degree', '3'], 3, '', None),
     (['poly', 'transform', 'x+y-z', '--power', '2'],
      0,
@@ -1208,6 +1224,22 @@ EXACT = [
      3,
      '',
      None),
+    (['embed',
+      'fmap',
+      '--set',
+      '1,2',
+      '--in',
+      '2,3,5,6',
+      '--family',
+      'polynomial',
+      '--bounds',
+      'a0=0..1,a2=1..1'],
+     0,
+     'witness: a0=1, a1=0, a2=1\n',
+     {'verdict': 'witness',
+      'certificate': {'params': [1, 0, 1]},
+      'provenance': 'bounded-family-parameter-scan',
+      'bounds': {'family': 'polynomial', 'a0': [0, 1], 'a1': [0, 0], 'a2': [1, 1]}}),
     (['embed', 'apmax', '1,2,4,8,16', '--len', '3'],
      1,
      'no 3-term progression\n',

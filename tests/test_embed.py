@@ -1,11 +1,13 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from prlab.core.sets import FiniteSet, PeriodicSet
 from prlab.embed import (
+    FAMILY_KINDS,
     FamilySpec,
     a_maximal_probe,
     bd,
@@ -243,6 +245,65 @@ def test_family_parameter_iteration_filters_invalid():
     assert list(fam.iter_params()) == [(2,), (3,)]
     poly = FamilySpec("polynomial", ((0, 1), (0, 1)))
     assert list(poly.iter_params()) == [(0, 1), (1, 1)]
+
+
+# The family rules written out one kind at a time: validity as a filter, the
+# map in closed form, and the composition widening of the closure probe.
+LEAST_M = {"translation": 0, "proper_translation": 1, "homothety": 1, "power": 1,
+           "exponential": 2}
+
+
+def valid_params(kind, t):
+    if kind in LEAST_M:
+        return t[0] >= LEAST_M[kind]
+    if kind == "affinity":
+        return t[0] >= 1 and t[1] >= 0
+    return all(a >= 0 for a in t) and t[-1] >= 1
+
+
+def closed_form(kind, t, n):
+    return {
+        "translation": lambda: n + t[0],
+        "proper_translation": lambda: n + t[0],
+        "homothety": lambda: n * t[0],
+        "power": lambda: n ** t[0],
+        "exponential": lambda: t[0] ** n,
+        "affinity": lambda: t[0] * n + t[1],
+        "polynomial": lambda: sum(a * n**i for i, a in enumerate(t)),
+    }[kind]()
+
+
+def composition_widening(kind, b):
+    if kind in ("translation", "proper_translation"):
+        return ((b[0][0], 2 * b[0][1]),)
+    if kind in ("homothety", "power", "exponential"):
+        return ((b[0][0], b[0][1] ** 2),)
+    if kind == "affinity":
+        (alo, ahi), (blo, bhi) = b
+        return ((alo, ahi**2), (blo, ahi * bhi + bhi))
+    return b
+
+
+def test_family_table_matches_the_written_rules():
+    rng = random.Random(23)
+    for _ in range(150):
+        kind = rng.choice(FAMILY_KINDS)
+        arity = {"affinity": 2, "polynomial": rng.randint(2, 4)}.get(kind, 1)
+        top = 1 if kind == "polynomial" else 3
+        bounds = []
+        for _ in range(arity):
+            lo = rng.randint(-3, top)
+            bounds.append((lo, rng.randint(max(lo, 0), top)))
+        fam = FamilySpec(kind, bounds)
+        raw = product(*(range(lo, hi + 1) for lo, hi in bounds))
+        params = list(fam.iter_params())
+        assert params == [t for t in raw if valid_params(kind, t)], (kind, bounds)
+        for t in params:
+            assert [fam.apply(t, n) for n in range(6)] == [
+                closed_form(kind, t, n) for n in range(6)
+            ]
+        report = wellstructured_probe(fam)
+        assert report.h_bounds == composition_widening(kind, tuple(bounds)), (kind, bounds)
 
 
 def test_fmap_affinity_fixture():

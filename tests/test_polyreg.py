@@ -188,14 +188,12 @@ def test_reciprocal_of_sum_equation():
 
 
 def test_reciprocal_of_difference_of_squares():
-    assert reciprocal(parse_poly("x^2-y^2"), 2) == parse_poly("y^2-x^2")
+    assert reciprocal(parse_poly("x^2-y^2")) == parse_poly("y^2-x^2")
 
 
 def test_reciprocal_rejects_nonhomogeneous():
     with pytest.raises(ValueError):
         reciprocal(parse_poly("x+y-z^2"))
-    with pytest.raises(ValueError):
-        reciprocal(parse_poly("x+y-z"), 2)
 
 
 def test_double_reciprocal_is_a_monomial_multiple():
