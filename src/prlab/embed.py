@@ -239,7 +239,7 @@ def family(kind: str, bounds=None) -> FamilySpec:
         return FamilySpec(kind, tuple(bounds))
     bounds = bounds or {}
     if kind == "polynomial" and bounds:
-        bad = next((name for name in bounds if not re.fullmatch(r"a\d+", name)), None)
+        bad = next((name for name in bounds if not re.fullmatch(r"a(0|[1-9]\d*)", name)), None)
         if bad is not None:
             raise ValueError(f"polynomial bounds use a0..ad, got {bad!r}")
         degree = max(int(name[1:]) for name in bounds)
@@ -323,7 +323,9 @@ def wellstructured_probe(fam: FamilySpec) -> FamilyProbeReport:
     inside (g o f)(F), and for every F some member should map F into itself.
     The h-search runs over composition-widened bounds; a clean report only
     means nothing was found within them, never that the family is closed."""
-    h_fam = FamilySpec(fam.kind, _FAMILIES[fam.kind].widen(fam.bounds))
+    h_fam = fam  # widening reverses a range only when the family has no member
+    if next(fam.iter_params(), None) is not None:
+        h_fam = FamilySpec(fam.kind, _FAMILIES[fam.kind].widen(fam.bounds))
     transitivity, pairs = None, 0
     for pairs, (f, g) in enumerate(cartesian(fam.iter_params(), repeat=2), start=1):
         images = ((F, FiniteSet(fam.apply(g, fam.apply(f, x)) for x in F.elements))

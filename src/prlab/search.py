@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 from .core import Coloring, FiniteSet, IntMatrix, Poly, poly_props
 
 MAX_POLY_VARS = 6
 MAX_POLY_PARTIAL_DEGREE = 2
 MAX_SOLUTIONS = 10**7
+MAX_MASK_BITS = 1 << 22  # one row's reachable-sum masks together
 DEFAULT_NODE_BUDGET = 10**8
 
 
@@ -140,77 +142,76 @@ class _PolyResidual:
         return _quadratic_roots(get((0,), 0), get((1,), 0), get((2,), 0), self.lo, self.hi)
 
 
-class _RowSums:
-    """A x = 0 with its columns assigned left to right; the state is the list
-    of partial row sums, and the tail bounds are over the box [lo, hi]."""
+def _reach(mask: int, c: int, values) -> int:
+    """The OR of mask << (c*x - m) over the ascending value list, where m is
+    the least c*x: the sums reachable once c*x joins those in mask.  Values
+    without gaps (a range) are covered by doubling, others by one shift each."""
+    if len(values) < values[-1] - values[0] + 1:
+        low = min(c * values[0], c * values[-1])
+        acc = 0
+        for x in values:
+            acc |= mask << (c * x - low)
+        return acc
+    # the shifts are |c| * t for t < len(values), either sign of c; mask covers t < span
+    span, count = 1, len(values)
+    while span < count:
+        grow = min(span, count - span)
+        mask |= mask << (abs(c) * grow)
+        span += grow
+    return mask
 
-    def __init__(self, M: IntMatrix, lo: int, hi: int):
-        self.start = [0] * M.rows
-        self.rows = M.entries
-        # tails[j][r]: [min, max] of row r's sum over columns j and later
-        self.tails = [
-            [(sum(min(a * lo, a * hi) for a in row[j:]),
-              sum(max(a * lo, a * hi) for a in row[j:])) for row in self.rows]
-            for j in range(M.cols)
-        ]
 
-    def feasible(self, partial, depth: int) -> bool:
-        return all(p + lo <= 0 <= p + hi for p, (lo, hi) in zip(partial, self.tails[depth]))
+class _LinearRows:
+    """Rows c·x + constant = 0 with the variables assigned left to right from
+    an ascending value list: a linear equation is one row, A x = 0 has one row
+    per matrix row.  The state is what each row's unassigned variables still
+    owe; variables j and later reach sums in [lows[j], highs[j]].  When a row's
+    masks fit in MAX_MASK_BITS, masks[j] has bit s - lows[j] set for every
+    reachable s, which makes feasibility exact."""
 
-    def assign(self, partial, depth: int, x: int):
-        return [p + row[depth] * x for p, row in zip(partial, self.rows)]
+    def __init__(self, rows, constants, values):
+        self.rows = rows
+        self.start = tuple(-b for b in constants)
+        vmin, vmax = values[0], values[-1]
+        self.tables = []
+        for row in rows:
+            exact = len(row) * sum(map(abs, row)) * (vmax - vmin) <= MAX_MASK_BITS
+            lows, highs = [0] * (len(row) + 1), [0] * (len(row) + 1)
+            masks = [0] * len(row) + [1] if exact else None
+            for j in reversed(range(len(row))):
+                ends = (row[j] * vmin, row[j] * vmax)
+                lows[j], highs[j] = lows[j + 1] + min(ends), highs[j + 1] + max(ends)
+                if masks:
+                    masks[j] = _reach(masks[j + 1], row[j], values)
+            self.tables.append((lows, highs, masks))
 
-    def last_values(self, partial, values):
-        """Solve the last column one row at a time: a row with a nonzero
-        entry fixes the value, a zero entry needs a zero partial sum."""
+    def feasible(self, owed, depth: int) -> bool:
+        for need, (lows, highs, masks) in zip(owed, self.tables):
+            low = lows[depth]
+            if not low <= need <= highs[depth]:
+                return False
+            if masks and not masks[depth] >> (need - low) & 1:
+                return False
+        return True
+
+    def assign(self, owed, depth: int, x: int):
+        return tuple(need - row[depth] * x for need, row in zip(owed, self.rows))
+
+    def last_values(self, owed, values):
+        """Solve the last variable one row at a time: a row with a nonzero
+        coefficient fixes the value, a zero coefficient must owe nothing."""
         x = None
-        for p, row in zip(partial, self.rows):
+        for need, row in zip(owed, self.rows):
             a = row[-1]
             if a == 0:
-                if p:
+                if need:
                     return ()
                 continue
-            q, rem = divmod(-p, a)
+            q, rem = divmod(need, a)
             if rem or x not in (None, q):
                 return ()
             x = q
         return values if x is None else (x,)
-
-
-class _LinearSums:
-    """c_1 x_1 + ... + c_k x_k + constant = 0 over a fixed ascending value
-    list; the state is what the unassigned variables still owe.  Feasibility
-    is exact: masks[j] has bit s - lows[j] set for every sum s that the
-    variables j and later can reach over the value list (lows[j] is the
-    least such sum)."""
-
-    def __init__(self, coeffs, constant: int, values):
-        k = len(coeffs)
-        self.start = -constant
-        self.coeffs = coeffs
-        vmin, vmax = values[0], values[-1]
-        self.lows = lows = [0] * (k + 1)
-        self.masks = masks = [0] * (k + 1)
-        masks[k] = 1
-        for j in range(k - 1, -1, -1):
-            c = coeffs[j]
-            lows[j] = lows[j + 1] + min(c * vmin, c * vmax)
-            shift = lows[j + 1] - lows[j]
-            acc = 0
-            for x in values:
-                acc |= masks[j + 1] << (c * x + shift)
-            masks[j] = acc
-
-    def feasible(self, need: int, depth: int) -> bool:
-        low = self.lows[depth]
-        return need >= low and self.masks[depth] >> (need - low) & 1
-
-    def assign(self, need: int, depth: int, x: int):
-        return need - self.coeffs[depth] * x
-
-    def last_values(self, need: int, values):
-        q, rem = divmod(need, self.coeffs[-1])
-        return () if rem else (q,)
 
 
 def _walk(constraint, k: int, values, injective: bool, first: bool):
@@ -251,29 +252,39 @@ def _walk(constraint, k: int, values, injective: bool, first: bool):
     return out
 
 
-def _enumerate_poly(P: Poly, n: int, injective: bool):
-    props = poly_props(P)
-    variables = P.variables()
-    if len(variables) > MAX_POLY_VARS:
-        raise ValueError(f"too many variables (max {MAX_POLY_VARS})")
-    if props.max_partial_degree > MAX_POLY_PARTIAL_DEGREE:
-        raise ValueError(
-            f"partial degree exceeds enumeration bound {MAX_POLY_PARTIAL_DEGREE}"
-        )
-    order = sorted(variables, key=lambda v: (-props.partial_degrees[v], v))
-    sols = _walk(_PolyResidual(P, order, 1, n), len(order), range(1, n + 1), injective, False)
+def _solutions(system: SolutionSystem, values, first: bool):
+    """Solutions of the system with every value in the ascending value list,
+    in lexicographic order: all of them, or only the first.  Enumeration
+    walks a nonlinear equation's variables highest partial degree first and
+    sorts; first=True keeps the natural order, where the first found is least."""
+    if system.kind == "ap":
+        k = system.ap_length
+        sols = (tuple(a + t * d for t in range(k)) for a, d in _progressions(values, k))
+        return list(islice(sols, 1) if first else sols)
+    order = None
+    if system.kind == "matrix":
+        M = system.matrix
+        constraint, k = _LinearRows(M.entries, [0] * M.rows, values), M.cols
+    else:
+        P = system.poly
+        variables = P.variables()
+        k, props = len(variables), poly_props(P)
+        if not first and k > MAX_POLY_VARS:
+            raise ValueError(f"too many variables (max {MAX_POLY_VARS})")
+        if not first and props.max_partial_degree > MAX_POLY_PARTIAL_DEGREE:
+            raise ValueError(f"partial degree exceeds enumeration bound {MAX_POLY_PARTIAL_DEGREE}")
+        if props.is_linear:
+            coeffs = [P.monomials[((v, 1),)] for v in variables]
+            constraint = _LinearRows([coeffs], [P.constant], values)
+        else:
+            order = variables if first else sorted(
+                variables, key=lambda v: (-props.partial_degrees[v], v))
+            constraint = _PolyResidual(P, order, values[0], values[-1])
+    sols = _walk(constraint, k, values, system.injective, first)
+    if order is None:
+        return sols
     slots = [order.index(v) for v in variables]
     return sorted(tuple(sol[i] for i in slots) for sol in sols)
-
-
-def _enumerate_ap(k: int, n: int):
-    out = []
-    for a in range(1, n + 1):
-        d = 1
-        while a + (k - 1) * d <= n:
-            out.append(tuple(a + t * d for t in range(k)))
-            d += 1
-    return sorted(out)
 
 
 def enumerate_solutions(system: SolutionSystem, n: int):
@@ -281,12 +292,7 @@ def enumerate_solutions(system: SolutionSystem, n: int):
     lexicographically; distinct-valued when the system is injective."""
     if n < 1:
         raise ValueError("bound must be >= 1")
-    if system.kind == "poly":
-        return _enumerate_poly(system.poly, n, system.injective)
-    if system.kind == "matrix":
-        M = system.matrix
-        return _walk(_RowSums(M, 1, n), M.cols, range(1, n + 1), system.injective, False)
-    return _enumerate_ap(system.ap_length, n)
+    return _solutions(system, range(1, n + 1), False)
 
 
 def solutions_by_max(system: SolutionSystem, n: int):
@@ -439,39 +445,11 @@ def forcing_number(
 
 # -- monochromatic witnesses ------------------------------------------------
 
-def _class_witness(system: SolutionSystem, values):
-    if not values:
-        return None
-    if system.kind == "ap":
-        k = system.ap_length
-        found = contains_ap(FiniteSet(values), k)
-        return None if found is None else tuple(found[0] + t * found[1] for t in range(k))
-    lo, hi = values[0], values[-1]
-    if system.kind == "matrix":
-        M = system.matrix
-        constraint, k = _RowSums(M, lo, hi), M.cols
-    else:
-        P = system.poly
-        variables = P.variables()
-        k = len(variables)
-        if poly_props(P).is_linear:
-            coeffs = [P.monomials[((v, 1),)] for v in variables]
-            constraint = _LinearSums(coeffs, P.constant, values)
-        else:
-            constraint = _PolyResidual(P, variables, lo, hi)
-    found = _walk(constraint, k, values, system.injective, True)
-    return found[0] if found else None
-
-
 def mono_witness(coloring: Coloring, system: SolutionSystem):
     """Lexicographically least monochromatic solution whose values all lie in
     one color class of the coloring, or None."""
-    best = None
-    for _, values in sorted(coloring.color_classes().items()):
-        w = _class_witness(system, values)
-        if w is not None and (best is None or w < best):
-            best = w
-    return best
+    found = (_solutions(system, values, True) for values in coloring.color_classes().values())
+    return min((w[0] for w in found if w), default=None)
 
 
 # -- the 325 extractor ------------------------------------------------------
@@ -530,6 +508,19 @@ def vdw325_extract(coloring: Coloring):
 
 # -- arithmetic progressions in finite sets ---------------------------------
 
+def _progressions(elems, k: int):
+    """Every (a, d) in lexicographic order with a, a+d, ..., a+(k-1)d all in
+    the ascending list and d >= 1, for k >= 2."""
+    present, last = set(elems), elems[-1]
+    for i, a in enumerate(elems):
+        for b in elems[i + 1:]:
+            d = b - a
+            if a + (k - 1) * d > last:
+                break
+            if all(a + t * d in present for t in range(2, k)):
+                yield a, d
+
+
 def contains_ap(A: FiniteSet, k: int):
     """First (a, d) in lexicographic order with a, a+d, ..., a+(k-1)d all in
     A and d >= 1; a single point counts as a length-1 progression."""
@@ -539,13 +530,4 @@ def contains_ap(A: FiniteSet, k: int):
         return None
     if k == 1:
         return (A.min(), 1)
-    elems = A.elements
-    present, last = set(elems), elems[-1]
-    for i, a in enumerate(elems):
-        for b in elems[i + 1:]:
-            d = b - a
-            if a + (k - 1) * d > last:
-                break
-            if all(a + t * d in present for t in range(2, k)):
-                return (a, d)
-    return None
+    return next(_progressions(A.elements, k), None)

@@ -229,6 +229,9 @@ def test_retired_threads_and_seed_flags_exit_three():
      "polynomial bounds use a0..ad, got 'm'"),
     (["embed", "probe-family", "--family", "polynomial", "--bounds", "a0=1..2"],
      "polynomial bounds must reach at least a1"),
+    (["embed", "fmap", "--set", "1", "--in", "2", "--family", "polynomial",
+      "--bounds", "a01=1..2"],
+     "polynomial bounds use a0..ad, got 'a01'"),
     (["embed", "fmap", "--set", "1", "--in", "1,2", "--family", "translation",
       "--bounds", "q=1..3"],
      "unknown parameter 'q' for family translation"),
@@ -237,8 +240,8 @@ def test_retired_threads_and_seed_flags_exit_three():
      "empty parameter range"),
     (["poly", "reciprocal", "x^3 + x*y^2 - z^3", "--degree", "3"],
      "unrecognized arguments: --degree 3"),
-], ids=["unknown-kind", "polynomial-name", "polynomial-degree", "unknown-parameter",
-        "empty-range", "retired-degree"])
+], ids=["unknown-kind", "polynomial-name", "polynomial-degree", "polynomial-leading-zero",
+        "unknown-parameter", "empty-range", "retired-degree"])
 def test_family_usage_error_messages(argv, message):
     assert run(argv) == (3, "", f"error: {message}\n")
 
@@ -585,6 +588,21 @@ def test_embed_probe_family_verb():
     code, out, _ = run(["embed", "probe-family", "--family", "translation"])
     assert code == 2
     assert "no counterexample" in out
+
+
+@pytest.mark.parametrize("family, bounds, h_bounds", [
+    ("translation", "m=-3..-2", [[-3, -2]]),
+    ("affinity", "a=1..2,b=-3..-2", [[1, 2], [-3, -2]]),
+], ids=["translation", "affinity"])
+def test_embed_probe_of_a_family_with_no_member(family, bounds, h_bounds):
+    # every range is nonempty, yet no parameter tuple is valid: the probe
+    # keeps the bounds as given instead of widening them past each other
+    code, env = run_json(["embed", "probe-family", "--family", family, "--bounds", bounds])
+    assert code == 0
+    assert env["verdict"] == "counterexample"
+    assert env["certificate"] == {
+        "h_bounds": h_bounds, "pairs_checked": 0, "reflexivity_counterexample": [1, 2],
+    }
 
 
 def test_embed_unknown_family_exits_three():

@@ -1,6 +1,7 @@
 import ast
 import math
 import random
+import time
 from itertools import product
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from prlab.rado import smod
 from prlab.search import (
     SearchBudgetExceeded,
     _check_good_coloring,
+    _reach,
     ap_system,
     contains_ap,
     enumerate_solutions,
@@ -128,6 +130,61 @@ def test_enumerate_matrix_with_zero_last_column_matches_brute_force():
         got = enumerate_solutions(matrix_system(M, injective=injective), 7)
         want = brute_solutions(lambda v: v[0] + v[1] == v[2], 4, 7, injective)
         assert got == want
+
+
+def test_exact_linear_enumeration_matches_brute_force():
+    # coefficients up to 40 over [1, n] exercise the doubled reachable-sum
+    # masks; half the equations get a constant that a random point solves
+    rng = random.Random(11)
+    nonzero = [c for c in range(-40, 41) if c]
+    for _ in range(40):
+        k, n = rng.randint(2, 3), rng.randint(1, 30)
+        coeffs = [rng.choice(nonzero) for _ in range(k)]
+        point = [rng.randint(1, n) for _ in range(k)]
+        if rng.random() < 0.5:
+            constant = -sum(c * x for c, x in zip(coeffs, point))
+        else:
+            constant = rng.randint(-300, 300)
+        P = Poly({(("xyz"[i], 1),): c for i, c in enumerate(coeffs)}, constant)
+        holds = lambda v: sum(c * x for c, x in zip(coeffs, v)) + constant == 0
+        for injective in (False, True):
+            want = brute_solutions(holds, k, n, injective)
+            assert enumerate_solutions(poly_system(P, injective), n) == want, (P, n)
+
+
+def test_exact_matrix_enumeration_matches_brute_force():
+    # one and two rows with zero entries, sometimes a whole zero column
+    rng = random.Random(12)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 2), rng.randint(2, 4)
+        n = rng.randint(1, 30 if cols < 4 else 10)
+        entries = [[rng.choice((0, 0, -3, -2, -1, 1, 2, 3)) for _ in range(cols)]
+                   for _ in range(rows)]
+        if rng.random() < 0.3:
+            zero = rng.randrange(cols)
+            for row in entries:
+                row[zero] = 0
+        M = parse_matrix("\n".join(" ".join(map(str, row)) for row in entries))
+        holds = lambda v: all(sum(a * x for a, x in zip(row, v)) == 0 for row in entries)
+        for injective in (False, True):
+            want = brute_solutions(holds, cols, n, injective)
+            assert enumerate_solutions(matrix_system(M, injective), n) == want, (entries, n)
+
+
+def test_reachable_sums_match_one_shift_per_value():
+    # value lists with gaps, as color classes are, and lists and ranges without
+    rng = random.Random(13)
+    for _ in range(300):
+        values = sorted(rng.sample(range(-20, 60), rng.randint(1, 30)))
+        if rng.random() < 0.4:
+            values = range(rng.randint(-5, 5), rng.randint(6, 40))
+            values = list(values) if rng.random() < 0.5 else values
+        c = rng.choice([x for x in range(-9, 10) if x])
+        mask = rng.getrandbits(40) | 1
+        low, want = min(c * values[0], c * values[-1]), 0
+        for x in values:
+            want |= mask << (c * x - low)
+        assert _reach(mask, c, values) == want, (values, c)
 
 
 def test_solutions_indexed_by_maximum():
@@ -268,6 +325,24 @@ def test_search_deeper_than_the_recursion_limit():
     assert out.coloring.values() == (1,) * 1200
 
 
+def test_wide_linear_rows_answer_quickly():
+    # exact reachable-sum masks for these rows would take about 10**11 bits,
+    # or 2,000 shifts of 2-million-bit integers per column on the odd numbers
+    ones, odd = Coloring(1, (1,) * 2000), Coloring(1, (1, 2) * 2000)
+    start = time.perf_counter()
+    for system in (
+        poly_system(parse_poly("x+y-10000000000*z")),
+        matrix_system(parse_matrix("1 1 -10000000000")),
+    ):
+        assert enumerate_solutions(system, 300) == []
+        out = good_coloring(system, 10, 2)
+        assert not out.forced and out.coloring.values() == (1,) * 10
+        assert mono_witness(ones, system) is None
+    assert mono_witness(odd, matrix_system(parse_matrix("1 1 -500"))) == (1, 499, 1)
+    assert mono_witness(odd, poly_system(parse_poly("x+y-500*z"))) == (1, 499, 1)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_forced_is_monotone_in_the_bound():
     for system, r in CORPUS:
         prev = False
@@ -367,7 +442,16 @@ def test_injective_two_row_matrix_witness_matches_brute_force():
 
 def test_blocking_coloring_admits_no_witness_on_long_interval():
     coloring = Coloring.from_function(1, 2000, lambda n: smod(5, n), num_colors=4)
-    assert mono_witness(coloring, poly_system(parse_poly("x+y-3*z"))) is None
+    for system in (
+        poly_system(parse_poly("x+y-3*z")),
+        poly_system(parse_poly("x+y+z-4*w")),
+        matrix_system(parse_matrix("1 1 1 -4")),
+    ):
+        assert mono_witness(coloring, system) is None
+
+
+def test_progression_witness_below_one():
+    assert mono_witness(Coloring(-3, (1, 2, 1, 2, 1, 1, 1)), ap_system(3)) == (-3, -1, 1)
 
 
 # -- the compiled polynomial residual ---------------------------------------
