@@ -11,6 +11,11 @@ path, help text, provenance, argument specs and handler; a handler returns
 (exit code, text lines, verdict[, certificate[, bounds]]).  build_parser
 and main are loops over the table, and main alone adds the provenance and
 builds the envelope.
+
+One invocation pays only for the verb it runs: main builds the parser of
+the verb that argv names (the whole table only for help listings and
+unknown names, which need no library code), and each handler imports the
+library module it calls when it is called.
 """
 
 from __future__ import annotations
@@ -20,15 +25,8 @@ import json
 import re
 import sys
 import time
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from . import embed as embed_mod
-from . import folkman as folkman_mod
-from . import omega as omega_mod
-from . import polyreg
-from . import rado
-from . import search as search_mod
 from .core.coloring import Coloring
 from .core.matrix import parse_matrix
 from .core.poly import parse_poly
@@ -64,8 +62,6 @@ def _int_list(text: str) -> list[int]:
 def _jsonable(x):
     if x is None or isinstance(x, (bool, int, float, str)):
         return x
-    if isinstance(x, Fraction):
-        return str(x)
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (set, frozenset)):
@@ -94,7 +90,7 @@ def _parse_bounds(text: str) -> dict[str, tuple[int, int]]:
     return out
 
 
-def _bounds_payload(fam: embed_mod.FamilySpec) -> dict:
+def _bounds_payload(fam) -> dict:
     return {"family": fam.kind, **dict(zip(fam.param_names(), fam.bounds))}
 
 
@@ -113,7 +109,7 @@ def _flag_list(flags, labels):
     return 0, lines, dict(zip(keys, values))
 
 
-def _budget_exceeded(exc: search_mod.SearchBudgetExceeded, bounds: dict):
+def _budget_exceeded(exc, bounds: dict):
     lines = [f"search exhausted the node budget after {exc.nodes} nodes"]
     return 2, lines, "budget-exceeded", None, bounds
 
@@ -122,12 +118,12 @@ def _as_text(value):
     return 0, [str(value)], str(value)
 
 
-def _status_json(code: int, v: polyreg.PrVerdict):
+def _status_json(code: int, v):
     payload = _verdict_payload(v)
     return code, [json.dumps(payload)], v.status, payload
 
 
-def _verdict_payload(v: polyreg.PrVerdict) -> dict:
+def _verdict_payload(v) -> dict:
     return {
         "status": v.status,
         "method": v.method,
@@ -139,6 +135,7 @@ def _verdict_payload(v: polyreg.PrVerdict) -> dict:
 # -- matrix / linear / affine verbs ------------------------------------------
 
 def _check_matrix(args):
+    from . import rado
     verdict = rado.columns_condition(parse_matrix(_read_text(args.file)))
     if not verdict.satisfied:
         return 1, ["columns condition: not satisfied"], "columns-condition-failed"
@@ -156,6 +153,7 @@ def _check_matrix(args):
 
 
 def _check_linear(args):
+    from . import rado
     verdict = rado.linear_pr(parse_poly(args.expr))
     if verdict.pr:
         lines = ["partition regular: yes", f"zero-sum subset: {list(verdict.subset)}"]
@@ -165,6 +163,7 @@ def _check_linear(args):
 
 
 def _check_affine(args):
+    from . import rado
     verdict = rado.affine_pr(parse_poly(args.expr))
     if not verdict.pr:
         return 1, ["partition regular: no"], "not-partition-regular"
@@ -181,11 +180,13 @@ def _check_affine(args):
 
 
 def _smod(args):
+    from . import rado
     color = rado.smod(args.p, args.n)
     return 0, [f"smod({args.p}) color of {args.n}: {color}"], color
 
 
 def _blocking_prime(args):
+    from . import rado
     p = rado.blocking_prime(_int_list(args.coeffs))
     if p is None:
         lines = ["no blocking prime: some subset of the coefficients sums to zero"]
@@ -194,6 +195,7 @@ def _blocking_prime(args):
 
 
 def _parametric(args):
+    from . import rado
     P = parse_poly(args.expr)
     tokens = [t.strip() for t in args.subset.split(",") if t.strip()]
     names = P.variables()
@@ -217,31 +219,34 @@ def _parametric(args):
 # -- search verbs ------------------------------------------------------------
 
 def _system_from_args(args, injective: bool = False):
+    from . import search
     given = [x for x in (args.poly, args.matrix, args.ap) if x is not None]
     if len(given) != 1:
         raise CliUsageError("give exactly one of --poly, --matrix, --ap")
     if args.poly is not None:
-        return search_mod.poly_system(parse_poly(args.poly), injective=injective)
+        return search.poly_system(parse_poly(args.poly), injective=injective)
     if args.matrix is not None:
         M = parse_matrix(_read_text(args.matrix))
-        return search_mod.matrix_system(M, injective=injective)
-    return search_mod.ap_system(args.ap)
+        return search.matrix_system(M, injective=injective)
+    return search.ap_system(args.ap)
 
 
 def _system_bounds(args, **extra):
-    out = {"max_nodes": search_mod.node_budget(args.max_nodes)}
+    from . import search
+    out = {"max_nodes": search.node_budget(args.max_nodes)}
     out.update(extra)
     return out
 
 
 def _good_coloring(args):
+    from . import search
     system = _system_from_args(args, injective=args.injective)
     bounds = _system_bounds(args, n=args.n, r=args.r)
     try:
-        outcome = search_mod.good_coloring(
+        outcome = search.good_coloring(
             system, args.n, args.r, max_nodes=args.max_nodes
         )
-    except search_mod.SearchBudgetExceeded as exc:
+    except search.SearchBudgetExceeded as exc:
         return _budget_exceeded(exc, bounds)
     if outcome.forced:
         lines = [f"forced: every {args.r}-coloring of [1,{args.n}] has a monochromatic solution"]
@@ -254,11 +259,12 @@ def _good_coloring(args):
 
 
 def _forcing_number(args):
+    from . import search
     system = _system_from_args(args)
     bounds = _system_bounds(args, r=args.r, max=args.max)
     try:
-        n = search_mod.forcing_number(system, args.r, args.max, max_nodes=args.max_nodes)
-    except search_mod.SearchBudgetExceeded as exc:
+        n = search.forcing_number(system, args.r, args.max, max_nodes=args.max_nodes)
+    except search.SearchBudgetExceeded as exc:
         return _budget_exceeded(exc, bounds)
     if n is None:
         return 2, [f"no forcing number up to {args.max}"], "not-forced-within-bound", None, bounds
@@ -266,17 +272,19 @@ def _forcing_number(args):
 
 
 def _witness(args):
+    from . import search
     system = _system_from_args(args, injective=args.injective)
     coloring = Coloring.from_text(_read_text(args.coloring))
-    w = search_mod.mono_witness(coloring, system)
+    w = search.mono_witness(coloring, system)
     if w is None:
         return 1, ["no monochromatic solution: the coloring is good"], "no-witness"
     return 0, [f"monochromatic solution: {list(w)}"], "witness", {"values": w}
 
 
 def _vdw_extract(args):
+    from . import search
     coloring = Coloring.from_text(_read_text(args.coloring), lo=0)
-    triple = search_mod.vdw325_extract(coloring)
+    triple = search.vdw325_extract(coloring)
     x, y, z = triple
     color = coloring.color(x)
     lines = [f"monochromatic progression: {x}, {y}, {z} (color {color})"]
@@ -286,15 +294,18 @@ def _vdw_extract(args):
 # -- folkman verbs -----------------------------------------------------------
 
 def _folkman_fs(args):
+    from . import folkman
     S = parse_finite(args.set)
-    sums = folkman_mod.fs(S)
+    sums = folkman.fs(S)
     return 0, [f"FS({S}) = {sums}"], sums.elements
 
 
 def _folkman_matrix(args):
-    M = folkman_mod.folkman_matrix(args.n)
+    from . import folkman
+    M = folkman.folkman_matrix(args.n)
     lines, cert, code = str(M).splitlines(), {"entries": M.entries}, 0
     if args.check:
+        from . import rado
         satisfied = rado.columns_condition(M).satisfied
         lines.append(f"columns condition: {'satisfied' if satisfied else 'failed'}")
         cert["columns_condition"] = satisfied
@@ -303,14 +314,21 @@ def _folkman_matrix(args):
 
 
 def _folkman_weak_mono(args):
+    from . import folkman
     coloring = Coloring.from_text(_read_text(args.coloring))
-    ok = folkman_mod.weakly_monochromatic(coloring, parse_finite(args.set))
+    ok = folkman.weakly_monochromatic(coloring, parse_finite(args.set))
     return _yes_no(ok, "weakly monochromatic: yes", "weakly monochromatic: no")
 
 
 # -- poly verbs --------------------------------------------------------------
 
+def _poly_reduct(args):
+    from . import polyreg
+    return _as_text(polyreg.reduct(parse_poly(args.expr)))
+
+
 def _poly_exclusive(args):
+    from . import polyreg
     sets = polyreg.exclusive_sets(parse_poly(args.expr))
     payload = sorted(sorted(s) for s in sets)
     if not payload:
@@ -320,6 +338,7 @@ def _poly_exclusive(args):
 
 
 def _poly_check(args):
+    from . import polyreg
     P = parse_poly(args.expr)
     suff = polyreg.sufficient_ipr(P)
     if suff.status == "IPR_certified":
@@ -332,6 +351,7 @@ def _poly_check(args):
 
 
 def _poly_construct(args):
+    from . import polyreg
     L = parse_poly(args.linear)
     subsets = [tuple(_int_list(chunk)) for chunk in args.subsets.split("|")]
     result = polyreg.attach_products(L, subsets, args.n)
@@ -339,7 +359,13 @@ def _poly_construct(args):
     return 0, lines, str(result.poly), _verdict_payload(result.verdict)
 
 
+def _poly_reciprocal(args):
+    from . import polyreg
+    return _as_text(polyreg.reciprocal(parse_poly(args.expr)))
+
+
 def _poly_transform(args):
+    from . import polyreg
     if args.negate == (args.power is not None):
         raise CliUsageError("give exactly one of --negate, --power")
     P = parse_poly(args.expr)
@@ -352,31 +378,53 @@ def _poly_transform(args):
 
 
 def _poly_expsum(args):
+    from . import polyreg
     verdict = polyreg.exp_sum_ipr(_int_list(args.left), _int_list(args.right))
     return _status_json(0 if verdict.status == "IPR_certified" else 2, verdict)
+
+
+def _poly_invariance(args):
+    from . import polyreg
+    return _flag_list(
+        polyreg.invariance(parse_poly(args.expr)),
+        ("translation invariant", "dilation invariant", "additive", "multiplicative"))
 
 
 # -- omega verbs -------------------------------------------------------------
 
 def _omega_eval(args):
-    form = omega_mod.canonical(omega_mod.parse_term(args.term))
-    h = omega_mod.height(form)
-    text = omega_mod.form_text(form)
+    from . import omega
+    form = omega.canonical(omega.parse_term(args.term))
+    h = omega.height(form)
+    text = omega.form_text(form)
     return 0, [f"canonical: {text}", f"height: {h}"], {"canonical": text, "height": h}
 
 
 def _omega_pair(args):
-    return omega_mod.parse_term(args.left), omega_mod.parse_term(args.right)
+    from . import omega
+    return omega.parse_term(args.left), omega.parse_term(args.right)
+
+
+def _omega_eq(args):
+    from . import omega
+    return _yes_no(omega.term_eq(*_omega_pair(args)), "equal", "different")
+
+
+def _omega_rpair(args):
+    from . import omega
+    return _yes_no(omega.tensor_pair_R(*_omega_pair(args)), "tensor pair", "not a tensor pair")
 
 
 def _omega_tensorized(args):
-    terms = [omega_mod.parse_term(chunk) for chunk in args.terms.split(";")]
-    out = [str(t) for t in omega_mod.tensorized(terms)]
+    from . import omega
+    terms = [omega.parse_term(chunk) for chunk in args.terms.split(";")]
+    out = [str(t) for t in omega.tensorized(terms)]
     return 0, out, out
 
 
 def _omega_verify354(args):
-    result = omega_mod.verify_table_construction(_int_list(args.c), _int_list(args.d))
+    from . import omega
+    result = omega.verify_table_construction(_int_list(args.c), _int_list(args.d))
     ok = result.zero_check and result.distinct_check
     ledger = [line.text() for line in result.ledger]
     lines = [f"xi_{i}  = {list(v)}" for i, v in enumerate(result.xi, start=1)]
@@ -398,6 +446,7 @@ def _omega_verify354(args):
 # -- embed verbs -------------------------------------------------------------
 
 def _embed_fe(args):
+    from . import embed
     finite_pair = args.finite is not None or args.target is not None
     periodic_pair = args.periodic is not None or args.target_periodic is not None
     if finite_pair == periodic_pair:
@@ -407,7 +456,7 @@ def _embed_fe(args):
     if finite_pair:
         if args.finite is None or args.target is None:
             raise CliUsageError("--finite and --in go together")
-        n = embed_mod.fe_shift(parse_finite(args.finite), parse_finite(args.target))
+        n = embed.fe_shift(parse_finite(args.finite), parse_finite(args.target))
         if n is None:
             return 1, ["not embeddable"], "not-embeddable"
         return 0, [f"embeds with shift {n}"], "embeddable", {"shift": n}
@@ -415,20 +464,28 @@ def _embed_fe(args):
         raise CliUsageError("--periodic and --in-periodic go together")
     A = parse_periodic(args.periodic)
     B = parse_periodic(args.target_periodic)
-    ok = embed_mod.fe_periodic(A, B)
+    ok = embed.fe_periodic(A, B)
     return _yes_no(ok, "finitely embeddable", "not finitely embeddable")
 
 
+def _embed_classify(args):
+    from . import embed
+    return _flag_list(embed.classify(parse_periodic(args.spec)),
+                      ("thick", "syndetic", "piecewise syndetic", "finite"))
+
+
 def _embed_bd(args):
-    density = embed_mod.bd(parse_periodic(args.spec))
+    from . import embed
+    density = embed.bd(parse_periodic(args.spec))
     return 0, [f"banach density: {density}"], density
 
 
 def _embed_fmap(args):
+    from . import embed
     F = parse_finite(args.set)
     B = _parse_set_or_periodic(args.target)
-    fam = embed_mod.family(args.family, _parse_bounds(args.bounds or ""))
-    got = embed_mod.fmap_witness(F, B, fam)
+    fam = embed.family(args.family, _parse_bounds(args.bounds or ""))
+    got = embed.fmap_witness(F, B, fam)
     bounds = _bounds_payload(fam)
     if not got.found():
         return 2, ["no witness within the declared bounds"], "none-within-bounds", None, bounds
@@ -436,13 +493,22 @@ def _embed_fmap(args):
 
 
 def _embed_apmax(args):
-    ok = embed_mod.a_maximal_probe(_parse_set_or_periodic(args.spec), args.len)
+    from . import embed
+    ok = embed.a_maximal_probe(_parse_set_or_periodic(args.spec), args.len)
     return _yes_no(ok, f"contains a {args.len}-term progression", f"no {args.len}-term progression")
 
 
 def _embed_probe_family(args):
-    fam = embed_mod.family(args.family, _parse_bounds(args.bounds or ""))
-    report = embed_mod.wellstructured_probe(fam)
+    from . import embed, search
+    fam = embed.family(args.family, _parse_bounds(args.bounds or ""))
+    budget = search.node_budget(args.max_nodes, embed.DEFAULT_PROBE_BUDGET)
+    bounds = _bounds_payload(fam)
+    if args.max_nodes is not None:  # the default budget shows only once it runs out
+        bounds["max_nodes"] = budget
+    try:
+        report = embed.wellstructured_probe(fam, budget)
+    except search.SearchBudgetExceeded as exc:
+        return _budget_exceeded(exc, {**bounds, "max_nodes": budget})
     lines = []
     cert = {"h_bounds": report.h_bounds, "pairs_checked": report.pairs_checked}
     if report.transitivity_counterexample is not None:
@@ -457,7 +523,6 @@ def _embed_probe_family(args):
             f"reflexivity counterexample: F={report.reflexivity_counterexample}"
         )
         cert["reflexivity_counterexample"] = report.reflexivity_counterexample.elements
-    bounds = _bounds_payload(fam)
     if not lines:
         lines = ["no counterexample found within bounds"]
         return 2, lines, "no-counterexample-within-bounds", cert, bounds
@@ -555,7 +620,7 @@ VERBS = (
          "prefix-sum-color-walk",
          (_arg("--coloring", required=True), _arg("--set", required=True)), _folkman_weak_mono),
     Verb("poly reduct", "replace each monomial by a fresh variable", "fresh-variable-per-monomial",
-         _EXPR, lambda a: _as_text(polyreg.reduct(parse_poly(a.expr)))),
+         _EXPR, _poly_reduct),
     Verb("poly exclusive", "systems of variables private to each monomial",
          "per-monomial-private-variables", _EXPR, _poly_exclusive),
     Verb("poly check", "sufficiency and necessity checks", "sufficiency-then-necessity-checks",
@@ -567,8 +632,7 @@ VERBS = (
           _arg("-n", type=int, required=True, help="number of fresh variables")),
          _poly_construct),
     Verb("poly reciprocal", "reverse the exponent pattern of a homogeneous polynomial",
-         "degree-complement-exponent-flip", _EXPR,
-         lambda a: _as_text(polyreg.reciprocal(parse_poly(a.expr)))),
+         "degree-complement-exponent-flip", _EXPR, _poly_reciprocal),
     Verb("poly transform", "regularity-preserving substitutions", "variable-wise-substitution",
          (_arg("expr"), _arg("--negate", action="store_true", help="negate every variable"),
           _arg("--power", type=int, help="raise every variable to this power")),
@@ -577,18 +641,13 @@ VERBS = (
          "exponent-sum-comparison",
          (_arg("--left", required=True), _arg("--right", required=True)), _poly_expsum),
     Verb("poly invariance", "structural invariance flags", "symbolic-substitution-identities",
-         _EXPR, lambda a: _flag_list(
-             polyreg.invariance(parse_poly(a.expr)),
-             ("translation invariant", "dilation invariant", "additive", "multiplicative"))),
+         _EXPR, _poly_invariance),
     Verb("omega eval", "canonical form and height", "star-depth-normal-form",
          (_arg("term"),), _omega_eval),
-    Verb("omega eq", "term equality", "star-depth-normal-form", _PAIR,
-         lambda a: _yes_no(omega_mod.term_eq(*_omega_pair(a)), "equal", "different")),
+    Verb("omega eq", "term equality", "star-depth-normal-form", _PAIR, _omega_eq),
     Verb("omega tensorized", "height-shifted tuple", "cumulative-height-shifts",
          (_arg("terms", help="semicolon-separated terms"),), _omega_tensorized),
-    Verb("omega rpair", "tensor-pair test", "minimum-star-depth-threshold", _PAIR,
-         lambda a: _yes_no(omega_mod.tensor_pair_R(*_omega_pair(a)),
-                           "tensor pair", "not a tensor pair")),
+    Verb("omega rpair", "tensor-pair test", "minimum-star-depth-threshold", _PAIR, _omega_rpair),
     Verb("omega verify354", "two-table coefficient construction",
          "two-table-coefficient-construction",
          (_arg("--c", required=True, help="comma-separated positive weights"),
@@ -604,9 +663,7 @@ VERBS = (
           _arg("--in-periodic", dest="target_periodic", help="periodic target")),
          _embed_fe),
     Verb("embed classify", "thick / syndetic / piecewise syndetic / finite",
-         "residue-set-analysis", _SPEC,
-         lambda a: _flag_list(embed_mod.classify(parse_periodic(a.spec)),
-                              ("thick", "syndetic", "piecewise syndetic", "finite"))),
+         "residue-set-analysis", _SPEC, _embed_classify),
     Verb("embed bd", "exact Banach density", "residue-count-over-period", _SPEC, _embed_bd),
     Verb("embed fmap", "family-map witness search", "bounded-family-parameter-scan",
          (_arg("--set", required=True, help="finite pattern"),
@@ -618,16 +675,16 @@ VERBS = (
          (_arg("spec", help="finite set or periodic spec"), _arg("--len", type=int, required=True)),
          _embed_apmax),
     Verb("embed probe-family", "closure counterexample probe", "bounded-closure-probe",
-         (_arg("--family", required=True), _arg("--bounds")), _embed_probe_family),
+         (_arg("--family", required=True), _arg("--bounds"), _MAX_NODES), _embed_probe_family),
 )
 
 
-def build_parser() -> _ArgumentParser:
+def build_parser(rows=VERBS) -> _ArgumentParser:
     common = _ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit one JSON envelope")
     root = _ArgumentParser(prog="prlab", description="partition regularity laboratory")
     subparsers = {"": root.add_subparsers(dest="verb", metavar="verb")}
-    for verb in VERBS:
+    for verb in rows:
         group, _, name = verb.path.rpartition(" ")
         if group not in subparsers:
             parent = subparsers[""].add_parser(group, help=_GROUPS[group])
@@ -639,8 +696,21 @@ def build_parser() -> _ArgumentParser:
     return root
 
 
+def _named_verb(argv: list) -> Verb | None:
+    """The row whose path argv begins with: a top-level verb, or a group and
+    one of its actions."""
+    for verb in VERBS:
+        words = verb.path.split()
+        if argv[:len(words)] == words:
+            return verb
+    return None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    verb = _named_verb(argv)
+    # one verb's parser parses that verb's argv exactly as the whole table would
+    parser = build_parser(VERBS if verb is None else (verb,))
     try:
         args = parser.parse_args(argv)
         verb = getattr(args, "row", None)

@@ -12,7 +12,7 @@ reduct rely on that order, while equality ignores it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # exponent vector: ((var, exp), ...) sorted by variable, exp >= 1; a var is a
 # parser name or any sortable, hashable key such as omega's (atom, depth)
@@ -218,8 +218,7 @@ def _merge_keys(k1: MonomialKey, k2: MonomialKey) -> MonomialKey:
     return tuple(sorted(powers.items()))
 
 
-@dataclass
-class PolyProps:
+class PolyProps(NamedTuple):
     degree: int
     partial_degrees: dict[str, int]
     max_partial_degree: int

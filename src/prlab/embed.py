@@ -16,7 +16,7 @@ from itertools import product as cartesian
 from typing import Callable, NamedTuple
 
 from .core.sets import FiniteSet, PeriodicSet
-from .search import contains_ap
+from .search import SearchBudgetExceeded, contains_ap, node_budget
 
 __all__ = [
     "fe_shift",
@@ -260,22 +260,27 @@ class FmapResult:
 
     params: tuple | None
     status: str  # "witness" | "none-within-bounds"
+    tried: int  # parameter tuples tried
 
     def found(self) -> bool:
         return self.params is not None
 
 
-def fmap_witness(F: FiniteSet, B, fam: FamilySpec) -> FmapResult:
+def fmap_witness(F: FiniteSet, B, fam: FamilySpec, max_nodes: int | None = None) -> FmapResult:
     """First parameter tuple (lexicographically) whose map sends every
     element of F into B.  B may be a finite set or a periodic set; only
-    membership is used."""
+    membership is used.  With max_nodes, trying more parameter tuples than
+    that raises SearchBudgetExceeded."""
     if not F:
         raise ValueError("pattern must be nonempty")
     elems = F.elements
-    for params in fam.iter_params():
+    tried = 0
+    for tried, params in enumerate(fam.iter_params(), start=1):
+        if max_nodes is not None and tried > max_nodes:
+            raise SearchBudgetExceeded(tried)
         if all(fam.apply(params, x) in B for x in elems):
-            return FmapResult(tuple(params), "witness")
-    return FmapResult(None, "none-within-bounds")
+            return FmapResult(tuple(params), "witness", tried)
+    return FmapResult(None, "none-within-bounds", tried)
 
 
 def a_maximal_probe(A, L: int) -> bool:
@@ -300,6 +305,8 @@ DEFAULT_PROBE_SAMPLES = (
     FiniteSet((0, 1, 2)),
     FiniteSet((2, 5, 8)),
 )
+# The probe's default node budget: about 7 s of scanning on a 2-vCPU host.
+DEFAULT_PROBE_BUDGET = 10**7
 
 
 @dataclass
@@ -317,12 +324,27 @@ class FamilyProbeReport:
         )
 
 
-def wellstructured_probe(fam: FamilySpec) -> FamilyProbeReport:
+def wellstructured_probe(fam: FamilySpec, max_nodes: int | None = None) -> FamilyProbeReport:
     """Search for violations of the two closure properties a well-structured
     family needs: for members f, g there should be a member h with h(F)
     inside (g o f)(F), and for every F some member should map F into itself.
     The h-search runs over composition-widened bounds; a clean report only
-    means nothing was found within them, never that the family is closed."""
+    means nothing was found within them, never that the family is closed.
+
+    A node is one parameter tuple tried by any of the probe's scans; past
+    the node budget (DEFAULT_PROBE_BUDGET when none is given) it raises
+    SearchBudgetExceeded."""
+    budget, used = node_budget(max_nodes, DEFAULT_PROBE_BUDGET), 0
+
+    def maps_into(F, B, spec):
+        nonlocal used
+        try:
+            got = fmap_witness(F, B, spec, budget - used)
+        except SearchBudgetExceeded as exc:
+            raise SearchBudgetExceeded(used + exc.nodes) from None
+        used += got.tried
+        return got.found()
+
     h_fam = fam  # widening reverses a range only when the family has no member
     if next(fam.iter_params(), None) is not None:
         h_fam = FamilySpec(fam.kind, _FAMILIES[fam.kind].widen(fam.bounds))
@@ -330,13 +352,11 @@ def wellstructured_probe(fam: FamilySpec) -> FamilyProbeReport:
     for pairs, (f, g) in enumerate(cartesian(fam.iter_params(), repeat=2), start=1):
         images = ((F, FiniteSet(fam.apply(g, fam.apply(f, x)) for x in F.elements))
                   for F in DEFAULT_PROBE_SAMPLES)
-        F = next((F for F, image in images if not fmap_witness(F, image, h_fam).found()), None)
+        F = next((F for F, image in images if not maps_into(F, image, h_fam)), None)
         if F is not None:
             transitivity = (f, g, F)
             break
-    reflexivity = next(
-        (F for F in DEFAULT_PROBE_SAMPLES if not fmap_witness(F, F, fam).found()), None
-    )
+    reflexivity = next((F for F in DEFAULT_PROBE_SAMPLES if not maps_into(F, F, fam)), None)
     return FamilyProbeReport(
         family=fam,
         h_bounds=h_fam.bounds,

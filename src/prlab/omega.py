@@ -154,17 +154,30 @@ def form_text(form: Poly) -> str:
 
 
 def canonical(t: OmegaTerm) -> Poly:
-    if isinstance(t, Nat):
-        return Poly.const(t.value)
-    if isinstance(t, Atom):
-        return Poly({(((t.name, 0), 1),): 1})
-    if isinstance(t, Star):
-        return _shift(canonical(t.body), t.k)
-    if isinstance(t, Sum):
-        return canonical(t.left) + canonical(t.right)
-    if isinstance(t, Prod):
-        return canonical(t.left) * canonical(t.right)
-    raise TypeError(f"not a term: {t!r}")
+    """The canonical form of a term, computed without recursion: a flat sum
+    or product of n terms parses to a tree n levels deep."""
+    nodes, todo = [], [t]
+    while todo:  # each node, then its right, then its left subtree
+        node = todo.pop()
+        nodes.append(node)
+        if isinstance(node, Star):
+            todo.append(node.body)
+        elif isinstance(node, (Sum, Prod)):
+            todo += (node.left, node.right)
+    forms: list[Poly] = []
+    for node in reversed(nodes):  # every node after its subtrees, left before right
+        if isinstance(node, Nat):
+            forms.append(Poly.const(node.value))
+        elif isinstance(node, Atom):
+            forms.append(Poly({(((node.name, 0), 1),): 1}))
+        elif isinstance(node, Star):
+            forms[-1] = _shift(forms[-1], node.k)
+        elif isinstance(node, (Sum, Prod)):
+            right = forms.pop()
+            forms[-1] = forms[-1] + right if isinstance(node, Sum) else forms[-1] * right
+        else:
+            raise TypeError(f"not a term: {node!r}")
+    return forms[0]
 
 
 def height(t) -> int:
@@ -244,10 +257,17 @@ def _tokenize_term(text):
     return tokens
 
 
+# Parentheses, stars, heart and diamond nest at most this deep; each level
+# takes three parser frames, so deeper input would exhaust the interpreter's
+# stack (1,000 frames by default) before it could be refused.
+MAX_TERM_NESTING = 200
+
+
 class _TermParser:
     def __init__(self, text):
         self.tokens = _tokenize_term(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -270,14 +290,15 @@ class _TermParser:
         return t
 
     def expr(self):
+        if self.depth > MAX_TERM_NESTING:
+            raise ValueError("input nested too deeply")
+        self.depth += 1
         t = self.product()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "sym" and val == "+":
-                self.take()
-                t = Sum(t, self.product())
-            else:
-                return t
+        while self.peek()[:2] == ("sym", "+"):
+            self.take()
+            t = Sum(t, self.product())
+        self.depth -= 1
+        return t
 
     def product(self):
         t = self.primary()

@@ -9,9 +9,9 @@ for span membership, extended-Euclid coefficient certificates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
+from typing import NamedTuple
 
 from .core import IntMatrix, Poly, poly_props
 
@@ -88,8 +88,7 @@ class RationalSpan:
 
 # -- columns condition ------------------------------------------------------
 
-@dataclass
-class ColumnsConditionCertificate:
+class ColumnsConditionCertificate(NamedTuple):
     """Ordered block partition of the columns (1-based indices).
 
     The first block sums to the zero vector; for each later block, a rational
@@ -101,8 +100,7 @@ class ColumnsConditionCertificate:
     combinations: tuple[tuple[Fraction, ...], ...]
 
 
-@dataclass
-class ColumnsConditionVerdict:
+class ColumnsConditionVerdict(NamedTuple):
     satisfied: bool
     certificate: ColumnsConditionCertificate | None
 
@@ -214,8 +212,7 @@ def blocking_prime(coefficients) -> int | None:
     return p
 
 
-@dataclass
-class LinearPrVerdict:
+class LinearPrVerdict(NamedTuple):
     pr: bool
     subset: tuple[str, ...] | None = None
     blocking_prime: int | None = None
@@ -238,8 +235,7 @@ def linear_pr(P: Poly) -> LinearPrVerdict:
     return LinearPrVerdict(False, blocking_prime=blocking_prime(coeffs))
 
 
-@dataclass
-class AffinePrVerdict:
+class AffinePrVerdict(NamedTuple):
     pr: bool
     route: str | None = None  # "constant-solution" | "integer-shift-with-zero-sum-subset"
     k: int | None = None
@@ -328,8 +324,7 @@ def _normalize_bezout(coeffs, bez):
     return bez
 
 
-@dataclass
-class ParametricSolution:
+class ParametricSolution(NamedTuple):
     """Two-parameter solution family for a homogeneous linear equation.
 
     Variables in the zero-sum subset J receive a + zs_i * b, the others m * b;

@@ -7,8 +7,8 @@ any 2-coloring of [0, 324].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 from .core import Coloring, FiniteSet, IntMatrix, Poly, poly_props
 
@@ -25,17 +25,16 @@ class SearchBudgetExceeded(RuntimeError):
         self.nodes = nodes
 
 
-def node_budget(max_nodes: int | None) -> int:
+def node_budget(max_nodes: int | None, default: int = DEFAULT_NODE_BUDGET) -> int:
     """The node budget in force: the default when none is given."""
     if max_nodes is None:
-        return DEFAULT_NODE_BUDGET
+        return default
     if max_nodes < 0:
         raise ValueError("node budget must be >= 0")
     return max_nodes
 
 
-@dataclass(frozen=True)
-class SolutionSystem:
+class SolutionSystem(NamedTuple):
     """What the colorings must avoid: one equation P = 0, a homogeneous
     system A x = 0, or a k-term arithmetic progression; values range over
     positive integers, pairwise distinct when injective."""
@@ -312,8 +311,7 @@ def solutions_by_max(system: SolutionSystem, n: int):
 
 # -- backtracking coloring search -------------------------------------------
 
-@dataclass
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     forced: bool
     coloring: Coloring | None
     nodes: int

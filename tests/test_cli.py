@@ -1,9 +1,14 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import prlab
 import test_omega
 from prlab import rado, search
 from prlab.cli import main
@@ -212,8 +217,15 @@ def test_deeply_nested_omega_term_exits_three():
     assert err == "error: input nested too deeply\n"
 
 
+def test_long_flat_omega_terms_exit_zero():
+    for term, form in (("+".join(["a"] * 5000), "5000*a"), ("*".join(["a"] * 1500), "a^1500")):
+        code, env = run_json(["omega", "eval", term])
+        assert code == 0
+        assert env["verdict"] == {"canonical": form, "height": 1}
+
+
 def test_retired_threads_and_seed_flags_exit_three():
-    # --max-nodes too: only the two search verbs take it
+    # --max-nodes too: only the two search verbs and embed probe-family take it
     for flag in (["--threads", "4"], ["--seed", "7"], ["--max-nodes", "-5"]):
         code, out, err = run(["check-linear", "x+y-z", *flag])
         assert code == 3, flag
@@ -246,6 +258,239 @@ def test_family_usage_error_messages(argv, message):
     assert run(argv) == (3, "", f"error: {message}\n")
 
 
+# Help listings and parser errors, byte for byte at 80 columns: they must
+# not depend on how many verbs' parsers main builds.  A help action exits
+# through SystemExit(0) from inside main.
+HELP_AND_USAGE = [
+    ([], 3,
+     '',
+     'usage: prlab [-h] verb ...\n'),
+    (['-h'], 0,
+     'usage: prlab [-h] verb ...\n'
+     '\n'
+     'partition regularity laboratory\n'
+     '\n'
+     'positional arguments:\n'
+     '  verb\n'
+     '    check-matrix  columns condition for an integer matrix\n'
+     '    check-linear  partition regularity of a homogeneous linear equation\n'
+     '    check-affine  partition regularity of a linear equation with constant term\n'
+     '    smod          super-modulo color of one number\n'
+     '    blocking-prime\n'
+     '                  least prime whose super-modulo coloring blocks the\n'
+     '                  coefficients\n'
+     '    parametric    two-parameter solution family over a zero-sum subset\n'
+     '    search        coloring searches\n'
+     '    vdw           progression extraction\n'
+     '    folkman       finite sums and the membership matrix\n'
+     '    poly          nonlinear partition regularity tools\n'
+     '    omega         star-calculus terms\n'
+     '    embed         embeddability, density, families\n'
+     '\n'
+     'options:\n'
+     '  -h, --help      show this help message and exit\n',
+     ''),
+    (['search', '-h'], 0,
+     'usage: prlab search [-h] action ...\n'
+     '\n'
+     'positional arguments:\n'
+     '  action\n'
+     '    good-coloring\n'
+     '                  find a coloring with no monochromatic solution\n'
+     '    forcing-number\n'
+     '                  least n at which every coloring is forced\n'
+     '    witness       least monochromatic solution under a given coloring\n'
+     '\n'
+     'options:\n'
+     '  -h, --help      show this help message and exit\n',
+     ''),
+    (['vdw', '-h'], 0,
+     'usage: prlab vdw [-h] action ...\n'
+     '\n'
+     'positional arguments:\n'
+     '  action\n'
+     '    extract325\n'
+     '              monochromatic 3-term progression from a 2-coloring of [0,324]\n'
+     '\n'
+     'options:\n'
+     '  -h, --help  show this help message and exit\n',
+     ''),
+    (['folkman', '-h'], 0,
+     'usage: prlab folkman [-h] action ...\n'
+     '\n'
+     'positional arguments:\n'
+     '  action\n'
+     '    fs        all nonempty subset sums\n'
+     '    matrix    membership matrix for n generators\n'
+     '    weak-mono\n'
+     '              does the coloring make the subset sums weakly monochromatic\n'
+     '\n'
+     'options:\n'
+     '  -h, --help  show this help message and exit\n',
+     ''),
+    (['poly', '-h'], 0,
+     'usage: prlab poly [-h] action ...\n'
+     '\n'
+     'positional arguments:\n'
+     '  action\n'
+     '    reduct       replace each monomial by a fresh variable\n'
+     '    exclusive    systems of variables private to each monomial\n'
+     '    check        sufficiency and necessity checks\n'
+     '    construct3513\n'
+     '                 attach fresh-variable products to a regular linear form\n'
+     '    reciprocal   reverse the exponent pattern of a homogeneous polynomial\n'
+     '    transform    regularity-preserving substitutions\n'
+     '    expsum       difference of power products, compared by exponent sums\n'
+     '    invariance   structural invariance flags\n'
+     '\n'
+     'options:\n'
+     '  -h, --help     show this help message and exit\n',
+     ''),
+    (['omega', '-h'], 0,
+     'usage: prlab omega [-h] action ...\n'
+     '\n'
+     'positional arguments:\n'
+     '  action\n'
+     '    eval      canonical form and height\n'
+     '    eq        term equality\n'
+     '    tensorized\n'
+     '              height-shifted tuple\n'
+     '    rpair     tensor-pair test\n'
+     '    verify354\n'
+     '              two-table coefficient construction\n'
+     '\n'
+     'options:\n'
+     '  -h, --help  show this help message and exit\n',
+     ''),
+    (['embed', '-h'], 0,
+     'usage: prlab embed [-h] action ...\n'
+     '\n'
+     'positional arguments:\n'
+     '  action\n'
+     '    fe          finite embeddability\n'
+     '    classify    thick / syndetic / piecewise syndetic / finite\n'
+     '    bd          exact Banach density\n'
+     '    fmap        family-map witness search\n'
+     '    apmax       progression probe\n'
+     '    probe-family\n'
+     '                closure counterexample probe\n'
+     '\n'
+     'options:\n'
+     '  -h, --help    show this help message and exit\n',
+     ''),
+    (['check-linear', '-h'], 0,
+     'usage: prlab check-linear [-h] [--json] expr\n'
+     '\n'
+     'positional arguments:\n'
+     '  expr\n'
+     '\n'
+     'options:\n'
+     '  -h, --help  show this help message and exit\n'
+     '  --json      emit one JSON envelope\n',
+     ''),
+    (['search', 'good-coloring', '-h'], 0,
+     'usage: prlab search good-coloring [-h] [--json] [--poly POLY]\n'
+     '                                  [--matrix MATRIX] [--ap AP] -n N -r R\n'
+     '                                  [--injective] [--max-nodes MAX_NODES]\n'
+     '\n'
+     'options:\n'
+     '  -h, --help            show this help message and exit\n'
+     '  --json                emit one JSON envelope\n'
+     '  --poly POLY           polynomial equation P = 0\n'
+     '  --matrix MATRIX       file with a homogeneous system, one row per line\n'
+     '  --ap AP               length of the arithmetic progression\n'
+     '  -n N                  interval end\n'
+     '  -r R                  number of colors\n'
+     '  --injective           only count solutions with distinct values\n'
+     '  --max-nodes MAX_NODES\n'
+     '                        total search node budget (>= 0)\n',
+     ''),
+    (['vdw', 'extract325', '-h'], 0,
+     'usage: prlab vdw extract325 [-h] [--json] --coloring COLORING\n'
+     '\n'
+     'options:\n'
+     '  -h, --help           show this help message and exit\n'
+     '  --json               emit one JSON envelope\n'
+     '  --coloring COLORING  file with one line of 325 colors (1 or 2)\n',
+     ''),
+    (['folkman', 'matrix', '-h'], 0,
+     'usage: prlab folkman matrix [-h] [--json] [--check] n\n'
+     '\n'
+     'positional arguments:\n'
+     '  n\n'
+     '\n'
+     'options:\n'
+     '  -h, --help  show this help message and exit\n'
+     '  --json      emit one JSON envelope\n'
+     '  --check     also verify the columns condition\n',
+     ''),
+    (['poly', 'construct3513', '-h'], 0,
+     'usage: prlab poly construct3513 [-h] [--json] --linear LINEAR --subsets\n'
+     '                                SUBSETS -n N\n'
+     '\n'
+     'options:\n'
+     '  -h, --help         show this help message and exit\n'
+     '  --json             emit one JSON envelope\n'
+     '  --linear LINEAR\n'
+     '  --subsets SUBSETS  pipe-separated index lists, e.g. "1,2|1,2,3|3|1"\n'
+     '  -n N               number of fresh variables\n',
+     ''),
+    (['omega', 'verify354', '-h'], 0,
+     'usage: prlab omega verify354 [-h] [--json] --c C --d D [--ledger]\n'
+     '\n'
+     'options:\n'
+     '  -h, --help  show this help message and exit\n'
+     '  --json      emit one JSON envelope\n'
+     '  --c C       comma-separated positive weights\n'
+     '  --d D       comma-separated positive weights\n'
+     '  --ledger    print the per-depth coefficient identities\n',
+     ''),
+    (['embed', 'fmap', '-h'], 0,
+     'usage: prlab embed fmap [-h] [--json] --set SET --in TARGET --family FAMILY\n'
+     '                        [--bounds BOUNDS]\n'
+     '\n'
+     'options:\n'
+     '  -h, --help       show this help message and exit\n'
+     '  --json           emit one JSON envelope\n'
+     '  --set SET        finite pattern\n'
+     '  --in TARGET      target set (finite or periodic)\n'
+     '  --family FAMILY\n'
+     '  --bounds BOUNDS  e.g. a=1..10,b=0..20\n',
+     ''),
+    (['search', 'bogus'], 3,
+     '',
+     "error: argument action: invalid choice: 'bogus' (choose from 'good-coloring', 'forcing-number', 'witness')\n"),
+    (['bogus'], 3,
+     '',
+     "error: argument verb: invalid choice: 'bogus' (choose from 'check-matrix', 'check-linear', 'check-affine', 'smod', 'blocking-prime', 'parametric', 'search', 'vdw', 'folkman', 'poly', 'omega', 'embed')\n"),
+    (['check-linear'], 3,
+     '',
+     'error: the following arguments are required: expr\n'),
+    (['search', 'good-coloring', '--poly', 'x+y-z', '-n', '5'], 3,
+     '',
+     'error: the following arguments are required: -r\n'),
+    (['search'], 3,
+     '',
+     'usage: prlab [-h] verb ...\n'),
+    (['check-linear', 'x', '--bogus'], 3,
+     '',
+     'error: unrecognized arguments: --bogus\n'),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", HELP_AND_USAGE,
+                         ids=[" ".join(row[0]) or "(none)" for row in HELP_AND_USAGE])
+def test_help_and_usage_texts(monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    got_out, got_err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(got_out), contextlib.redirect_stderr(got_err):
+        try:
+            got_code = main(argv)
+        except SystemExit as exc:
+            got_code = exc.code
+    assert (got_code, got_out.getvalue(), got_err.getvalue()) == (code, out, err)
+
+
 def test_forcing_number_bound_below_one_exits_three():
     for bound in ("0", "-3"):
         code, out, err = run(
@@ -254,6 +499,46 @@ def test_forcing_number_bound_below_one_exits_three():
         assert code == 3, bound
         assert out == ""
         assert err == "error: bound must be >= 1\n"
+
+
+# -- import footprint ----------------------------------------------------------
+
+def _prlab_modules_loaded(argv):
+    """The prlab modules a fresh interpreter holds after importing prlab.cli
+    and, unless argv is None, running main(argv); main's exit code with them."""
+    script = (
+        "import contextlib, io, sys\n"
+        "import prlab.cli\n"
+        f"argv = {argv!r}\n"
+        "code = None\n"
+        "if argv is not None:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        try:\n"
+        "            code = prlab.cli.main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            code = exc.code\n"
+        "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'prlab'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(prlab.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, check=True, timeout=60).stdout.split()
+    code = None if out[0] == "None" else int(out[0])
+    return code, {m for m in out[1:] if m not in ("prlab", "prlab.cli", "prlab.core")
+                  and not m.startswith("prlab.core.")}
+
+
+@pytest.mark.parametrize("argv, code, library", [
+    (None, None, set()),
+    (["-h"], 0, set()),
+    (["search", "-h"], 0, set()),
+    (["check-linear", "x+y-z", "--json"], 0, {"prlab.rado"}),
+    (["omega", "eval", "a", "--json"], 0, {"prlab.omega"}),
+    (["folkman", "fs", "1,2", "--json"], 0, {"prlab.folkman"}),
+], ids=["import", "help", "group-help", "check-linear", "omega-eval", "folkman-fs"])
+def test_import_footprint(argv, code, library):
+    # beyond prlab, prlab.cli and prlab.core, a run loads the library module
+    # of the verb it runs and nothing else
+    assert _prlab_modules_loaded(argv) == (code, library)
 
 
 # -- matrix and linear verbs -------------------------------------------------
@@ -603,6 +888,30 @@ def test_embed_probe_of_a_family_with_no_member(family, bounds, h_bounds):
     assert env["certificate"] == {
         "h_bounds": h_bounds, "pairs_checked": 0, "reflexivity_counterexample": [1, 2],
     }
+
+
+def test_embed_probe_family_budget():
+    # the translation probe tries 6,594 parameter tuples at its default bounds
+    argv = ["embed", "probe-family", "--family", "translation", "--max-nodes"]
+    code, env = run_json(argv + ["6594"])
+    assert code == 2
+    assert env["verdict"] == "no-counterexample-within-bounds"
+    assert env["certificate"] == {"h_bounds": [[0, 24]], "pairs_checked": 169}
+    assert env["bounds"] == {"family": "translation", "m": [0, 12], "max_nodes": 6594}
+    assert run(argv + ["6593"]) == (2, "search exhausted the node budget after 6594 nodes\n", "")
+    code, env = run_json(argv + ["6593"])
+    assert (code, env["verdict"], env["certificate"]) == (2, "budget-exceeded", None)
+    assert env["bounds"] == {"family": "translation", "m": [0, 12], "max_nodes": 6593}
+    assert run(argv + ["-1"]) == (3, "", "error: node budget must be >= 0\n")
+
+
+def test_embed_probe_family_default_budget_stops_a_wide_probe():
+    # without a budget this probe scans for minutes
+    code, env = run_json(["embed", "probe-family", "--family", "affinity",
+                          "--bounds", "a=-3..12,b=-3..12"])
+    assert (code, env["verdict"], env["certificate"]) == (2, "budget-exceeded", None)
+    assert env["bounds"] == {"family": "affinity", "a": [-3, 12], "b": [-3, 12],
+                             "max_nodes": 10**7}
 
 
 def test_embed_unknown_family_exits_three():

@@ -18,6 +18,7 @@ from prlab.embed import (
     fmap_witness,
     wellstructured_probe,
 )
+from prlab.search import SearchBudgetExceeded
 
 
 # -- oracles shared with the acceptance suite --------------------------------
@@ -425,3 +426,18 @@ def test_probe_polynomials_report_without_claiming_closure():
     report = wellstructured_probe(family("polynomial"))
     assert report.h_bounds == family("polynomial").bounds
     assert report.reflexivity_counterexample is not None
+
+
+def test_probe_budget_counts_every_parameter_tuple_tried():
+    # translations m, m' in 0..12 compose to m + m', which the h-scan over
+    # 0..24 reaches on its (m + m' + 1)-th tuple, once per probe sample;
+    # each sample then maps into itself at the first tuple, m = 0
+    fam = family("translation")
+    need = 3 * sum(m + k + 1 for m in range(13) for k in range(13)) + 3
+    assert wellstructured_probe(fam, need) == wellstructured_probe(fam)
+    for budget in (0, 1, need - 1):
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            wellstructured_probe(fam, budget)
+        assert exc.value.nodes == budget + 1
+    with pytest.raises(ValueError, match="node budget must be >= 0"):
+        wellstructured_probe(fam, -1)

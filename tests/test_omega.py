@@ -1,9 +1,11 @@
 import random
+import sys
 
 import pytest
 
 from prlab.core import Poly
 from prlab.omega import (
+    MAX_TERM_NESTING,
     Atom,
     Nat,
     OmegaTerm,
@@ -204,6 +206,50 @@ def test_parser_errors_carry_positions():
         parse_term("Foo(a)")
     with pytest.raises(TermParseError):
         parse_term("")
+
+
+def _recursive_canonical(t):
+    """The recursive definition that canonical evaluates with its own stack."""
+    if isinstance(t, Nat):
+        return Poly.const(t.value)
+    if isinstance(t, Atom):
+        return Poly({(((t.name, 0), 1),): 1})
+    if isinstance(t, Star):
+        form = _recursive_canonical(t.body)
+        return Poly({tuple(((n, d + t.k), e) for (n, d), e in key): c
+                     for key, c in form.monomials.items()}, form.constant)
+    left, right = _recursive_canonical(t.left), _recursive_canonical(t.right)
+    return left + right if isinstance(t, Sum) else left * right
+
+
+def test_canonical_matches_the_recursive_definition():
+    rng = random.Random(11)
+    for depth in range(1, 6):
+        for _ in range(60):
+            t = random_term(rng, max_depth=depth)
+            got, want = canonical(t), _recursive_canonical(t)
+            assert got == want and form_text(got) == form_text(want), t
+
+
+def test_long_flat_terms_need_no_recursion():
+    assert form_text(canonical(parse_term("+".join(["a"] * 5000)))) == "5000*a"
+    assert form_text(canonical(parse_term("*".join(["S1(a)"] * 1500)))) == "S1(a)^1500"
+    with pytest.raises(TypeError, match="not a term"):
+        canonical(Sum(Atom("a"), 3))
+
+
+def test_nesting_bound_does_not_depend_on_the_recursion_limit():
+    deepest = "(" * MAX_TERM_NESTING + "a" + ")" * MAX_TERM_NESTING
+    assert parse_term(deepest) == Atom("a")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(20_000)
+    try:
+        for text in ("(" + deepest + ")", "(" * 2000 + "a" + ")" * 2000,
+                     "S1(" * (MAX_TERM_NESTING + 1) + "a" + ")" * (MAX_TERM_NESTING + 1)):
+            with pytest.raises(ValueError, match="^input nested too deeply$"):
+                parse_term(text)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # -- the two-table verifier -------------------------------------------------
