@@ -35,6 +35,20 @@ class OmegaTerm:
     def __rmul__(self, other):
         return Prod(_coerce(other), self)
 
+    def __str__(self):
+        """Stars, sums and products print without recursion: the stack holds
+        the pieces still to write, terms and literal strings, the next on top."""
+        parts, stack = [], [self]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, Star):
+                stack += (")", t.body, f"S{t.k}(")
+            elif isinstance(t, (Sum, Prod)):
+                stack += (")", t.right, "+" if isinstance(t, Sum) else "*", t.left, "(")
+            else:
+                parts.append(str(t))
+        return "".join(parts)
+
 
 def _coerce(x) -> "OmegaTerm":
     if isinstance(x, OmegaTerm):
@@ -80,26 +94,17 @@ class Star(OmegaTerm):
         if self.k < 1:
             raise ValueError("star iteration count must be >= 1")
 
-    def __str__(self):
-        return f"S{self.k}({self.body})"
-
 
 @dataclass(frozen=True)
 class Sum(OmegaTerm):
     left: OmegaTerm
     right: OmegaTerm
 
-    def __str__(self):
-        return f"({self.left}+{self.right})"
-
 
 @dataclass(frozen=True)
 class Prod(OmegaTerm):
     left: OmegaTerm
     right: OmegaTerm
-
-    def __str__(self):
-        return f"({self.left}*{self.right})"
 
 
 def star(t: OmegaTerm, k: int = 1) -> OmegaTerm:

@@ -7,6 +7,7 @@ any 2-coloring of [0, 324].
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from itertools import islice
 from typing import NamedTuple
 
@@ -126,6 +127,9 @@ class _PolyResidual:
             hi += c * (mhi if c > 0 else mlo)
         return lo <= 0 <= hi
 
+    def candidates(self, state, depth: int, values):
+        return values
+
     def assign(self, state, depth: int, x: int):
         """Fold c * x**e0 into each key with its first exponent dropped."""
         out: dict[tuple[int, ...], int] = {}
@@ -171,6 +175,7 @@ class _LinearRows:
     def __init__(self, rows, constants, values):
         self.rows = rows
         self.start = tuple(-b for b in constants)
+        self.last = len(rows[0]) - 2  # the second-last variable's depth
         vmin, vmax = values[0], values[-1]
         self.tables = []
         for row in rows:
@@ -192,6 +197,38 @@ class _LinearRows:
             if masks and not masks[depth] >> (need - low) & 1:
                 return False
         return True
+
+    def candidates(self, owed, depth: int, values):
+        """The values worth trying at this depth, ascending.  At the
+        second-last variable y, the first row a·y + b·z = need with b != 0
+        keeps only the y that leave z an integer between the least and the
+        largest value: a·y ≡ need (mod |b|), one residue class of y, and
+        need - a·y within b times that range, an interval of y."""
+        if depth != self.last:
+            return values
+        for need, row in zip(owed, self.rows):
+            a, b = row[-2:]
+            if b:
+                break
+        else:
+            return values
+        if a < 0:  # the same row negated
+            a, b, need = -a, -b, -need
+        ends = (need - b * values[0], need - b * values[-1])
+        lo, hi = min(ends), max(ends)  # the range of a·y
+        g = math.gcd(a, b)
+        if need % g:
+            return ()
+        if a == 0:
+            return values if lo <= 0 <= hi else ()
+        m = abs(b) // g
+        y0 = need // g * pow(a // g, -1, m) % m
+        ylo, yhi = max(values[0], -(-lo // a)), min(values[-1], hi // a)
+        start = ylo + (y0 - ylo) % m
+        if isinstance(values, range):
+            return range(start, yhi + 1, m)
+        span = values[bisect_left(values, start):bisect_right(values, yhi)]
+        return span if m == 1 else [y for y in span if (y - y0) % m == 0]
 
     def assign(self, owed, depth: int, x: int):
         return tuple(need - row[depth] * x for need, row in zip(owed, self.rows))
@@ -216,11 +253,12 @@ class _LinearRows:
 def _walk(constraint, k: int, values, injective: bool, first: bool):
     """Depth-first walk over assignments of k variables from the ascending
     value list, in lexicographic order.  Returns every solution of the
-    constraint, or only the first.  The constraint's feasibility test prunes
-    above the last level, and it solves the last variable exactly."""
+    constraint, or only the first.  Above the last level the constraint's
+    feasibility test prunes and its candidates are the values tried; it
+    solves the last variable exactly."""
     members = set(values)
-    feasible, assign, last_values = (
-        constraint.feasible, constraint.assign, constraint.last_values
+    feasible, candidates, assign, last_values = (
+        constraint.feasible, constraint.candidates, constraint.assign, constraint.last_values
     )
     out: list[tuple[int, ...]] = []
     prefix: list[int] = []
@@ -238,7 +276,7 @@ def _walk(constraint, k: int, values, injective: bool, first: bool):
             return False
         if not feasible(state, depth):
             return False
-        for x in values:
+        for x in candidates(state, depth, values):
             if injective and x in prefix:
                 continue
             prefix.append(x)

@@ -224,6 +224,12 @@ def test_long_flat_omega_terms_exit_zero():
         assert env["verdict"] == {"canonical": form, "height": 1}
 
 
+def test_tensorized_long_flat_sum_exits_zero():
+    code, env = run_json(["omega", "tensorized", "+".join(["a"] * 1000) + ";b"])
+    assert code == 0
+    assert env["verdict"] == ["(" * 999 + "a" + "+a)" * 999, "S1(b)"]
+
+
 def test_retired_threads_and_seed_flags_exit_three():
     # --max-nodes too: only the two search verbs and embed probe-family take it
     for flag in (["--threads", "4"], ["--seed", "7"], ["--max-nodes", "-5"]):

@@ -83,7 +83,7 @@ def cli_argv(draw):
     return argv
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(argv=cli_argv())
 def test_random_argv_keeps_the_exit_contract(files_dir, argv):
     argv = _with_files(argv, files_dir)

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from prlab.core.coloring import Coloring
 from prlab.core.matrix import IntMatrix, parse_matrix
@@ -78,7 +78,6 @@ _keys = st.lists(
 ).map(lambda pairs: tuple(sorted(pairs)))
 
 
-@settings(deadline=None)
 @given(
     st.lists(st.tuples(_keys, _coeffs), max_size=4),
     st.integers(min_value=-9, max_value=9),

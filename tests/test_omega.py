@@ -238,6 +238,34 @@ def test_long_flat_terms_need_no_recursion():
         canonical(Sum(Atom("a"), 3))
 
 
+def _recursive_str(t) -> str:
+    if isinstance(t, Star):
+        return f"S{t.k}({_recursive_str(t.body)})"
+    if isinstance(t, (Sum, Prod)):
+        op = "+" if isinstance(t, Sum) else "*"
+        return f"({_recursive_str(t.left)}{op}{_recursive_str(t.right)})"
+    return str(t)
+
+
+def test_small_terms_print_as_the_recursive_definition():
+    assert str(parse_term("a+b")) == "(a+b)"
+    assert str(parse_term("S2(a*3)+b")) == "(S2((a*3))+b)"
+    assert str(Prod(Star(Sum(Nat(0), Atom("x")), 4), Nat(7))) == "(S4((0+x))*7)"
+    assert str(Atom("a")) == "a" and str(Nat(12)) == "12"
+    assert str(tensorized(parse_term(t) for t in ("a", "b*c"))[1]) == "S1((b*c))"
+    rng = random.Random(12)
+    for depth in range(1, 6):
+        for _ in range(60):
+            t = random_term(rng, max_depth=depth)
+            assert str(t) == _recursive_str(t)
+
+
+def test_long_flat_terms_print_without_recursion():
+    flat = parse_term("+".join(["a"] * 1000))
+    assert str(flat) == "(" * 999 + "a" + "+a)" * 999
+    assert str(Star(flat, 3)) == "S3(" + str(flat) + ")"
+
+
 def test_nesting_bound_does_not_depend_on_the_recursion_limit():
     deepest = "(" * MAX_TERM_NESTING + "a" + ")" * MAX_TERM_NESTING
     assert parse_term(deepest) == Atom("a")

@@ -125,7 +125,7 @@ def small_matrices(draw):
 
 
 @given(small_matrices())
-@settings(deadline=None, max_examples=150)
+@settings(max_examples=150)
 def test_columns_condition_matches_brute_force_over_ordered_partitions(rows):
     M = parse_matrix("\n".join(" ".join(map(str, r)) for r in rows))
     v = columns_condition(M)
@@ -193,7 +193,7 @@ def test_linear_pr_rejects_nonlinear_and_single_variable():
 
 
 @given(st.lists(st.integers(-9, 9).filter(lambda c: c != 0), min_size=2, max_size=7))
-@settings(deadline=None, max_examples=150)
+@settings(max_examples=150)
 def test_verdict_matches_brute_force_subset_search(coeffs):
     poly = parse_poly(
         "+".join(f"{c}*x{i}" for i, c in enumerate(coeffs)).replace("+-", "-")
@@ -222,7 +222,7 @@ def test_blocking_prime_input_validation():
 
 
 @given(st.lists(st.integers(-9, 9).filter(lambda c: c != 0), min_size=1, max_size=6))
-@settings(deadline=None, max_examples=150)
+@settings(max_examples=150)
 def test_blocking_prime_divides_no_subset_sum(coeffs):
     p = blocking_prime(coeffs)
     sums = [

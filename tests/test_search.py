@@ -6,13 +6,14 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import prlab
 from prlab.core import Coloring, FiniteSet, Poly, parse_matrix, parse_poly
 from prlab.rado import smod
 from prlab.search import (
     SearchBudgetExceeded,
+    _LinearRows,
     _check_good_coloring,
     _reach,
     ap_system,
@@ -482,7 +483,6 @@ def small_polys(draw, last_degree=2):
     return P, holds
 
 
-@settings(deadline=None)
 @given(small_polys(), st.integers(1, 7))
 def test_compiled_enumeration_matches_brute_force(case, n):
     P, holds = case
@@ -491,7 +491,6 @@ def test_compiled_enumeration_matches_brute_force(case, n):
         assert got == brute_solutions(holds, len(P.variables()), n, injective), P
 
 
-@settings(deadline=None)
 @given(
     st.one_of(small_polys(), small_polys(last_degree=3)),
     st.lists(st.integers(1, 3), min_size=1, max_size=8),
@@ -517,6 +516,87 @@ def test_vanishing_last_coefficients_admit_every_value():
             want = brute_witness(holds, 3, coloring, injective)
             assert mono_witness(coloring, poly_system(P, injective=injective)) == want
     assert mono_witness(Coloring(1, (1,) * 5), poly_system(P)) == (1, 1, 1)
+
+
+# -- the linear walker's second-last variable -------------------------------
+
+@st.composite
+def linear_systems(draw):
+    """A linear row with a constant, or a matrix of one to three rows, over
+    k = 2..5 variables; returned with a system maker, a direct test, k and a
+    bound n small enough for a brute force over n**k tuples."""
+    k = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-5, 5).filter(bool), min_size=k, max_size=k))
+        constant = draw(st.integers(-12, 12))
+        P = Poly({(("vwxyz"[i], 1),): c for i, c in enumerate(coeffs)}, constant)
+        rows, constants, make = [coeffs], [constant], lambda inj: poly_system(P, inj)
+    else:
+        row = st.lists(st.integers(-3, 3), min_size=k, max_size=k)
+        rows = draw(st.lists(row, min_size=1, max_size=3))
+        M = parse_matrix("\n".join(" ".join(map(str, r)) for r in rows))
+        constants, make = [0] * len(rows), lambda inj: matrix_system(M, inj)
+
+    def holds(v):
+        return all(sum(a * x for a, x in zip(r, v)) + c == 0 for r, c in zip(rows, constants))
+
+    return make, holds, k, draw(st.integers(1, (12, 12, 8, 6)[k - 2]))
+
+
+@given(linear_systems(), st.booleans(), st.integers(0, 1), st.data())
+def test_linear_walk_matches_brute_force(case, injective, lo, data):
+    make, holds, k, n = case
+    system = make(injective)
+    assert enumerate_solutions(system, n) == brute_solutions(holds, k, n, injective)
+    coloring = Coloring(lo, data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    mono = [
+        xs
+        for cls in coloring.color_classes().values()
+        for xs in product(cls, repeat=k)
+        if holds(xs) and (not injective or len(set(xs)) == k)
+    ]
+    assert mono_witness(coloring, system) == min(mono, default=None)
+
+
+def lin_candidates(rows, constants, values):
+    lin = _LinearRows(rows, constants, values)
+    return lin.candidates(lin.start, 0, values)
+
+
+def test_second_last_candidates_are_the_values_the_last_completes():
+    # y stays exactly when an integer z in [values[0], values[-1]] solves the
+    # first row whose last coefficient is nonzero; other depths keep every value
+    rng = random.Random(14)
+    coeffs = (0, -6, -4, -3, -2, -1, 1, 2, 3, 4, 6)  # gcd(a, b) > 1, a = 0, b < 0
+    for _ in range(600):
+        k = rng.randint(2, 4)
+        rows = [[rng.choice(coeffs) for _ in range(k)] for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.3:
+            rows[0][-1] = 0
+        constants = [rng.randint(-20, 20) for _ in rows]
+        values = range(rng.randint(-3, 3), rng.randint(4, 25))
+        if rng.random() < 0.5:  # a color class: ascending, with gaps
+            values = sorted(rng.sample(values, rng.randint(1, len(values))))
+        lin = _LinearRows(rows, constants, values)
+        owed = lin.start
+        for depth in range(k - 2):
+            assert lin.candidates(owed, depth, values) is values
+            owed = lin.assign(owed, depth, rng.choice(values))
+        lead = [(need, row) for need, row in zip(owed, rows) if row[-1]]
+        if not lead:
+            want = list(values)
+        else:
+            need, (*_, a, b) = lead[0]
+            zs = range(values[0], values[-1] + 1)
+            want = [y for y in values if any(a * y + b * z == need for z in zs)]
+        assert list(lin.candidates(owed, k - 2, values)) == want, (rows, constants, values)
+    # 4y + 6z = 20 over 1..9: y = 2 (y = 5 needs z = 0); 21 is odd
+    assert list(lin_candidates([[4, 6]], [-20], range(1, 10))) == [2]
+    assert lin_candidates([[4, 6]], [-21], range(1, 10)) == ()
+    assert lin_candidates([[0, 3]], [-6], [1, 2, 5]) == [1, 2, 5]
+    assert lin_candidates([[0, 3]], [-7], [1, 2, 5]) == ()
+    assert lin_candidates([[0, 0], [-2, 0]], [0, 4], [1, 2, 5]) == [1, 2, 5]
+    assert lin_candidates([[1, -1]], [3], [1, 2, 4, 5, 7]) == [1, 2, 4]
 
 
 # -- explicit result checks -------------------------------------------------
