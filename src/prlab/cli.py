@@ -502,13 +502,11 @@ def _embed_probe_family(args):
     from . import embed, search
     fam = embed.family(args.family, _parse_bounds(args.bounds or ""))
     budget = search.node_budget(args.max_nodes, embed.DEFAULT_PROBE_BUDGET)
-    bounds = _bounds_payload(fam)
-    if args.max_nodes is not None:  # the default budget shows only once it runs out
-        bounds["max_nodes"] = budget
+    bounds = {**_bounds_payload(fam), "max_nodes": budget}
     try:
         report = embed.wellstructured_probe(fam, budget)
     except search.SearchBudgetExceeded as exc:
-        return _budget_exceeded(exc, {**bounds, "max_nodes": budget})
+        return _budget_exceeded(exc, bounds)
     lines = []
     cert = {"h_bounds": report.h_bounds, "pairs_checked": report.pairs_checked}
     if report.transitivity_counterexample is not None:

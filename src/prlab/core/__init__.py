@@ -3,10 +3,12 @@
 from .coloring import Coloring
 from .matrix import IntMatrix, parse_matrix
 from .poly import (
+    ParseError,
     Poly,
     PolyParseError,
     PolyProps,
     eval_poly,
+    linear_coefficients,
     parse_poly,
     poly_props,
 )
@@ -16,11 +18,13 @@ __all__ = [
     "Coloring",
     "FiniteSet",
     "IntMatrix",
+    "ParseError",
     "PeriodicSet",
     "Poly",
     "PolyParseError",
     "PolyProps",
     "eval_poly",
+    "linear_coefficients",
     "parse_finite",
     "parse_matrix",
     "parse_periodic",

@@ -21,14 +21,6 @@ MonomialKey = tuple[tuple[object, int], ...]
 _VAR_RE = re.compile(r"[a-z][a-z0-9_]*")
 
 
-class PolyParseError(ValueError):
-    """Syntax error in a polynomial expression, with a 0-based position."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} at position {position}")
-        self.position = position
-
-
 class Poly:
     """Integer polynomial in named variables.
 
@@ -250,130 +242,127 @@ def poly_props(P: Poly) -> PolyProps:
     )
 
 
+def linear_coefficients(P: Poly) -> tuple[int, ...] | None:
+    """The coefficients of P's variables, in P.variables() order, when P has
+    degree 1, else None; P is homogeneous when also P.constant == 0.  The
+    zero polynomial is rejected, as by poly_props."""
+    if P.is_zero():
+        raise ValueError("zero polynomial")
+    if not P.monomials or any(len(key) > 1 or key[0][1] > 1 for key in P.monomials):
+        return None
+    return tuple(c for _, c in sorted(P.monomials.items()))
+
+
 def eval_poly(P: Poly, assignment: dict[str, int]) -> int:
     return P.evaluate(assignment)
 
 
-# -- parser ----------------------------------------------------------------
+# -- reading expressions ---------------------------------------------------
 #
-# expr   := ('+'|'-')? term (('+'|'-') term)*
-# term   := integer | integer '*' factor ('*' factor)* | factor ('*' factor)*
-# factor := var ('^' posint)?
-#
-# No implicit multiplication; whitespace is ignored.
-
-_TOKEN_RE = re.compile(r"\s*(?:(?P<int>[0-9]+)|(?P<var>[a-z][a-z0-9_]*)|(?P<op>[+\-*^]))")
+# Both expression grammars, polynomials below and star terms in prlab.omega,
+# read their text through one Cursor and report a syntax error as one
+# ParseError.  A grammar's token pattern names each token class by a group
+# ("int" values become ints) and ends in the catch-all group "bad", so one
+# finditer pass meets every non-space character.
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = pos + (len(text[pos:]) - len(stripped))
-            raise PolyParseError(f"unexpected character {stripped[0]!r}", at)
-        if m.group("int") is not None:
-            tokens.append(("int", int(m.group("int")), m.start("int")))
-        elif m.group("var") is not None:
-            tokens.append(("var", m.group("var"), m.start("var")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(("end", None, len(text)))
-    return tokens
+class ParseError(ValueError):
+    """Syntax error in an expression, with a 0-based position."""
+
+    def __init__(self, message: str, position: int):
+        super().__init__(f"{message} at position {position}")
+        self.position = position
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
+PolyParseError = ParseError
+
+
+class Cursor:
+    """The (kind, value, position) tokens of a text, read front to back and
+    closed by ("end", None, len(text))."""
+
+    def __init__(self, pattern: re.Pattern, text: str):
+        if text is None or not text.strip():
+            raise ParseError("empty input", 0)
+        self.tokens = []
+        for m in pattern.finditer(text):
+            kind = m.lastgroup
+            if kind == "bad":
+                raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
+            self.tokens.append((kind, int(m[kind]) if kind == "int" else m[kind], m.start(kind)))
+        self.tokens.append(("end", None, len(text)))
         self.i = 0
 
     def peek(self):
         return self.tokens[self.i]
 
-    def next(self):
-        tok = self.tokens[self.i]
+    def take(self):
         self.i += 1
-        return tok
+        return self.tokens[self.i - 1]
 
-    def fail(self, message):
-        raise PolyParseError(message, self.peek()[2])
+    def expect(self, sym: str) -> None:
+        if self.peek()[:2] != ("sym", sym):
+            self.fail(f"expected {sym!r}")
+        self.i += 1
 
-    def parse(self) -> Poly:
-        out = Poly()
-        sign = 1
-        kind, val, _ = self.peek()
-        if kind == "op" and val in "+-":
-            self.next()
-            sign = -1 if val == "-" else 1
-        elif kind == "end":
-            self.fail("empty input")
-        coeff, powers = self.term()
-        out._add_powers(powers, sign * coeff)
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "end":
-                break
-            if kind != "op" or val not in "+-":
-                self.fail(f"expected '+' or '-', got {val!r}")
-            self.next()
-            sign = -1 if val == "-" else 1
-            coeff, powers = self.term()
-            out._add_powers(powers, sign * coeff)
-        return out
+    def fail(self, message: str, position: int | None = None):
+        """Raise a ParseError at position, by default the next token's."""
+        raise ParseError(message, self.peek()[2] if position is None else position)
 
-    def term(self):
-        kind, val, _ = self.peek()
-        coeff = 1
-        powers: dict[str, int] = {}
-        if kind == "int":
-            self.next()
-            coeff = val
-            # bare integer, or integer '*' factor ('*' factor)*
-            kind, val, _ = self.peek()
-            if not (kind == "op" and val == "*"):
-                return coeff, powers
-            self.next()
-            self.factor(powers)
-        elif kind == "var":
-            self.factor(powers)
-        else:
-            self.fail("expected term")
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.next()
-                self.factor(powers)
-            else:
-                break
-        return coeff, powers
 
-    def factor(self, powers: dict[str, int]):
-        kind, val, _ = self.peek()
-        if kind != "var":
-            self.fail("expected variable")
-        self.next()
-        exp = 1
-        kind, val2, _ = self.peek()
-        if kind == "op" and val2 == "^":
-            self.next()
-            kind, expval, pos = self.peek()
-            if kind != "int":
-                self.fail("expected integer exponent")
-            if expval <= 0:
-                raise PolyParseError("exponent must be >= 1", pos)
-            self.next()
-            exp = expval
-        powers[val] = powers.get(val, 0) + exp
+# expr   := ('+'|'-')? term (('+'|'-') term)*
+# term   := integer | integer '*' factor ('*' factor)* | factor ('*' factor)*
+# factor := var ('^' posint)?
+#
+# Integers are ASCII digits; no implicit multiplication; whitespace is ignored.
+
+_POLY_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<int>[0-9]+)|(?P<var>[a-z][a-z0-9_]*)|(?P<sym>[+\-*^])|(?P<bad>\S))")
 
 
 def parse_poly(text: str) -> Poly:
     """Parse an expression string into normal reduced form."""
-    if text is None or not text.strip():
-        raise PolyParseError("empty input", 0)
-    return _Parser(text).parse()
+    cur = Cursor(_POLY_TOKEN_RE, text)
+    out = Poly()
+    sign = cur.take()[1] if cur.peek()[1] in ("+", "-") else "+"
+    while True:
+        coeff, powers = _poly_term(cur)
+        out._add_powers(powers, -coeff if sign == "-" else coeff)
+        kind, sign, _ = cur.peek()
+        if kind == "end":
+            return out
+        if sign not in ("+", "-"):
+            cur.fail(f"expected '+' or '-', got {sign!r}")
+        cur.take()
+
+
+def _poly_term(cur: Cursor) -> tuple[int, dict[str, int]]:
+    kind, coeff, _ = cur.peek()
+    if kind == "int":
+        cur.take()
+        if cur.peek()[1] != "*":
+            return coeff, {}
+        cur.take()
+    elif kind == "var":
+        coeff = 1
+    else:
+        cur.fail("expected term")
+    powers: dict[str, int] = {}
+    while True:  # one factor per pass
+        kind, var, _ = cur.peek()
+        if kind != "var":
+            cur.fail("expected variable")
+        cur.take()
+        exp = 1
+        if cur.peek()[1] == "^":
+            cur.take()
+            kind, exp, _ = cur.peek()
+            if kind != "int":
+                cur.fail("expected integer exponent")
+            if exp <= 0:
+                cur.fail("exponent must be >= 1")
+            cur.take()
+        powers[var] = powers.get(var, 0) + exp
+        if cur.peek()[1] != "*":
+            return coeff, powers
+        cur.take()

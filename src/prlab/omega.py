@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .core.poly import Poly
+from .core.poly import Cursor, ParseError, Poly
 
 # -- terms ------------------------------------------------------------------
 
@@ -49,6 +49,15 @@ class OmegaTerm:
                 parts.append(str(t))
         return "".join(parts)
 
+    # printing is fully parenthesized, so distinct trees print differently
+    def __eq__(self, other):
+        if not isinstance(other, OmegaTerm):
+            return NotImplemented
+        return type(self) is type(other) and str(self) == str(other)
+
+    def __hash__(self):
+        return hash((type(self), str(self)))
+
 
 def _coerce(x) -> "OmegaTerm":
     if isinstance(x, OmegaTerm):
@@ -61,7 +70,7 @@ def _coerce(x) -> "OmegaTerm":
 _ATOM_RE = re.compile(r"[a-z][a-z0-9_]*")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Nat(OmegaTerm):
     value: int
 
@@ -73,7 +82,7 @@ class Nat(OmegaTerm):
         return str(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Atom(OmegaTerm):
     name: str
 
@@ -85,7 +94,7 @@ class Atom(OmegaTerm):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Star(OmegaTerm):
     body: OmegaTerm
     k: int = 1
@@ -95,13 +104,13 @@ class Star(OmegaTerm):
             raise ValueError("star iteration count must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sum(OmegaTerm):
     left: OmegaTerm
     right: OmegaTerm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Prod(OmegaTerm):
     left: OmegaTerm
     right: OmegaTerm
@@ -232,35 +241,17 @@ def tensor_pair_R(a: OmegaTerm, b: OmegaTerm) -> bool:
 
 
 # -- parsing ----------------------------------------------------------------
+#
+# expr    := product ('+' product)*
+# product := primary ('*' primary)*
+# primary := nat | atom | '(' expr ')' | Sk '(' expr ')'
+#          | ('heart' | 'diamond') '(' expr ',' expr ')'
+#
+# A nat is any run of Unicode decimal digits; whitespace is ignored.
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|([+*(),])|(\S))")
-
-
-class TermParseError(ValueError):
-    def __init__(self, message, position):
-        super().__init__(f"{message} at position {position}")
-        self.position = position
-
-
-def _tokenize_term(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            break
-        if m.group(4):
-            raise TermParseError(f"unexpected character {m.group(4)!r}", m.start(4))
-        if m.group(1):
-            tokens.append(("nat", int(m.group(1)), m.start(1)))
-        elif m.group(2):
-            tokens.append(("ident", m.group(2), m.start(2)))
-        else:
-            tokens.append(("sym", m.group(3), m.start(3)))
-        pos = m.end()
-    tokens.append(("end", None, len(text)))
-    return tokens
-
+TermParseError = ParseError
+_TERM_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<sym>[+*(),])|(?P<bad>\S))")
 
 # Parentheses, stars, heart and diamond nest at most this deep; each level
 # takes three parser frames, so deeper input would exhaust the interpreter's
@@ -268,38 +259,15 @@ def _tokenize_term(text):
 MAX_TERM_NESTING = 200
 
 
-class _TermParser:
-    def __init__(self, text):
-        self.tokens = _tokenize_term(text)
-        self.i = 0
-        self.depth = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, sym):
-        kind, val, pos = self.take()
-        if kind != "sym" or val != sym:
-            raise TermParseError(f"expected {sym!r}", pos)
-
-    def parse(self):
-        t = self.expr()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise TermParseError(f"unexpected {val!r}", pos)
-        return t
+class _TermParser(Cursor):
+    depth = 0  # expressions open around the next token
 
     def expr(self):
         if self.depth > MAX_TERM_NESTING:
             raise ValueError("input nested too deeply")
         self.depth += 1
         t = self.product()
-        while self.peek()[:2] == ("sym", "+"):
+        while self.peek()[1] == "+":
             self.take()
             t = Sum(t, self.product())
         self.depth -= 1
@@ -307,46 +275,46 @@ class _TermParser:
 
     def product(self):
         t = self.primary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "sym" and val == "*":
-                self.take()
-                t = Prod(t, self.primary())
-            else:
-                return t
+        while self.peek()[1] == "*":
+            self.take()
+            t = Prod(t, self.primary())
+        return t
 
     def primary(self):
         kind, val, pos = self.take()
-        if kind == "nat":
+        if kind == "int":
             return Nat(val)
-        if kind == "sym" and val == "(":
+        if val == "(":
             t = self.expr()
             self.expect(")")
             return t
-        if kind == "ident":
-            m = re.fullmatch(r"S(\d+)", val)
-            if m:
-                self.expect("(")
-                body = self.expr()
-                self.expect(")")
-                return star(body, int(m.group(1)))
-            if val in ("heart", "diamond"):
-                self.expect("(")
-                a = self.expr()
-                self.expect(",")
-                b = self.expr()
-                self.expect(")")
-                return heart(a, b) if val == "heart" else diamond(a, b)
-            if _ATOM_RE.fullmatch(val):
-                return Atom(val)
-            raise TermParseError(f"unknown identifier {val!r}", pos)
-        raise TermParseError("expected a term", pos)
+        if kind != "name":
+            self.fail("expected a term", pos)
+        m = re.fullmatch(r"S(\d+)", val)
+        if m:
+            self.expect("(")
+            body = self.expr()
+            self.expect(")")
+            return star(body, int(m.group(1)))
+        if val in ("heart", "diamond"):
+            self.expect("(")
+            a = self.expr()
+            self.expect(",")
+            b = self.expr()
+            self.expect(")")
+            return heart(a, b) if val == "heart" else diamond(a, b)
+        if not _ATOM_RE.fullmatch(val):
+            self.fail(f"unknown identifier {val!r}", pos)
+        return Atom(val)
 
 
 def parse_term(text: str) -> OmegaTerm:
-    if not text.strip():
-        raise TermParseError("empty input", 0)
-    return _TermParser(text).parse()
+    parser = _TermParser(_TERM_TOKEN_RE, text)
+    t = parser.expr()
+    kind, val, _ = parser.peek()
+    if kind != "end":
+        parser.fail(f"unexpected {val!r}")
+    return t
 
 
 # -- the two-table construction ---------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .core import Poly, poly_props
+from .core import Poly, linear_coefficients, poly_props
 from .rado import blocking_prime, linear_pr
 
 MAX_EXCLUSIVE_MONOMIALS = 16
@@ -130,8 +130,8 @@ def attach_products(L: Poly, subsets, n: int) -> ConstructResult:
     """Lift a regular linear form sum(a_i * x_i) to the certified nonlinear
     polynomial sum(a_i * x_i * prod_{j in F_i} y_j): each x_i stays exclusive
     to its monomial and the reduct keeps L's coefficients."""
-    props = poly_props(L)
-    if not (props.is_linear and props.is_homogeneous and props.constant_term == 0):
+    coeffs = linear_coefficients(L)
+    if coeffs is None or L.constant:
         raise ValueError("linear part must be homogeneous linear")
     variables = L.variables()
     if len(variables) < 3:
@@ -147,11 +147,11 @@ def attach_products(L: Poly, subsets, n: int) -> ConstructResult:
     if any(v in fresh for v in variables):
         raise ValueError("variable names collide with the fresh y variables")
     out = Poly.zero()
-    for v, F in zip(variables, subsets):
+    for v, a, F in zip(variables, coeffs, subsets):
         F = sorted(set(F))
         if any(not 1 <= j <= n for j in F):
             raise ValueError(f"subset {F} not within 1..{n}")
-        term = Poly.const(L.monomials[((v, 1),)]) * Poly.variable(v)
+        term = Poly.const(a) * Poly.variable(v)
         for j in F:
             term = term * Poly.variable(f"y{j}")
         out = out + term

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 from typing import NamedTuple
 
-from .core import IntMatrix, Poly, poly_props
+from .core import IntMatrix, Poly, linear_coefficients
 
 MAX_COLUMNS = 20
 MAX_COEFFS = 20
@@ -222,13 +222,12 @@ def linear_pr(P: Poly) -> LinearPrVerdict:
     """Zero-sum-subset criterion for a homogeneous linear equation P = 0:
     regular iff some nonempty subset of the coefficients sums to zero;
     otherwise the verdict carries the smallest blocking prime."""
-    props = poly_props(P)
-    if not (props.is_linear and props.is_homogeneous and props.constant_term == 0):
+    coeffs = linear_coefficients(P)
+    if coeffs is None or P.constant:
         raise ValueError("polynomial must be homogeneous linear")
     variables = P.variables()
     if len(variables) < 2:
         raise ValueError("need at least two variables")
-    coeffs = [P.monomials[((v, 1),)] for v in variables]
     sub = _zero_sum_subset(coeffs)
     if sub is not None:
         return LinearPrVerdict(True, subset=tuple(variables[i] for i in sub))
@@ -249,17 +248,14 @@ def affine_pr(P: Poly) -> AffinePrVerdict:
     either a constant solution x_i = k (k >= 1) with s*k + c = 0, or an
     integer z with s*z + c = 0 together with a zero-sum coefficient subset.
     """
-    props = poly_props(P)
-    if not props.is_linear:
+    coeffs = linear_coefficients(P)
+    if coeffs is None:
         raise ValueError("polynomial must be linear")
-    if props.constant_term == 0:
+    c = P.constant
+    if c == 0:
         raise ValueError("constant term is zero; use linear_pr")
     variables = P.variables()
-    if not variables:
-        raise ValueError("no variables")
-    coeffs = [P.monomials[((v, 1),)] for v in variables]
     s = sum(coeffs)
-    c = props.constant_term
     if s != 0 and (-c) % s == 0:
         k = (-c) // s
         if k >= 1:
@@ -349,20 +345,21 @@ class ParametricSolution(NamedTuple):
 
 
 def parametric_solution(P: Poly, J) -> ParametricSolution:
-    props = poly_props(P)
-    if not (props.is_linear and props.is_homogeneous and props.constant_term == 0):
+    coeffs = linear_coefficients(P)
+    if coeffs is None or P.constant:
         raise ValueError("polynomial must be homogeneous linear")
     variables = P.variables()
+    coeff = dict(zip(variables, coeffs))
     j_vars = tuple(sorted(J))
     if not j_vars or any(v not in variables for v in j_vars):
         raise ValueError("subset must be a nonempty set of the polynomial's variables")
     other_vars = tuple(v for v in variables if v not in set(j_vars))
-    cj = [P.monomials[((v, 1),)] for v in j_vars]
+    cj = [coeff[v] for v in j_vars]
     if sum(cj) != 0:
         raise ValueError("subset does not sum to zero")
     c, bez = _bezout_list(cj)
     bez = _normalize_bezout(cj, bez)
-    d = sum(P.monomials[((v, 1),)] for v in other_vars)
+    d = sum(coeff[v] for v in other_vars)
     g = math.gcd(c, abs(d)) if d else c
     m = c // g
     z = -d // g

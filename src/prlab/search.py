@@ -11,7 +11,7 @@ from bisect import bisect_left, bisect_right
 from itertools import islice
 from typing import NamedTuple
 
-from .core import Coloring, FiniteSet, IntMatrix, Poly, poly_props
+from .core import Coloring, FiniteSet, IntMatrix, Poly, linear_coefficients, poly_props
 
 MAX_POLY_VARS = 6
 MAX_POLY_PARTIAL_DEGREE = 2
@@ -310,8 +310,8 @@ def _solutions(system: SolutionSystem, values, first: bool):
             raise ValueError(f"too many variables (max {MAX_POLY_VARS})")
         if not first and props.max_partial_degree > MAX_POLY_PARTIAL_DEGREE:
             raise ValueError(f"partial degree exceeds enumeration bound {MAX_POLY_PARTIAL_DEGREE}")
-        if props.is_linear:
-            coeffs = [P.monomials[((v, 1),)] for v in variables]
+        coeffs = linear_coefficients(P)
+        if coeffs is not None:
             constraint = _LinearRows([coeffs], [P.constant], values)
         else:
             order = variables if first else sorted(

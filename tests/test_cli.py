@@ -1597,14 +1597,14 @@ EXACT = [
                       'transitivity_counterexample': {'f': [2], 'g': [2], 'F': [0, 1, 2]},
                       'reflexivity_counterexample': [1, 2]},
       'provenance': 'bounded-closure-probe',
-      'bounds': {'family': 'exponential', 'm': [2, 4]}}),
+      'bounds': {'family': 'exponential', 'm': [2, 4], 'max_nodes': 10000000}}),
     (['embed', 'probe-family', '--family', 'translation'],
      2,
      'no counterexample found within bounds\n',
      {'verdict': 'no-counterexample-within-bounds',
       'certificate': {'h_bounds': [[0, 24]], 'pairs_checked': 169},
       'provenance': 'bounded-closure-probe',
-      'bounds': {'family': 'translation', 'm': [0, 12]}}),
+      'bounds': {'family': 'translation', 'm': [0, 12], 'max_nodes': 10000000}}),
     (['embed', 'probe-family', '--family', 'spiral'], 3, '', None),
     (['check-linear', 'x+y-z', '--threads', '4'], 3, '', None),
     (['check-linear', 'x+y-z', '--seed', '7'], 3, '', None),

@@ -7,6 +7,7 @@ from prlab.core.poly import (
     Poly,
     PolyParseError,
     eval_poly,
+    linear_coefficients,
     parse_poly,
     poly_props,
 )
@@ -118,6 +119,22 @@ def test_poly_props_fixtures():
 
     with pytest.raises(ValueError, match="zero polynomial"):
         poly_props(Poly.zero())
+
+
+@pytest.mark.parametrize("text, coeffs", [
+    ("z - 2*x + 3*y", (-2, 3, 1)),  # in variable order, not in text order
+    ("x+y-z+3", (1, 1, -1)),
+    ("x - x + 5", None),
+    ("x^2 + y", None),
+    ("x*y - z", None),
+])
+def test_linear_coefficients(text, coeffs):
+    assert linear_coefficients(parse_poly(text)) == coeffs
+
+
+def test_linear_coefficients_reject_the_zero_polynomial():
+    with pytest.raises(ValueError, match="zero polynomial"):
+        linear_coefficients(Poly.zero())
 
 
 # -- matrices ----------------------------------------------------------------

@@ -266,6 +266,16 @@ def test_long_flat_terms_print_without_recursion():
     assert str(Star(flat, 3)) == "S3(" + str(flat) + ")"
 
 
+def test_long_flat_terms_compare_and_hash_without_recursion():
+    text = "+".join(["a"] * 1000)
+    t, u = parse_term(text), parse_term(text)
+    assert t is not u and t == u and hash(t) == hash(u)
+    assert len({t, u, parse_term(text + "+a")}) == 2
+    assert t != parse_term(text.replace("+", "*")) and t != Sum(u, Nat(0))
+    # the same text from different trees stays unequal across term types
+    assert Atom("a") != Nat(1) and Sum(Atom("a"), Nat(1)) != Prod(Atom("a"), Nat(1))
+
+
 def test_nesting_bound_does_not_depend_on_the_recursion_limit():
     deepest = "(" * MAX_TERM_NESTING + "a" + ")" * MAX_TERM_NESTING
     assert parse_term(deepest) == Atom("a")

@@ -1,0 +1,98 @@
+"""Random text against the three input parsers: each returns a value or
+raises ValueError, and a syntax error in either expression grammar carries a
+position inside the text."""
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from prlab.core import ParseError, PolyParseError, parse_periodic, parse_poly
+from prlab.omega import TermParseError, parse_term
+
+# whitespace of several kinds, uppercase, stray symbols, non-ASCII digits
+JUNK = [" ", "\t", "\n", " ", " ", "X", "Q", "é", "٣", "१",
+        "/", "=", ".", "#", ";", "{", "}", "_", "\x00", "-", "^", "(", ")", ","]
+POLY_PIECES = ["x", "y", "z1", "w_2", "0", "1", "2", "12", "+", "-", "*", "^", " "]
+TERM_PIECES = ["a", "b", "c1", "0", "3", "17", "+", "*", "(", ")", ",", " ",
+               "S1(", "S2(", "S0(", "S", "heart(", "diamond(", "heart", "Foo"]
+PERIODIC_PIECES = ["p=", "residues=", "t=", "prefix=", "{", "}", ",", ";", " ",
+                   "0", "1", "2", "4", "12", "-1", "p", "q="]
+
+
+def texts(pieces):
+    """Concatenations of grammar pieces and junk, or plain text over their
+    characters."""
+    alphabet = sorted(set("".join(pieces + JUNK)))
+    return (st.lists(st.sampled_from(pieces + JUNK) | st.sampled_from(pieces), max_size=16)
+            .map("".join)
+            | st.text(alphabet, max_size=24))
+
+
+def outcome(parse, text):
+    """The parsed value or the ValueError; any other exception escapes."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return exc
+
+
+def assert_positioned(exc, text):
+    if not isinstance(exc, ValueError) or str(exc) == "input nested too deeply":
+        return
+    assert isinstance(exc, ParseError)
+    assert 0 <= exc.position <= len(text)
+    assert str(exc).endswith(f"at position {exc.position}")
+
+
+def test_both_error_names_are_the_one_class():
+    assert PolyParseError is ParseError and TermParseError is ParseError
+
+
+@settings(max_examples=400)
+@given(texts(POLY_PIECES))
+@example("x+")
+@example("٣*x")
+@example("x^0")
+def test_poly_parser_raises_only_positioned_errors(text):
+    assert_positioned(outcome(parse_poly, text), text)
+
+
+@settings(max_examples=400)
+@given(texts(TERM_PIECES))
+@example("heart(a")
+@example("٣+a")
+@example("(" * 202 + "a" + ")" * 202)
+def test_term_parser_raises_only_positioned_errors(text):
+    assert_positioned(outcome(parse_term, text), text)
+
+
+@settings(max_examples=300)
+@given(texts(PERIODIC_PIECES))
+@example("p=4; residues={1,3}")
+@example("p=0; residues={0}")
+def test_periodic_parser_raises_only_value_errors(text):
+    outcome(parse_periodic, text)
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_poly, "x+", "expected term at position 2"),
+    (parse_poly, "x y", "expected '+' or '-', got 'y' at position 2"),
+    (parse_poly, "2 3", "expected '+' or '-', got 3 at position 2"),
+    (parse_poly, "x^0", "exponent must be >= 1 at position 2"),
+    (parse_poly, "x+٣", "unexpected character '٣' at position 2"),
+    (parse_poly, " \t", "empty input at position 0"),
+    (parse_term, "heart(a", "expected ',' at position 7"),
+    (parse_term, "a b", "unexpected 'b' at position 2"),
+    (parse_term, "(a) 2", "unexpected 2 at position 4"),
+    (parse_term, "Foo(a)", "unknown identifier 'Foo' at position 0"),
+    (parse_term, "a+", "expected a term at position 2"),
+    (parse_term, "a ? b", "unexpected character '?' at position 2"),
+])
+def test_parse_error_messages(parse, text, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
+def test_term_naturals_take_any_decimal_digits():
+    # polynomial integers are ASCII digits only ("x+٣" above)
+    assert str(parse_term("٣+१")) == "(3+1)"
