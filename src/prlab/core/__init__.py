@@ -5,9 +5,7 @@ from .matrix import IntMatrix, parse_matrix
 from .poly import (
     ParseError,
     Poly,
-    PolyParseError,
     PolyProps,
-    eval_poly,
     linear_coefficients,
     parse_poly,
     poly_props,
@@ -21,9 +19,7 @@ __all__ = [
     "ParseError",
     "PeriodicSet",
     "Poly",
-    "PolyParseError",
     "PolyProps",
-    "eval_poly",
     "linear_coefficients",
     "parse_finite",
     "parse_matrix",

@@ -214,9 +214,7 @@ class PolyProps(NamedTuple):
     degree: int
     partial_degrees: dict[str, int]
     max_partial_degree: int
-    is_linear: bool
     is_homogeneous: bool
-    constant_term: int
 
 
 def poly_props(P: Poly) -> PolyProps:
@@ -236,9 +234,7 @@ def poly_props(P: Poly) -> PolyProps:
         degree=degree,
         partial_degrees=partial,
         max_partial_degree=max(partial.values()) if partial else 0,
-        is_linear=degree == 1,
         is_homogeneous=len(set(totals)) == 1,
-        constant_term=P.constant,
     )
 
 
@@ -251,10 +247,6 @@ def linear_coefficients(P: Poly) -> tuple[int, ...] | None:
     if not P.monomials or any(len(key) > 1 or key[0][1] > 1 for key in P.monomials):
         return None
     return tuple(c for _, c in sorted(P.monomials.items()))
-
-
-def eval_poly(P: Poly, assignment: dict[str, int]) -> int:
-    return P.evaluate(assignment)
 
 
 # -- reading expressions ---------------------------------------------------
@@ -274,7 +266,12 @@ class ParseError(ValueError):
         self.position = position
 
 
-PolyParseError = ParseError
+def read_int(digits: str, position: int) -> int:
+    """The value of a run of decimal digits that starts at position."""
+    try:
+        return int(digits)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise ParseError("integer literal too long", position) from None
 
 
 class Cursor:
@@ -287,9 +284,10 @@ class Cursor:
         self.tokens = []
         for m in pattern.finditer(text):
             kind = m.lastgroup
+            pos = m.start(kind)
             if kind == "bad":
-                raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
-            self.tokens.append((kind, int(m[kind]) if kind == "int" else m[kind], m.start(kind)))
+                raise ParseError(f"unexpected character {m[kind]!r}", pos)
+            self.tokens.append((kind, read_int(m[kind], pos) if kind == "int" else m[kind], pos))
         self.tokens.append(("end", None, len(text)))
         self.i = 0
 

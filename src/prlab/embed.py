@@ -10,30 +10,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as cartesian
 from typing import Callable, NamedTuple
 
 from .core.sets import FiniteSet, PeriodicSet
 from .search import SearchBudgetExceeded, contains_ap, node_budget
-
-__all__ = [
-    "fe_shift",
-    "fe_periodic",
-    "SetFlags",
-    "classify",
-    "bd",
-    "FamilySpec",
-    "family",
-    "DEFAULT_FAMILY_BOUNDS",
-    "FmapResult",
-    "fmap_witness",
-    "a_maximal_probe",
-    "FamilyProbeReport",
-    "wellstructured_probe",
-    "DEFAULT_PROBE_SAMPLES",
-]
 
 
 # -- finite embeddability ---------------------------------------------------
@@ -109,8 +91,7 @@ def fe_periodic(A: PeriodicSet, B: PeriodicSet) -> bool:
 
 # -- classification and density ---------------------------------------------
 
-@dataclass(frozen=True)
-class SetFlags:
+class SetFlags(NamedTuple):
     thick: bool
     syndetic: bool
     piecewise_syndetic: bool
@@ -181,30 +162,37 @@ _FAMILIES = {
         lambda p, n: sum(a * n**i for i, a in enumerate(p)), lambda b: b),
 }
 FAMILY_KINDS = tuple(_FAMILIES)
-DEFAULT_FAMILY_BOUNDS = {kind: rule.defaults for kind, rule in _FAMILIES.items()}
 
 
-@dataclass(frozen=True)
 class FamilySpec:
     """A family of total maps on the naturals given by one generating rule
     and inclusive integer bounds, one (lo, hi) pair per parameter.  For
     polynomials the parameters are the coefficients a0..ad and the degree is
     implied by the number of bound pairs."""
 
-    kind: str
-    bounds: tuple[tuple[int, int], ...]
+    __slots__ = ("kind", "bounds")
 
-    def __post_init__(self):
-        rule = _FAMILIES.get(self.kind)
+    def __init__(self, kind: str, bounds):
+        rule = _FAMILIES.get(kind)
         if rule is None:
-            raise ValueError(f"unknown family kind {self.kind!r}")
-        object.__setattr__(
-            self, "bounds", tuple((int(lo), int(hi)) for lo, hi in self.bounds)
-        )
+            raise ValueError(f"unknown family kind {kind!r}")
+        self.kind = kind
+        self.bounds = tuple((int(lo), int(hi)) for lo, hi in bounds)
         if rule.params(len(self.bounds)) is None:
-            raise ValueError(rule.arity_error.format(kind=self.kind))
+            raise ValueError(rule.arity_error.format(kind=kind))
         if any(lo > hi for lo, hi in self.bounds):
             raise ValueError("empty parameter range")
+
+    def __eq__(self, other):
+        if not isinstance(other, FamilySpec):
+            return NotImplemented
+        return (self.kind, self.bounds) == (other.kind, other.bounds)
+
+    def __hash__(self):
+        return hash((self.kind, self.bounds))
+
+    def __repr__(self):
+        return f"FamilySpec({self.kind!r}, {self.bounds})"
 
     def _params(self) -> tuple[tuple[str, int], ...]:
         return _FAMILIES[self.kind].params(len(self.bounds))
@@ -253,8 +241,7 @@ def family(kind: str, bounds=None) -> FamilySpec:
     return FamilySpec(kind, tuple(bounds.get(nm, b) for nm, b in zip(names, rule.defaults)))
 
 
-@dataclass(frozen=True)
-class FmapResult:
+class FmapResult(NamedTuple):
     """Outcome of a bounded family-map search.  A missing witness is only
     "none within the declared bounds", never a definitive negative."""
 
@@ -309,9 +296,7 @@ DEFAULT_PROBE_SAMPLES = (
 DEFAULT_PROBE_BUDGET = 10**7
 
 
-@dataclass
-class FamilyProbeReport:
-    family: FamilySpec
+class FamilyProbeReport(NamedTuple):
     h_bounds: tuple[tuple[int, int], ...]
     transitivity_counterexample: tuple | None  # (f_params, g_params, FiniteSet)
     reflexivity_counterexample: FiniteSet | None
@@ -358,7 +343,6 @@ def wellstructured_probe(fam: FamilySpec, max_nodes: int | None = None) -> Famil
             break
     reflexivity = next((F for F in DEFAULT_PROBE_SAMPLES if not maps_into(F, F, fam)), None)
     return FamilyProbeReport(
-        family=fam,
         h_bounds=h_fam.bounds,
         transitivity_counterexample=transitivity,
         reflexivity_counterexample=reflexivity,

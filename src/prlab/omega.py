@@ -13,9 +13,9 @@ a term simply raises every indeterminate's depth tag by k.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .core.poly import Cursor, ParseError, Poly
+from .core.poly import Cursor, Poly, read_int
 
 # -- terms ------------------------------------------------------------------
 
@@ -58,6 +58,9 @@ class OmegaTerm:
     def __hash__(self):
         return hash((type(self), str(self)))
 
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
 
 def _coerce(x) -> "OmegaTerm":
     if isinstance(x, OmegaTerm):
@@ -70,50 +73,52 @@ def _coerce(x) -> "OmegaTerm":
 _ATOM_RE = re.compile(r"[a-z][a-z0-9_]*")
 
 
-@dataclass(frozen=True, eq=False)
 class Nat(OmegaTerm):
-    value: int
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        if self.value < 0:
+    def __init__(self, value: int):
+        if value < 0:
             raise ValueError("naturals only")
+        self.value = value
 
     def __str__(self):
         return str(self.value)
 
 
-@dataclass(frozen=True, eq=False)
 class Atom(OmegaTerm):
-    name: str
+    __slots__ = ("name",)
 
-    def __post_init__(self):
-        if not _ATOM_RE.fullmatch(self.name) or self.name in ("heart", "diamond"):
-            raise ValueError(f"bad atom name {self.name!r}")
+    def __init__(self, name: str):
+        if not _ATOM_RE.fullmatch(name) or name in ("heart", "diamond"):
+            raise ValueError(f"bad atom name {name!r}")
+        self.name = name
 
     def __str__(self):
         return self.name
 
 
-@dataclass(frozen=True, eq=False)
 class Star(OmegaTerm):
-    body: OmegaTerm
-    k: int = 1
+    __slots__ = ("body", "k")
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __init__(self, body: OmegaTerm, k: int = 1):
+        if k < 1:
             raise ValueError("star iteration count must be >= 1")
+        self.body, self.k = body, k
 
 
-@dataclass(frozen=True, eq=False)
-class Sum(OmegaTerm):
-    left: OmegaTerm
-    right: OmegaTerm
+class _Pair(OmegaTerm):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: OmegaTerm, right: OmegaTerm):
+        self.left, self.right = left, right
 
 
-@dataclass(frozen=True, eq=False)
-class Prod(OmegaTerm):
-    left: OmegaTerm
-    right: OmegaTerm
+class Sum(_Pair):
+    __slots__ = ()
+
+
+class Prod(_Pair):
+    __slots__ = ()
 
 
 def star(t: OmegaTerm, k: int = 1) -> OmegaTerm:
@@ -249,7 +254,6 @@ def tensor_pair_R(a: OmegaTerm, b: OmegaTerm) -> bool:
 #
 # A nat is any run of Unicode decimal digits; whitespace is ignored.
 
-TermParseError = ParseError
 _TERM_TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<sym>[+*(),])|(?P<bad>\S))")
 
@@ -295,7 +299,7 @@ class _TermParser(Cursor):
             self.expect("(")
             body = self.expr()
             self.expect(")")
-            return star(body, int(m.group(1)))
+            return star(body, read_int(m.group(1), pos + 1))
         if val in ("heart", "diamond"):
             self.expect("(")
             a = self.expr()
@@ -319,8 +323,7 @@ def parse_term(text: str) -> OmegaTerm:
 
 # -- the two-table construction ---------------------------------------------
 
-@dataclass
-class LedgerLine:
+class LedgerLine(NamedTuple):
     depth: int  # 1-based column position; star depth is depth - 1
     plus: tuple[int, ...]
     minus: tuple[int, ...]
@@ -331,8 +334,7 @@ class LedgerLine:
         return f"c{self.depth} = {body} = {sum(self.plus) - sum(self.minus)}"
 
 
-@dataclass
-class TableConstructionResult:
+class TableConstructionResult(NamedTuple):
     c: tuple[int, ...]
     d: tuple[int, ...]
     beta_rows: tuple[tuple[int, ...], ...]

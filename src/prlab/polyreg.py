@@ -9,8 +9,8 @@ criterion applies, and "unknown" otherwise; unknown never means irregular.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
+from typing import NamedTuple
 
 from .core import Poly, linear_coefficients, poly_props
 from .rado import blocking_prime, linear_pr
@@ -18,11 +18,10 @@ from .rado import blocking_prime, linear_pr
 MAX_EXCLUSIVE_MONOMIALS = 16
 
 
-@dataclass
-class PrVerdict:
+class PrVerdict(NamedTuple):
     status: str  # "IPR_certified" | "PR_certified" | "not_PR_certified" | "unknown"
     method: str | None = None
-    certificate: dict = field(default_factory=dict)
+    certificate: dict = {}  # one shared default, never mutated
     notes: tuple[str, ...] = ()
 
 
@@ -120,8 +119,7 @@ def necessary_check(P: Poly) -> PrVerdict:
     )
 
 
-@dataclass
-class ConstructResult:
+class ConstructResult(NamedTuple):
     poly: Poly
     verdict: PrVerdict
 
@@ -201,8 +199,7 @@ def exp_sum_ipr(n_exps, m_exps) -> PrVerdict:
     )
 
 
-@dataclass
-class TransformResult:
+class TransformResult(NamedTuple):
     poly: Poly
     pr_transfer_domain: str  # "Z" | "R+"
 
@@ -230,8 +227,7 @@ def transform(P: Poly, kind: str, z: int | None = None) -> TransformResult:
     raise ValueError(f"unknown transform kind {kind!r}")
 
 
-@dataclass
-class InvarianceFlags:
+class InvarianceFlags(NamedTuple):
     translation_invariant: bool
     dilation_invariant: bool
     additive: bool

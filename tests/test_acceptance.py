@@ -15,7 +15,7 @@ import test_embed
 import test_omega
 from prlab.cli import main
 from prlab.core import Coloring, FiniteSet, IntMatrix, PeriodicSet, Poly
-from prlab.core.poly import eval_poly, parse_poly
+from prlab.core.poly import parse_poly
 from prlab.embed import a_maximal_probe, bd, classify, family, fe_periodic, fe_shift, fmap_witness
 from prlab.folkman import folkman_matrix
 from prlab.polyreg import exclusive_sets, reciprocal, reduct, sufficient_ipr
@@ -207,7 +207,7 @@ def test_06_parametric_families_vanish():
 
         for _ in range(100):
             a, b = rng.randint(-50, 50), rng.randint(-50, 50)
-            assert eval_poly(P, ps.assignment(a, b)) == 0
+            assert P.evaluate(ps.assignment(a, b)) == 0
     _passed(6, "200 planted parametric families vanish symbolically and numerically")
 
 

@@ -4,9 +4,8 @@ from hypothesis import given, strategies as st
 from prlab.core.coloring import Coloring
 from prlab.core.matrix import IntMatrix, parse_matrix
 from prlab.core.poly import (
+    ParseError,
     Poly,
-    PolyParseError,
-    eval_poly,
     linear_coefficients,
     parse_poly,
     poly_props,
@@ -65,7 +64,7 @@ def test_printer_sign_handling():
     ],
 )
 def test_parse_error_positions(text, position):
-    with pytest.raises(PolyParseError) as exc:
+    with pytest.raises(ParseError) as exc:
         parse_poly(text)
     assert exc.value.position == position
 
@@ -99,22 +98,23 @@ def test_substitute_and_evaluate():
     P = parse_poly("x^2 + y - 3")
     Q = P.substitute({"x": parse_poly("y+1")})
     assert Q == parse_poly("y^2 + 3*y - 2")
-    assert eval_poly(P, {"x": 4, "y": 2}) == 15
+    assert P.evaluate({"x": 4, "y": 2}) == 15
     with pytest.raises(ValueError, match="missing value"):
-        eval_poly(P, {"x": 4})
+        P.evaluate({"x": 4})
 
 
 def test_poly_props_fixtures():
-    props = poly_props(parse_poly("x+y-z"))
-    assert props.is_linear and props.is_homogeneous
-    assert props.constant_term == 0
+    P = parse_poly("x+y-z")
+    assert linear_coefficients(P) == (1, 1, -1) and poly_props(P).is_homogeneous
+    assert P.constant == 0
 
-    props = poly_props(parse_poly("x+y-z+3"))
-    assert props.is_linear and not props.is_homogeneous
-    assert props.constant_term == 3
+    P = parse_poly("x+y-z+3")
+    assert linear_coefficients(P) == (1, 1, -1) and not poly_props(P).is_homogeneous
+    assert P.constant == 3
 
-    props = poly_props(parse_poly("x^2 + x*y"))
-    assert props.degree == 2 and props.is_homogeneous and not props.is_linear
+    P = parse_poly("x^2 + x*y")
+    props = poly_props(P)
+    assert props.degree == 2 and props.is_homogeneous and linear_coefficients(P) is None
     assert props.partial_degrees == {"x": 2, "y": 1}
 
     with pytest.raises(ValueError, match="zero polynomial"):

@@ -231,6 +231,15 @@ def test_family_validation():
         FamilySpec("translation", ((3, 1),))
 
 
+def test_family_specs_compare_by_kind_and_normalised_bounds():
+    fam = FamilySpec("affinity", [[1, 4], ["0", 4]])
+    assert fam.bounds == ((1, 4), (0, 4))
+    assert fam == family("affinity") and hash(fam) == hash(family("affinity"))
+    assert fam != FamilySpec("affinity", ((1, 4), (0, 5)))
+    assert FamilySpec("homothety", ((1, 4),)) != FamilySpec("power", ((1, 4),))
+    assert len({fam, family("affinity", {"a": (1, 4)})}) == 1
+
+
 def test_family_application_rules():
     assert family("translation").apply((4,), 3) == 7
     assert family("proper_translation").apply((1,), 3) == 4

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from prlab.core import Poly
+from prlab.core import ParseError, Poly
 from prlab.omega import (
     MAX_TERM_NESTING,
     Atom,
@@ -12,7 +12,6 @@ from prlab.omega import (
     Prod,
     Star,
     Sum,
-    TermParseError,
     canonical,
     diamond,
     form_text,
@@ -95,6 +94,17 @@ def test_star_helper_normalizes():
     assert star(star(Atom("a"), 1), 2) == Star(Atom("a"), 3)
     with pytest.raises(ValueError):
         star(Atom("a"), -1)
+
+
+def test_term_constructors_validate():
+    with pytest.raises(ValueError, match="naturals only"):
+        Nat(-1)
+    for name in ("X", "1a", "heart", "diamond"):
+        with pytest.raises(ValueError, match="bad atom name"):
+            Atom(name)
+    with pytest.raises(ValueError, match="must be >= 1"):
+        Star(Atom("a"), 0)
+    assert Star(Atom("a")).k == 1
 
 
 def test_height_fixtures():
@@ -195,16 +205,16 @@ def test_parser_builtins_and_star_zero():
 
 
 def test_parser_errors_carry_positions():
-    with pytest.raises(TermParseError) as e:
+    with pytest.raises(ParseError) as e:
         parse_term("a + ")
     assert e.value.position == 4
-    with pytest.raises(TermParseError):
+    with pytest.raises(ParseError):
         parse_term("heart(a)")
-    with pytest.raises(TermParseError):
+    with pytest.raises(ParseError):
         parse_term("a ? b")
-    with pytest.raises(TermParseError):
+    with pytest.raises(ParseError):
         parse_term("Foo(a)")
-    with pytest.raises(TermParseError):
+    with pytest.raises(ParseError):
         parse_term("")
 
 
@@ -264,6 +274,13 @@ def test_long_flat_terms_print_without_recursion():
     flat = parse_term("+".join(["a"] * 1000))
     assert str(flat) == "(" * 999 + "a" + "+a)" * 999
     assert str(Star(flat, 3)) == "S3(" + str(flat) + ")"
+
+
+def test_long_flat_terms_repr_without_recursion():
+    flat = parse_term("+".join(["a"] * 1000))
+    assert repr(flat) == f"Sum({flat})"
+    assert repr(parse_term("S2(a)*3")) == "Prod((S2(a)*3))"
+    assert repr(Atom("a")) == "Atom(a)" and repr(Nat(12)) == "Nat(12)"
 
 
 def test_long_flat_terms_compare_and_hash_without_recursion():

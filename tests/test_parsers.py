@@ -2,11 +2,13 @@
 raises ValueError, and a syntax error in either expression grammar carries a
 position inside the text."""
 
+import sys
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from prlab.core import ParseError, PolyParseError, parse_periodic, parse_poly
-from prlab.omega import TermParseError, parse_term
+from prlab.core import ParseError, parse_periodic, parse_poly
+from prlab.omega import parse_term
 
 # whitespace of several kinds, uppercase, stray symbols, non-ASCII digits
 JUNK = [" ", "\t", "\n", " ", " ", "X", "Q", "é", "٣", "१",
@@ -41,10 +43,6 @@ def assert_positioned(exc, text):
     assert isinstance(exc, ParseError)
     assert 0 <= exc.position <= len(text)
     assert str(exc).endswith(f"at position {exc.position}")
-
-
-def test_both_error_names_are_the_one_class():
-    assert PolyParseError is ParseError and TermParseError is ParseError
 
 
 @settings(max_examples=400)
@@ -86,6 +84,13 @@ def test_periodic_parser_raises_only_value_errors(text):
     (parse_term, "Foo(a)", "unknown identifier 'Foo' at position 0"),
     (parse_term, "a+", "expected a term at position 2"),
     (parse_term, "a ? b", "unexpected character '?' at position 2"),
+    # one digit more than the interpreter converts to int
+    pytest.param(parse_poly, "9" * (sys.get_int_max_str_digits() + 1) + "*x+y-z",
+                 "integer literal too long at position 0", id="poly-long-integer"),
+    pytest.param(parse_term, "a+" + "7" * (sys.get_int_max_str_digits() + 1),
+                 "integer literal too long at position 2", id="term-long-natural"),
+    pytest.param(parse_term, "S" + "1" * (sys.get_int_max_str_digits() + 1) + "(a)",
+                 "integer literal too long at position 1", id="term-long-star-count"),
 ])
 def test_parse_error_messages(parse, text, message):
     with pytest.raises(ParseError) as exc:
