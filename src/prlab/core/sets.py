@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import re
 
+from .poly import ParseError
+
 
 class FiniteSet:
     __slots__ = ("elements", "_set")
@@ -66,12 +68,24 @@ class FiniteSet:
         return f"FiniteSet({list(self.elements)})"
 
 
+def _int(token: str, text: str, start: int, where: str) -> int:
+    """int(token) for a token of text at or after start; an integer with more
+    digits than int() converts is a ParseError naming where it is."""
+    try:
+        return int(token)
+    except ValueError:
+        digits = token.strip().lstrip("+-")
+        if not (digits.isascii() and digits.isdigit()):
+            raise
+        raise ParseError(f"integer literal too long in {where}", text.index(digits, start)) from None
+
+
 def parse_finite(text: str) -> FiniteSet:
     """Comma-separated naturals; an empty string is the empty set."""
-    text = text.strip().strip("{}")
-    if not text:
+    body = text.strip().strip("{}")
+    if not body:
         return FiniteSet()
-    return FiniteSet(int(tok) for tok in text.split(","))
+    return FiniteSet(_int(tok, text, 0, "the set") for tok in body.split(","))
 
 
 class PeriodicSet:
@@ -162,25 +176,27 @@ _FIELD_RE = re.compile(r"\s*([a-z]+)\s*=\s*(\{[^}]*\}|[0-9]+)\s*$")
 
 def parse_periodic(text: str) -> PeriodicSet:
     """Parse "p=<int>; residues={r1,...}; t=<int>; prefix={...}" (t/prefix optional)."""
-    fields: dict[str, str] = {}
+    fields: dict[str, tuple[str, int]] = {}  # name: (value, its position)
+    start = 0
     for chunk in text.split(";"):
-        if not chunk.strip():
-            continue
-        m = _FIELD_RE.match(chunk)
-        if m is None:
-            raise ValueError(f"bad field {chunk.strip()!r} in periodic-set text")
-        fields[m.group(1)] = m.group(2)
+        if chunk.strip():
+            m = _FIELD_RE.match(chunk)
+            if m is None:
+                raise ValueError(f"bad field {chunk.strip()!r} in periodic-set text")
+            fields[m.group(1)] = (m.group(2), start + m.start(2))
+        start += len(chunk) + 1
     if "p" not in fields or "residues" not in fields:
         raise ValueError("periodic-set text needs at least p=... and residues={...}")
 
-    def intset(raw: str) -> set[int]:
+    def number(name: str) -> int:
+        raw, start = fields.get(name, ("0", 0))
+        return _int(raw, text, start, f"field {name!r}")
+
+    def intset(name: str) -> set[int]:
+        raw, start = fields.get(name, ("{}", 0))
         raw = raw.strip().strip("{}").strip()
         if not raw:
             return set()
-        return {int(tok) for tok in raw.split(",")}
+        return {_int(tok, text, start, f"field {name!r}") for tok in raw.split(",")}
 
-    period = int(fields["p"])
-    residues = intset(fields["residues"])
-    threshold = int(fields.get("t", "0"))
-    prefix = intset(fields.get("prefix", "{}"))
-    return PeriodicSet(period, residues, threshold, prefix)
+    return PeriodicSet(number("p"), intset("residues"), number("t"), intset("prefix"))

@@ -252,10 +252,11 @@ def tensor_pair_R(a: OmegaTerm, b: OmegaTerm) -> bool:
 # primary := nat | atom | '(' expr ')' | Sk '(' expr ')'
 #          | ('heart' | 'diamond') '(' expr ',' expr ')'
 #
-# A nat is any run of Unicode decimal digits; whitespace is ignored.
+# A nat is any run of the ASCII digits 0-9, as in polynomials; whitespace is
+# ignored.
 
 _TERM_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<sym>[+*(),])|(?P<bad>\S))")
+    r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<sym>[+*(),])|(?P<bad>\S))")
 
 # Parentheses, stars, heart and diamond nest at most this deep; each level
 # takes three parser frames, so deeper input would exhaust the interpreter's
@@ -294,7 +295,7 @@ class _TermParser(Cursor):
             return t
         if kind != "name":
             self.fail("expected a term", pos)
-        m = re.fullmatch(r"S(\d+)", val)
+        m = re.fullmatch(r"S([0-9]+)", val)
         if m:
             self.expect("(")
             body = self.expr()

@@ -370,42 +370,47 @@ def _search(index, n: int, r: int, budget: int) -> SearchOutcome:
 
     Element v may take the colors 1..min(r, 1 + largest color on 1..v-1):
     colors are interchangeable, and the lex-least good coloring is its own
-    first-occurrence relabelling.  Forward checking: each value set is
-    watched under its second-largest value; when that value gets color c
-    and the smaller values all have color c, c is banned at the largest.
-    banned[w] is a bitmask of colors; each ban made at v goes on a trail
-    that backing up over v unwinds.  A node is one color assignment tried."""
-    watch: list[list] = [[] for _ in range(n + 1)]
+    first-occurrence relabelling.  Unit propagation: each element keeps a
+    domain, a bitmask of the colors it may still take, and an element with
+    one color left counts as colored, in classes[c] with the elements
+    decided c.  When every element of a value set but one has color c, c
+    leaves the last element's domain, wherever it sits in the set; an empty
+    domain or a set of one color backs up.  This removes only colors that
+    no good completion of the current prefix can use, so the lex-least
+    coloring is unchanged.  Every domain change goes on one trail that
+    backing up over v unwinds.  A node is one color assignment tried."""
+    sets: list[list[int]] = [[] for _ in range(n + 1)]  # sets[w]: bitmasks of w's sets
     for by_max in index.values():
         for values in by_max:
             if len(values) == 1:  # this element completes a solution alone
                 return SearchOutcome(True, None, 0)
-            rest = 0
-            for u in values[:-2]:
-                rest |= 1 << u
-            watch[values[-2]].append((rest, values[-1]))
-    full = (1 << (r + 1)) - 2  # bits 1..r
-    banned = [0] * (n + 1)
+            whole = 0 if len(values) > 2 else 1  # bit 0 marks a set of two
+            for u in values:
+                whole |= 1 << u
+            for u in values:
+                sets[u].append(whole)
+    domain = [(1 << (r + 1)) - 2] * (n + 1)  # bits 1..r
     colors = [0] * (n + 1)
-    classes = [0] * (r + 1)  # classes[c]: bitmask of the elements colored c
+    # classes[c]: bitmask of the elements with color c, and bit 0, so that no
+    # set of two is skipped as having no other element of a color
+    classes = [1] * (r + 1)
     high = [0] * (n + 2)  # high[v]: largest color on 1..v-1
     marks = [0] * (n + 1)
-    trail: list[int] = []
+    trail: list[tuple[int, int]] = []  # (element, its domain before the change)
     nodes = 0
     v, c = 1, 0
     while v:
-        if c:  # retract color c at v and the bans it made
-            classes[c] ^= 1 << v
-            bit = 1 << c
-            for w in trail[marks[v]:]:
-                banned[w] ^= bit
-            del trail[marks[v]:]
-        mask = banned[v]
-        top = min(r, high[v] + 1)
-        c += 1
-        while c <= top and mask >> c & 1:
-            c += 1
-        if c > top:  # every color at v tried: back up to v - 1
+        if c:  # retract color c at v and every domain change it caused
+            mark = marks[v]
+            for u, old in reversed(trail[mark:]):
+                d = domain[u]
+                if not d & (d - 1):  # u had one color left
+                    classes[d.bit_length() - 1] ^= 1 << u
+                domain[u] = old
+            del trail[mark:]
+        later = domain[v] >> (c + 1)
+        c += (later & -later).bit_length()  # the next color in v's domain
+        if not later or c > min(r, high[v] + 1):  # every color at v tried: back up
             v -= 1
             c = colors[v]
             continue
@@ -413,22 +418,47 @@ def _search(index, n: int, r: int, budget: int) -> SearchOutcome:
         if nodes > budget:
             raise SearchBudgetExceeded(nodes)
         colors[v] = c
-        same = classes[c] = classes[c] | 1 << v
         marks[v] = len(trail)
-        bit = 1 << c
-        for rest, w in watch[v]:
-            if same & rest == rest and not banned[w] & bit:
-                banned[w] |= bit
-                trail.append(w)
-                if banned[w] == full:  # w has no color left: try the next at v
-                    break
-        else:
-            if v == n:
-                coloring = Coloring(1, tuple(colors[1:]), num_colors=r)
-                _check_good_coloring(coloring, index)
-                return SearchOutcome(False, coloring, nodes)
-            high[v + 1] = max(high[v], c)
-            v, c = v + 1, 0
+        if not classes[c] >> v & 1:  # not colored by propagation: color v, then propagate
+            trail.append((v, domain[v]))
+            domain[v] = 1 << c
+            classes[c] |= 1 << v
+            queue, ok = [v], True
+            while ok and queue:
+                w = queue.pop()
+                k = domain[w].bit_length() - 1
+                bit, free = 1 << k, ~classes[k]
+                others = classes[k] ^ 1 << w
+                for whole in sets[w]:
+                    if not whole & others:  # no other element of the set has color k
+                        continue
+                    m = whole & free  # the elements of the set without color k
+                    if m & (m - 1):
+                        continue
+                    if not m:  # the set has color k throughout
+                        ok = False
+                        break
+                    u = m.bit_length() - 1
+                    d = domain[u]
+                    if not d & bit:
+                        continue
+                    if d == bit:  # u has no color left
+                        ok = False
+                        break
+                    trail.append((u, d))
+                    d ^= bit
+                    domain[u] = d
+                    if not d & (d - 1):
+                        classes[d.bit_length() - 1] |= m
+                        queue.append(u)
+            if not ok:  # try the next color at v
+                continue
+        if v == n:
+            coloring = Coloring(1, tuple(colors[1:]), num_colors=r)
+            _check_good_coloring(coloring, index)
+            return SearchOutcome(False, coloring, nodes)
+        high[v + 1] = max(high[v], c)
+        v, c = v + 1, 0
     return SearchOutcome(True, None, nodes)
 
 

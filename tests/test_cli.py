@@ -165,14 +165,14 @@ def test_zero_colors_exit_three():
 
 
 def test_forcing_number_budget_is_total_across_the_sweep():
-    # each n alone stays under 300 nodes; the sweep up to 14 takes more
+    # each n alone stays under 100 nodes (at most 55); the sweep up to 14 takes 166
     code, env = run_json(
         ["search", "forcing-number", "--poly", "x+y-z", "-r", "3", "--max", "14",
-         "--max-nodes", "300"]
+         "--max-nodes", "100"]
     )
     assert code == 2
     assert env["verdict"] == "budget-exceeded"
-    assert env["bounds"]["max_nodes"] == 300
+    assert env["bounds"]["max_nodes"] == 100
 
 
 def test_deep_coloring_search_returns_all_ones(tmp_path):
@@ -215,6 +215,20 @@ def test_deeply_nested_omega_term_exits_three():
     assert code == 3
     assert out == ""
     assert err == "error: input nested too deeply\n"
+
+
+def test_set_readers_name_a_too_long_integer():
+    nines = "9" * 5000
+    for argv, message in (
+        (["folkman", "fs", "1," + nines], "integer literal too long in the set at position 2"),
+        (["embed", "bd", f"p={nines}; residues={{0}}"],
+         "integer literal too long in field 'p' at position 2"),
+    ):
+        assert run(argv) == (3, "", f"error: {message}\n"), argv[:2]
+
+
+def test_omega_naturals_are_ascii_digits():
+    assert run(["omega", "eval", "٣"]) == (3, "", "error: unexpected character '٣' at position 0\n")
 
 
 def test_long_flat_omega_terms_exit_zero():
@@ -1161,13 +1175,13 @@ EXACT = [
       '--max',
       '14',
       '--max-nodes',
-      '300'],
+      '100'],
      2,
-     'search exhausted the node budget after 301 nodes\n',
+     'search exhausted the node budget after 101 nodes\n',
      {'verdict': 'budget-exceeded',
       'certificate': None,
       'provenance': 'incremental-forcing-search',
-      'bounds': {'max_nodes': 300, 'r': 3, 'max': 14}}),
+      'bounds': {'max_nodes': 100, 'r': 3, 'max': 14}}),
     (['search', 'forcing-number', '--ap', '3', '-r', '2', '--max', '0'], 3, '', None),
     (['search', 'forcing-number', '--ap', '3', '-r', '2', '--max', '-3'], 3, '', None),
     (['search', 'witness', '--poly', 'x+y-z', '--coloring', '@c5'],

@@ -7,7 +7,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from prlab.core import ParseError, parse_periodic, parse_poly
+from prlab.core import ParseError, parse_finite, parse_periodic, parse_poly
 from prlab.omega import parse_term
 
 # whitespace of several kinds, uppercase, stray symbols, non-ASCII digits
@@ -91,13 +91,18 @@ def test_periodic_parser_raises_only_value_errors(text):
                  "integer literal too long at position 2", id="term-long-natural"),
     pytest.param(parse_term, "S" + "1" * (sys.get_int_max_str_digits() + 1) + "(a)",
                  "integer literal too long at position 1", id="term-long-star-count"),
+    # star-term naturals are ASCII digits, as polynomial integers are ("x+٣" above)
+    pytest.param(parse_term, "٣+१", "unexpected character '٣' at position 0",
+                 id="term-non-ascii-digit"),
+    pytest.param(parse_finite, "1, " + "9" * (sys.get_int_max_str_digits() + 1),
+                 "integer literal too long in the set at position 3", id="finite-long-integer"),
+    pytest.param(parse_periodic, "p=" + "9" * (sys.get_int_max_str_digits() + 1) + "; residues={0}",
+                 "integer literal too long in field 'p' at position 2", id="periodic-long-period"),
+    pytest.param(parse_periodic, "p=5; residues={0, " + "9" * (sys.get_int_max_str_digits() + 1) + "}",
+                 "integer literal too long in field 'residues' at position 18",
+                 id="periodic-long-residue"),
 ])
 def test_parse_error_messages(parse, text, message):
     with pytest.raises(ParseError) as exc:
         parse(text)
     assert str(exc.value) == message
-
-
-def test_term_naturals_take_any_decimal_digits():
-    # polynomial integers are ASCII digits only ("x+٣" above)
-    assert str(parse_term("٣+१")) == "(3+1)"
