@@ -260,7 +260,7 @@ def _good_coloring(args):
 
 def _forcing_number(args):
     from . import search
-    system = _system_from_args(args)
+    system = _system_from_args(args, injective=args.injective)
     bounds = _system_bounds(args, r=args.r, max=args.max)
     try:
         n = search.forcing_number(system, args.r, args.max, max_nodes=args.max_nodes)
@@ -555,6 +555,7 @@ _SYSTEM = (
     _arg("--ap", type=int, help="length of the arithmetic progression"),
 )
 _MAX_NODES = _arg("--max-nodes", type=int, help="total search node budget (>= 0)")
+_INJECTIVE = _arg("--injective", action="store_true", help="only count solutions with distinct values")
 _EXPR = (_arg("expr"),)
 _SPEC = (_arg("spec"),)
 _PAIR = (_arg("left"), _arg("right"))
@@ -589,13 +590,13 @@ VERBS = (
          "backtracking-coloring-search",
          _SYSTEM + (_arg("-n", type=int, required=True, help="interval end"),
                     _arg("-r", type=int, required=True, help="number of colors"),
-                    _arg("--injective", action="store_true",
-                         help="only count solutions with distinct values"), _MAX_NODES),
+                    _INJECTIVE, _MAX_NODES),
          _good_coloring),
     Verb("search forcing-number", "least n at which every coloring is forced",
          "incremental-forcing-search",
          _SYSTEM + (_arg("-r", type=int, required=True),
-                    _arg("--max", type=int, required=True, help="largest n to try"), _MAX_NODES),
+                    _arg("--max", type=int, required=True, help="largest n to try"),
+                    _INJECTIVE, _MAX_NODES),
          _forcing_number),
     Verb("search witness", "least monochromatic solution under a given coloring",
          "per-class-least-witness-search",

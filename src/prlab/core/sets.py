@@ -8,6 +8,7 @@ sets are the residues-empty case, so both kinds share one representation.
 from __future__ import annotations
 
 import re
+from operator import index
 
 from .poly import ParseError
 
@@ -16,7 +17,7 @@ class FiniteSet:
     __slots__ = ("elements", "_set")
 
     def __init__(self, elements=()):
-        elems = sorted(set(int(x) for x in elements))
+        elems = sorted(set(map(index, elements)))
         if elems and elems[0] < 0:
             raise ValueError("elements must be naturals (>= 0)")
         self.elements = tuple(elems)
@@ -68,24 +69,44 @@ class FiniteSet:
         return f"FiniteSet({list(self.elements)})"
 
 
-def _int(token: str, text: str, start: int, where: str) -> int:
-    """int(token) for a token of text at or after start; an integer with more
-    digits than int() converts is a ParseError naming where it is."""
+_SPACE = " \t\n\r\f\v"
+_NATURAL = re.compile(r"\s*([0-9]*)\s*", re.ASCII)
+
+
+def _int(token: str, start: int, where: str) -> int:
+    """The natural number that token, at position start of its text, spells
+    in ASCII digits with optional whitespace around them.  Anything else, or
+    more digits than int() converts, is a ParseError naming where it is."""
+    m = _NATURAL.match(token)
+    if m.end() < len(token):
+        raise ParseError(f"unexpected character {token[m.end()]!r} in {where}", start + m.end())
+    if not m.group(1):
+        raise ParseError(f"expected a natural number in {where}", start + m.end())
     try:
-        return int(token)
+        return int(m.group(1))
     except ValueError:
-        digits = token.strip().lstrip("+-")
-        if not (digits.isascii() and digits.isdigit()):
-            raise
-        raise ParseError(f"integer literal too long in {where}", text.index(digits, start)) from None
+        raise ParseError(f"integer literal too long in {where}", start + m.start(1)) from None
+
+
+def _ints(body: str, start: int, where: str) -> list[int]:
+    """The comma-separated naturals of body, at position start of its text;
+    none when body is blank."""
+    if not body.strip(_SPACE):
+        return []
+    out = []
+    for token in body.split(","):
+        out.append(_int(token, start, where))
+        start += len(token) + 1
+    return out
 
 
 def parse_finite(text: str) -> FiniteSet:
-    """Comma-separated naturals; an empty string is the empty set."""
-    body = text.strip().strip("{}")
-    if not body:
-        return FiniteSet()
-    return FiniteSet(_int(tok, text, 0, "the set") for tok in body.split(","))
+    """Comma-separated naturals, optionally in braces; a blank string is the
+    empty set."""
+    body = text.strip(_SPACE)
+    start = text.index(body)
+    inner = body.strip("{}")
+    return FiniteSet(_ints(inner, start + body.index(inner), "the set"))
 
 
 class PeriodicSet:
@@ -96,10 +117,10 @@ class PeriodicSet:
             raise ValueError("period must be >= 1")
         if threshold < 0:
             raise ValueError("threshold must be >= 0")
-        res = frozenset(int(r) for r in residues)
+        res = frozenset(map(index, residues))
         if any(not 0 <= r < period for r in res):
             raise ValueError("residues must lie in [0, period)")
-        pre = frozenset(int(x) for x in prefix)
+        pre = frozenset(map(index, prefix))
         if any(not 0 <= x < threshold for x in pre):
             raise ValueError("prefix must lie in [0, threshold)")
         self.period = period
@@ -171,7 +192,7 @@ class PeriodicSet:
         return f"PeriodicSet({self.to_text()!r})"
 
 
-_FIELD_RE = re.compile(r"\s*([a-z]+)\s*=\s*(\{[^}]*\}|[0-9]+)\s*$")
+_FIELD_RE = re.compile(r"\s*([a-z]+)\s*=\s*(\{[^}]*\}|[0-9]+)\s*$", re.ASCII)
 
 
 def parse_periodic(text: str) -> PeriodicSet:
@@ -190,13 +211,12 @@ def parse_periodic(text: str) -> PeriodicSet:
 
     def number(name: str) -> int:
         raw, start = fields.get(name, ("0", 0))
-        return _int(raw, text, start, f"field {name!r}")
+        return _int(raw, start, f"field {name!r}")
 
     def intset(name: str) -> set[int]:
         raw, start = fields.get(name, ("{}", 0))
-        raw = raw.strip().strip("{}").strip()
-        if not raw:
-            return set()
-        return {_int(tok, text, start, f"field {name!r}") for tok in raw.split(",")}
+        if raw.startswith("{"):
+            raw, start = raw[1:-1], start + 1
+        return set(_ints(raw, start, f"field {name!r}"))
 
     return PeriodicSet(number("p"), intset("residues"), number("t"), intset("prefix"))

@@ -357,72 +357,108 @@ class SearchOutcome(NamedTuple):
 
 def _check_good_coloring(coloring: Coloring, index) -> None:
     """Raise unless no solution of the by-maximum index is monochromatic."""
+    colors = (0,) * coloring.lo + coloring.values()  # colors[u] is u's color
     for by_max in index.values():
         for values in by_max:
-            if len({coloring.color(u) for u in values}) == 1:
+            first = colors[values[0]]
+            for u in values:
+                if colors[u] != first:
+                    break
+            else:
                 raise RuntimeError(f"internal check failed: {values} is monochromatic")
 
 
-def _search(index, n: int, r: int, budget: int) -> SearchOutcome:
-    """Iterative depth-first search for the lexicographically least good
-    r-coloring of [1,n] avoiding every value set of the by-maximum index
-    (all of whose maxima are <= n).
-
-    Element v may take the colors 1..min(r, 1 + largest color on 1..v-1):
-    colors are interchangeable, and the lex-least good coloring is its own
-    first-occurrence relabelling.  Unit propagation: each element keeps a
-    domain, a bitmask of the colors it may still take, and an element with
-    one color left counts as colored, in classes[c] with the elements
-    decided c.  When every element of a value set but one has color c, c
-    leaves the last element's domain, wherever it sits in the set; an empty
-    domain or a set of one color backs up.  This removes only colors that
-    no good completion of the current prefix can use, so the lex-least
-    coloring is unchanged.  Every domain change goes on one trail that
-    backing up over v unwinds.  A node is one color assignment tried."""
-    sets: list[list[int]] = [[] for _ in range(n + 1)]  # sets[w]: bitmasks of w's sets
+def _value_sets(index, n: int):
+    """sets[u]: the bitmasks of the value sets of the by-maximum index that
+    contain u, bit 0 marking a set of two.  None when some value set has one
+    element, which no coloring avoids."""
+    sets: list[list[int]] = [[] for _ in range(n + 1)]
     for by_max in index.values():
         for values in by_max:
-            if len(values) == 1:  # this element completes a solution alone
-                return SearchOutcome(True, None, 0)
-            whole = 0 if len(values) > 2 else 1  # bit 0 marks a set of two
+            if len(values) == 1:
+                return None
+            whole = 0 if len(values) > 2 else 1
             for u in values:
                 whole |= 1 << u
             for u in values:
                 sets[u].append(whole)
-    domain = [(1 << (r + 1)) - 2] * (n + 1)  # bits 1..r
-    colors = [0] * (n + 1)
+    return sets
+
+
+def _colorings(sets, n: int, r: int, fail_first: bool):
+    """Depth-first walk over the r-colorings of [1,n] that leave no value set
+    of sets one color; yields once per node and returns the colors of 1..n
+    of the first good coloring it reaches, or None when there is none.
+
+    A node is one color tried at a branching element.  Element order
+    branches on the least uncolored element and tries colors in increasing
+    order, so its answer is the lexicographically least good coloring.
+    Fail-first branches on the uncolored element with the fewest colors
+    left, ties going to the element in the most value sets.  Either order
+    tries the colors already used that remain in the element's domain, then
+    the least unused color: unused colors are interchangeable, because
+    propagation removes a color only where that color is used, and the
+    lex-least good coloring gives each element a used color or the least
+    unused one.
+
+    Unit propagation: each element keeps a domain, a bitmask of the colors
+    it may still take; an element with one color left is colored, in
+    classes[c] with the elements of color c and in the bitmask done.  When
+    every element of a value set but one has color c, c leaves the last
+    element's domain, wherever it sits in the set; an empty domain or a set
+    of one color backs up.  This removes only colors that no good
+    completion of the current state can use.  Every domain change goes on
+    one trail that backing up over its branching element unwinds."""
+    colors_all = (1 << (r + 1)) - 2  # bits 1..r
+    domain = [colors_all] * (n + 1)
     # classes[c]: bitmask of the elements with color c, and bit 0, so that no
     # set of two is skipped as having no other element of a color
     classes = [1] * (r + 1)
-    high = [0] * (n + 2)  # high[v]: largest color on 1..v-1
-    marks = [0] * (n + 1)
+    done, every = 1, (1 << (n + 1)) - 1  # bit 0 and the colored elements
     trail: list[tuple[int, int]] = []  # (element, its domain before the change)
-    nodes = 0
-    v, c = 1, 0
-    while v:
-        if c:  # retract color c at v and every domain change it caused
-            mark = marks[v]
-            for u, old in reversed(trail[mark:]):
+    stack: list[tuple[int, int, int]] = []  # (element, colors left to try, trail mark)
+    order = sorted(range(1, n + 1), key=lambda u: -len(sets[u])) if fail_first else ()
+    while True:
+        if done == every:
+            return tuple(d.bit_length() - 1 for d in domain[1:])
+        if fail_first:
+            fewest = r + 1
+            for u in order:
+                if not done >> u & 1:
+                    k = domain[u].bit_count()
+                    if k < fewest:
+                        v, fewest = u, k
+                        if k <= 2:  # the fewest an uncolored element has when r > 1
+                            break
+        else:
+            v = (~done & (done + 1)).bit_length() - 1  # the least uncolored element
+        used = 0
+        for c in range(1, r + 1):
+            if classes[c] != 1:
+                used |= 1 << c
+        fresh = colors_all & ~used
+        stack.append((v, domain[v] & (used | fresh & -fresh), len(trail)))
+        while True:  # try the next color at the top branching element
+            if not stack:
+                return None
+            v, left, mark = stack[-1]
+            for u, old in reversed(trail[mark:]):  # retract the last color tried
                 d = domain[u]
                 if not d & (d - 1):  # u had one color left
                     classes[d.bit_length() - 1] ^= 1 << u
+                    done ^= 1 << u
                 domain[u] = old
             del trail[mark:]
-        later = domain[v] >> (c + 1)
-        c += (later & -later).bit_length()  # the next color in v's domain
-        if not later or c > min(r, high[v] + 1):  # every color at v tried: back up
-            v -= 1
-            c = colors[v]
-            continue
-        nodes += 1
-        if nodes > budget:
-            raise SearchBudgetExceeded(nodes)
-        colors[v] = c
-        marks[v] = len(trail)
-        if not classes[c] >> v & 1:  # not colored by propagation: color v, then propagate
+            if not left:  # every color at v tried: back up
+                stack.pop()
+                continue
+            color = left & -left
+            stack[-1] = (v, left ^ color, mark)
+            yield
             trail.append((v, domain[v]))
-            domain[v] = 1 << c
-            classes[c] |= 1 << v
+            domain[v] = color
+            classes[color.bit_length() - 1] |= 1 << v
+            done |= 1 << v
             queue, ok = [v], True
             while ok and queue:
                 w = queue.pop()
@@ -450,27 +486,59 @@ def _search(index, n: int, r: int, budget: int) -> SearchOutcome:
                     domain[u] = d
                     if not d & (d - 1):
                         classes[d.bit_length() - 1] |= m
+                        done |= m
                         queue.append(u)
-            if not ok:  # try the next color at v
-                continue
-        if v == n:
-            coloring = Coloring(1, tuple(colors[1:]), num_colors=r)
-            _check_good_coloring(coloring, index)
-            return SearchOutcome(False, coloring, nodes)
-        high[v + 1] = max(high[v], c)
-        v, c = v + 1, 0
-    return SearchOutcome(True, None, nodes)
+            if ok:
+                break
+
+
+def _search(index, n: int, r: int, budget: int) -> SearchOutcome:
+    """Complete search for the lexicographically least good r-coloring of
+    [1,n] avoiding every value set of the by-maximum index (all of whose
+    maxima are <= n), by a race of two walkers over one set build.
+
+    Element order runs alone for its first n nodes, which a descent that
+    never backs up does not exceed.  Then fail-first joins, and the two
+    take one node each in turn.  Element order's answer is final.  A
+    fail-first None is final as well: no good coloring exists.  A good
+    coloring found by fail-first only retires it, since it need not be the
+    least.  Every node of either walker counts against the one budget."""
+    sets = _value_sets(index, n)
+    if sets is None:
+        return SearchOutcome(True, None, 0)
+    lex = _colorings(sets, n, r, False)
+    race = [lex]
+    nodes = 0
+    while True:
+        for walker in race:
+            try:
+                next(walker)
+            except StopIteration as stop:
+                if stop.value is None:
+                    return SearchOutcome(True, None, nodes)
+                if walker is lex:
+                    coloring = Coloring(1, stop.value, num_colors=r)
+                    _check_good_coloring(coloring, index)
+                    return SearchOutcome(False, coloring, nodes)
+                race = [lex]  # fail-first found a coloring, maybe not the least
+                break
+            nodes += 1
+            if nodes > budget:
+                raise SearchBudgetExceeded(nodes)
+            if nodes == n:
+                race = [lex, _colorings(sets, n, r, True)]
 
 
 def good_coloring(
     system: SolutionSystem, n: int, r: int, max_nodes: int | None = None
 ) -> SearchOutcome:
     """Complete search for an r-coloring of [1,n] with no monochromatic
-    solution.  Elements are colored in increasing order and colors tried in
-    increasing order, so a returned coloring is the lexicographically least
-    one.  Colors are interchangeable, so element v tries only the colors up
-    to one above the largest already used; this keeps the least coloring,
-    which is its own first-occurrence relabelling."""
+    solution; a returned coloring is the lexicographically least one.  An
+    element-order walk, which colors elements and tries colors in increasing
+    order, races a fail-first walk after its first n nodes (see _search).
+    Colors are interchangeable, so a branching element tries the used colors
+    left in its domain and then only the least unused color; the least good
+    coloring gives every element such a color."""
     if r < 1:
         raise ValueError("need at least one color")
     if n < 1:
@@ -483,10 +551,14 @@ def forcing_number(
     system: SolutionSystem, r: int, n_max: int, max_nodes: int | None = None
 ):
     """Least n <= n_max at which every r-coloring of [1,n] contains a
-    monochromatic solution, or None if no such n is found.  The node budget
-    is one total across every n of the sweep.  One by-maximum index serves
-    every n up to the bound it was built for; past that bound it is rebuilt
-    at twice the current n (capped at n_max), never at n_max up front."""
+    monochromatic solution, or None if no such n is found.  Each n is one
+    race of the element-order and fail-first walks (see _search), so a
+    forced n ends as soon as either walk exhausts its tree; both try at a
+    branching element the used colors left and the least unused color.  The
+    node budget is one total across both walks and every n of the sweep.
+    One by-maximum index serves every n up to the bound it was built for;
+    past that bound it is rebuilt at twice the current n (capped at n_max),
+    never at n_max up front."""
     if r < 1:
         raise ValueError("need at least one color")
     if n_max < 1:

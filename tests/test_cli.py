@@ -165,7 +165,7 @@ def test_zero_colors_exit_three():
 
 
 def test_forcing_number_budget_is_total_across_the_sweep():
-    # each n alone stays under 100 nodes (at most 55); the sweep up to 14 takes 166
+    # each n alone stays under 100 nodes (at most 79); the sweep up to 14 takes 166
     code, env = run_json(
         ["search", "forcing-number", "--poly", "x+y-z", "-r", "3", "--max", "14",
          "--max-nodes", "100"]
@@ -223,6 +223,15 @@ def test_set_readers_name_a_too_long_integer():
         (["folkman", "fs", "1," + nines], "integer literal too long in the set at position 2"),
         (["embed", "bd", f"p={nines}; residues={{0}}"],
          "integer literal too long in field 'p' at position 2"),
+    ):
+        assert run(argv) == (3, "", f"error: {message}\n"), argv[:2]
+
+
+def test_set_readers_take_ascii_digits_only():
+    for argv, message in (
+        (["folkman", "fs", "٣,1_0", "--json"], "unexpected character '٣' in the set at position 0"),
+        (["embed", "bd", "p=4; residues={1_0}"],
+         "unexpected character '_' in field 'residues' at position 16"),
     ):
         assert run(argv) == (3, "", f"error: {message}\n"), argv[:2]
 
@@ -1159,6 +1168,13 @@ EXACT = [
       'certificate': None,
       'provenance': 'incremental-forcing-search',
       'bounds': {'max_nodes': 100000000, 'r': 2, 'max': 12}}),
+    (['search', 'forcing-number', '--poly', 'x+y-z', '-r', '3', '--max', '30', '--injective'],
+     0,
+     'forcing number: 24\n',
+     {'verdict': 24,
+      'certificate': None,
+      'provenance': 'incremental-forcing-search',
+      'bounds': {'max_nodes': 100000000, 'r': 3, 'max': 30}}),
     (['search', 'forcing-number', '--poly', 'x+y-z', '-r', '4', '--max', '6'],
      2,
      'no forcing number up to 6\n',

@@ -101,6 +101,17 @@ def test_periodic_parser_raises_only_value_errors(text):
     pytest.param(parse_periodic, "p=5; residues={0, " + "9" * (sys.get_int_max_str_digits() + 1) + "}",
                  "integer literal too long in field 'residues' at position 18",
                  id="periodic-long-residue"),
+    # set readers take ASCII digits only, as both expression grammars do
+    pytest.param(parse_finite, "3, 1_0", "unexpected character '_' in the set at position 4",
+                 id="finite-digit-grouping"),
+    pytest.param(parse_finite, "1,-2", "unexpected character '-' in the set at position 2",
+                 id="finite-sign"),
+    pytest.param(parse_periodic, "p=5; residues={0, ٣}",
+                 "unexpected character '٣' in field 'residues' at position 18",
+                 id="periodic-non-ascii-residue"),
+    pytest.param(parse_periodic, "p=5; residues={0}; t=3; prefix={1,}",
+                 "expected a natural number in field 'prefix' at position 34",
+                 id="periodic-empty-prefix-item"),
 ])
 def test_parse_error_messages(parse, text, message):
     with pytest.raises(ParseError) as exc:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import prlab
+from prlab import search
 from prlab.core import Coloring, FiniteSet, Poly, parse_matrix, parse_poly
 from prlab.rado import smod
 from prlab.search import (
@@ -219,6 +220,13 @@ def test_forcing_numbers_two_and_three_colors():
     assert forcing_number(SCHUR, 3, 20) == 14
 
 
+def test_injective_forcing_numbers_are_weak_schur_numbers_plus_one():
+    # WS(2) = 8 and WS(3) = 23 (Blanchard, Harary and Reis, Integers 6, 2006)
+    weak = poly_system(parse_poly("x+y-z"), injective=True)
+    assert forcing_number(weak, 2, 30) == 9
+    assert forcing_number(weak, 3, 30) == 24
+
+
 def test_forcing_number_exhaustion_returns_none():
     assert forcing_number(SCHUR, 3, 10) is None
 
@@ -229,7 +237,8 @@ def test_node_budget_raises():
 
 
 def test_forcing_number_spends_one_budget_across_the_sweep():
-    # each n alone fits in the budget; the sweep up to 14 does not
+    # each n alone fits in the budget (at most 79 nodes); the sweep up to 14,
+    # 166 nodes, does not
     per_n = [good_coloring(SCHUR, n, 3).nodes for n in range(1, 15)]
     assert max(per_n) < 100 < sum(per_n)
     assert forcing_number(SCHUR, 3, 14) == 14
@@ -352,12 +361,89 @@ def test_good_coloring_matches_brute_force_over_every_coloring(system, holds, k)
             assert (got.coloring.values() if got.coloring else None) == want, (n, r)
 
 
+def plain_least_good_coloring(value_sets, n, r):
+    """The lexicographically least r-coloring of [1,n] with no monochromatic
+    value set, or None, by plain backtracking in lexicographic order: a
+    prefix is cut as soon as a value set inside it is monochromatic."""
+    rest = {}  # rest[v]: the other elements of each value set whose largest is v
+    for values in value_sets:
+        top = max(values)
+        rest.setdefault(top, []).append(frozenset(values) - {top})
+    classes = [set() for _ in range(r + 1)]
+    colors = []
+
+    def extend(v):
+        if v > n:
+            return True
+        for c in range(1, r + 1):
+            if not any(others <= classes[c] for others in rest.get(v, ())):
+                classes[c].add(v)
+                colors.append(c)
+                if extend(v + 1):
+                    return True
+                colors.pop()
+                classes[c].discard(v)
+        return False
+
+    return tuple(colors) if extend(1) else None
+
+
+# (n, r) where element order backs up past n nodes before its answer, so
+# fail-first runs as well; in ap3, x+2*y-z and x+y-z-injective fail-first
+# finds a coloring first and retires.  The matrix x+y=z, y+z=w of the corpus
+# above first backs up that far at n = 102 (r = 3), beyond this oracle, so
+# the matrix case is x+y=z, y=w.
+RACE_CORPUS = [
+    pytest.param(ap_system(3), 25, 3, id="ap3"),
+    pytest.param(ap_system(4), 34, 2, id="ap4"),
+    pytest.param(SCHUR, 13, 3, id="x+y-z"),
+    pytest.param(poly_system(parse_poly("x+2*y-z")), 37, 3, id="x+2*y-z"),
+    pytest.param(poly_system(parse_poly("x+y-z"), injective=True), 23, 3, id="x+y-z-injective"),
+    pytest.param(matrix_system(parse_matrix("1 1 -1 0\n0 1 0 -1")), 13, 3, id="matrix"),
+]
+
+
+@pytest.mark.parametrize("system, n, r", RACE_CORPUS)
+def test_race_returns_the_lexicographically_least_coloring(system, n, r):
+    out = good_coloring(system, n, r)
+    # past n nodes the walkers alternate, so fail-first ran beside element order
+    assert not out.forced and out.nodes > n
+    value_sets = [values for by_max in solutions_by_max(system, n).values() for values in by_max]
+    assert out.coloring.values() == plain_least_good_coloring(value_sets, n, r)
+
+
+def test_node_budget_counts_the_nodes_of_both_walkers(monkeypatch):
+    steps = {False: 0, True: 0}  # nodes per walker, by fail_first
+    walk = search._colorings
+
+    def counted(sets, n, r, fail_first):
+        walker = walk(sets, n, r, fail_first)
+        while True:
+            try:
+                next(walker)
+            except StopIteration as stop:
+                return stop.value
+            steps[fail_first] += 1
+            yield
+
+    system = poly_system(parse_poly("x+y-z"), injective=True)
+    monkeypatch.setattr(search, "_colorings", counted)
+    out = good_coloring(system, 23, 3)
+    monkeypatch.undo()
+    assert steps == {False: 47, True: 10}  # fail-first finds a coloring and retires
+    assert out.nodes == 57 and out.coloring == good_coloring(system, 23, 3).coloring
+    with pytest.raises(SearchBudgetExceeded) as info:
+        good_coloring(system, 23, 3, max_nodes=56)
+    assert info.value.nodes == 57
+
+
 def test_van_der_waerden_three_three_needs_few_nodes():
     # W(3;3) = 27; plain backtracking with color(1) pinned takes 675,277 nodes,
-    # forward checking at each set's largest element 30,284, unit propagation 4,405
+    # forward checking at each set's largest element 30,284, unit propagation
+    # in element order 4,405, and the race with fail-first 1,508
     out = good_coloring(ap_system(3), 27, 3)
     assert out.forced
-    assert out.nodes < 10_000
+    assert out.nodes < 2_000
 
 
 def test_search_deeper_than_the_recursion_limit():
