@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 
 from .core.coloring import Coloring
 from .core.matrix import parse_matrix
-from .core.poly import parse_poly
+from .core.poly import ParseError, parse_poly, read_int, read_ints
 from .core.sets import parse_finite, parse_periodic
 
 
@@ -49,14 +49,21 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _int_list(text: str) -> list[int]:
-    toks = [t for t in text.replace(",", " ").split() if t]
-    if not toks:
-        raise CliUsageError("expected a comma-separated list of integers")
+def _int_arg(text: str) -> int:
+    """argparse's type for an integer argument."""
     try:
-        return [int(t) for t in toks]
-    except ValueError:
-        raise CliUsageError(f"bad integer list {text!r}") from None
+        return read_int(text, signed=True)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}: {exc}") from None
+
+
+def _int_list(text: str, where: str, start: int = 0) -> list[int]:
+    """The integers of text, separated by commas or whitespace; text starts
+    at position start of the argument named by where."""
+    values = read_ints(text, start, where, signed=True, separators=",")
+    if not values:
+        raise CliUsageError("expected a comma-separated list of integers")
+    return values
 
 
 def _jsonable(x):
@@ -77,16 +84,18 @@ def _parse_set_or_periodic(text: str):
     return parse_finite(text)
 
 
-_BOUND_RE = re.compile(r"([A-Za-z][A-Za-z0-9]*)=(-?\d+)\.\.(-?\d+)")
+_BOUND_RE = re.compile(r"\s*([A-Za-z][A-Za-z0-9]*)=(.*?)\.\.(.*)", re.DOTALL)
 
 
 def _parse_bounds(text: str) -> dict[str, tuple[int, int]]:
+    """Comma-separated name=lo..hi fragments."""
     out = {}
-    for part in filter(None, (part.strip() for part in text.split(","))):
-        m = _BOUND_RE.fullmatch(part)
-        if m is None:
-            raise CliUsageError(f"bad bounds fragment {part!r}; expected name=lo..hi")
-        out[m.group(1)] = (int(m.group(2)), int(m.group(3)))
+    for part in re.finditer(r"[^,]+", text):
+        m = _BOUND_RE.match(text, *part.span())
+        if m:
+            out[m[1]] = tuple(read_int(m[g], m.start(g), "--bounds", signed=True) for g in (2, 3))
+        elif part[0].strip():
+            raise CliUsageError(f"bad bounds fragment {part[0].strip()!r}; expected name=lo..hi")
     return out
 
 
@@ -187,7 +196,7 @@ def _smod(args):
 
 def _blocking_prime(args):
     from . import rado
-    p = rado.blocking_prime(_int_list(args.coeffs))
+    p = rado.blocking_prime(_int_list(args.coeffs, "coeffs"))
     if p is None:
         lines = ["no blocking prime: some subset of the coefficients sums to zero"]
         return 1, lines, "no-blocking-prime"
@@ -199,8 +208,8 @@ def _parametric(args):
     P = parse_poly(args.expr)
     tokens = [t.strip() for t in args.subset.split(",") if t.strip()]
     names = P.variables()
-    if tokens and all(re.fullmatch(r"\d+", t) for t in tokens):
-        idx = [int(t) for t in tokens]
+    if tokens and all(re.fullmatch(r"[0-9]+", t) for t in tokens):
+        idx = _int_list(args.subset, "--subset")
         if any(not 1 <= i <= len(names) for i in idx):
             raise CliUsageError(f"subset indices must lie in 1..{len(names)}")
         subset = [names[i - 1] for i in idx]
@@ -353,7 +362,10 @@ def _poly_check(args):
 def _poly_construct(args):
     from . import polyreg
     L = parse_poly(args.linear)
-    subsets = [tuple(_int_list(chunk)) for chunk in args.subsets.split("|")]
+    subsets, start = [], 0
+    for chunk in args.subsets.split("|"):
+        subsets.append(tuple(_int_list(chunk, "--subsets", start)))
+        start += len(chunk) + 1
     result = polyreg.attach_products(L, subsets, args.n)
     lines = [str(result.poly), f"status: {result.verdict.status}"]
     return 0, lines, str(result.poly), _verdict_payload(result.verdict)
@@ -379,7 +391,8 @@ def _poly_transform(args):
 
 def _poly_expsum(args):
     from . import polyreg
-    verdict = polyreg.exp_sum_ipr(_int_list(args.left), _int_list(args.right))
+    left, right = _int_list(args.left, "--left"), _int_list(args.right, "--right")
+    verdict = polyreg.exp_sum_ipr(left, right)
     return _status_json(0 if verdict.status == "IPR_certified" else 2, verdict)
 
 
@@ -424,7 +437,7 @@ def _omega_tensorized(args):
 
 def _omega_verify354(args):
     from . import omega
-    result = omega.verify_table_construction(_int_list(args.c), _int_list(args.d))
+    result = omega.verify_table_construction(_int_list(args.c, "--c"), _int_list(args.d, "--d"))
     ok = result.zero_check and result.distinct_check
     ledger = [line.text() for line in result.ledger]
     lines = [f"xi_{i}  = {list(v)}" for i, v in enumerate(result.xi, start=1)]
@@ -552,9 +565,9 @@ class _Reply(NamedTuple):
 _SYSTEM = (
     _arg("--poly", help="polynomial equation P = 0"),
     _arg("--matrix", help="file with a homogeneous system, one row per line"),
-    _arg("--ap", type=int, help="length of the arithmetic progression"),
+    _arg("--ap", type=_int_arg, help="length of the arithmetic progression"),
 )
-_MAX_NODES = _arg("--max-nodes", type=int, help="total search node budget (>= 0)")
+_MAX_NODES = _arg("--max-nodes", type=_int_arg, help="total search node budget (>= 0)")
 _INJECTIVE = _arg("--injective", action="store_true", help="only count solutions with distinct values")
 _EXPR = (_arg("expr"),)
 _SPEC = (_arg("spec"),)
@@ -578,7 +591,7 @@ VERBS = (
     Verb("check-affine", "partition regularity of a linear equation with constant term",
          "affine-two-route-criterion", _EXPR, _check_affine),
     Verb("smod", "super-modulo color of one number", "strip-prime-powers-then-reduce",
-         (_arg("p", type=int), _arg("n", type=int)), _smod),
+         (_arg("p", type=_int_arg), _arg("n", type=_int_arg)), _smod),
     Verb("blocking-prime", "least prime whose super-modulo coloring blocks the coefficients",
          "subset-sum-scan-over-primes", (_arg("coeffs"),), _blocking_prime),
     Verb("parametric", "two-parameter solution family over a zero-sum subset",
@@ -588,14 +601,14 @@ VERBS = (
          _parametric),
     Verb("search good-coloring", "find a coloring with no monochromatic solution",
          "backtracking-coloring-search",
-         _SYSTEM + (_arg("-n", type=int, required=True, help="interval end"),
-                    _arg("-r", type=int, required=True, help="number of colors"),
+         _SYSTEM + (_arg("-n", type=_int_arg, required=True, help="interval end"),
+                    _arg("-r", type=_int_arg, required=True, help="number of colors"),
                     _INJECTIVE, _MAX_NODES),
          _good_coloring),
     Verb("search forcing-number", "least n at which every coloring is forced",
          "incremental-forcing-search",
-         _SYSTEM + (_arg("-r", type=int, required=True),
-                    _arg("--max", type=int, required=True, help="largest n to try"),
+         _SYSTEM + (_arg("-r", type=_int_arg, required=True),
+                    _arg("--max", type=_int_arg, required=True, help="largest n to try"),
                     _INJECTIVE, _MAX_NODES),
          _forcing_number),
     Verb("search witness", "least monochromatic solution under a given coloring",
@@ -612,7 +625,7 @@ VERBS = (
          (_arg("set", help="comma-separated elements"),), _folkman_fs),
     Verb("folkman matrix", "membership matrix for n generators",
          "membership-columns-with-negated-identity",
-         (_arg("n", type=int),
+         (_arg("n", type=_int_arg),
           _arg("--check", action="store_true", help="also verify the columns condition")),
          _folkman_matrix),
     Verb("folkman weak-mono", "does the coloring make the subset sums weakly monochromatic",
@@ -628,13 +641,13 @@ VERBS = (
          "regular-linear-form-with-attached-products",
          (_arg("--linear", required=True),
           _arg("--subsets", required=True, help='pipe-separated index lists, e.g. "1,2|1,2,3|3|1"'),
-          _arg("-n", type=int, required=True, help="number of fresh variables")),
+          _arg("-n", type=_int_arg, required=True, help="number of fresh variables")),
          _poly_construct),
     Verb("poly reciprocal", "reverse the exponent pattern of a homogeneous polynomial",
          "degree-complement-exponent-flip", _EXPR, _poly_reciprocal),
     Verb("poly transform", "regularity-preserving substitutions", "variable-wise-substitution",
          (_arg("expr"), _arg("--negate", action="store_true", help="negate every variable"),
-          _arg("--power", type=int, help="raise every variable to this power")),
+          _arg("--power", type=_int_arg, help="raise every variable to this power")),
          _poly_transform),
     Verb("poly expsum", "difference of power products, compared by exponent sums",
          "exponent-sum-comparison",
@@ -671,7 +684,8 @@ VERBS = (
           _arg("--bounds", help="e.g. a=1..10,b=0..20")),
          _embed_fmap),
     Verb("embed apmax", "progression probe", "windowed-progression-scan",
-         (_arg("spec", help="finite set or periodic spec"), _arg("--len", type=int, required=True)),
+         (_arg("spec", help="finite set or periodic spec"),
+          _arg("--len", type=_int_arg, required=True)),
          _embed_apmax),
     Verb("embed probe-family", "closure counterexample probe", "bounded-closure-probe",
          (_arg("--family", required=True), _arg("--bounds"), _MAX_NODES), _embed_probe_family),

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from operator import index
+
+from .poly import read_ints
+
 
 class Coloring:
     __slots__ = ("lo", "hi", "_colors", "num_colors")
 
     def __init__(self, lo: int, values, num_colors: int | None = None):
-        vals = tuple(int(v) for v in values)
+        vals = tuple(map(index, values))
         if not vals:
             raise ValueError("coloring needs a nonempty domain")
         if any(v < 1 for v in vals):
@@ -20,16 +24,12 @@ class Coloring:
             raise ValueError("num_colors smaller than a used color")
 
     @classmethod
-    def from_function(cls, lo: int, hi: int, fn, num_colors: int | None = None) -> "Coloring":
-        return cls(lo, [fn(n) for n in range(lo, hi + 1)], num_colors)
-
-    @classmethod
     def from_text(cls, text: str, lo: int = 1) -> "Coloring":
-        """One line of whitespace-separated 1-based color indices."""
-        toks = text.split()
-        if not toks:
+        """Whitespace-separated 1-based color indices, the color of lo first."""
+        colors = read_ints(text, where="the coloring", signed=True)
+        if not colors:
             raise ValueError("empty coloring text")
-        return cls(lo, [int(t) for t in toks])
+        return cls(lo, colors)
 
     def color(self, n: int) -> int:
         if not self.lo <= n <= self.hi:
@@ -38,9 +38,6 @@ class Coloring:
 
     def values(self) -> tuple[int, ...]:
         return self._colors
-
-    def domain(self) -> tuple[int, int]:
-        return (self.lo, self.hi)
 
     def color_classes(self) -> dict[int, list[int]]:
         """Map color -> ascending list of points with that color."""

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from operator import index
+
+from .poly import read_ints
+
 
 class IntMatrix:
     __slots__ = ("entries",)
 
     def __init__(self, rows):
-        entries = tuple(tuple(int(x) for x in row) for row in rows)
+        entries = tuple(tuple(map(index, row)) for row in rows)
         if not entries or not entries[0]:
             raise ValueError("matrix must have at least one row and one column")
         width = len(entries[0])
@@ -23,9 +27,6 @@ class IntMatrix:
     @property
     def cols(self) -> int:
         return len(self.entries[0])
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
@@ -53,15 +54,14 @@ class IntMatrix:
 
 
 def parse_matrix(text: str) -> IntMatrix:
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rows.append([int(tok) for tok in line.split()])
-        except ValueError as exc:
-            raise ValueError(f"bad matrix row {line!r}: {exc}") from None
+    """One row per line, entries separated by whitespace; blank lines are
+    skipped."""
+    rows, start = [], 0
+    for number, line in enumerate(text.splitlines(keepends=True), start=1):
+        row = read_ints(line, start, f"line {number} of the matrix", signed=True)
+        if row:
+            rows.append(row)
+        start += len(line)
     if not rows:
         raise ValueError("empty matrix text")
     return IntMatrix(rows)

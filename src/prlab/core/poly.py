@@ -12,6 +12,7 @@ reduct rely on that order, while equality ignores it.
 from __future__ import annotations
 
 import re
+from operator import index
 from typing import NamedTuple
 
 # exponent vector: ((var, exp), ...) sorted by variable, exp >= 1; a var is a
@@ -31,11 +32,11 @@ class Poly:
 
     def __init__(self, monomials=None, constant: int = 0):
         self.monomials: dict[MonomialKey, int] = {}
-        self.constant = int(constant)
+        self.constant = index(constant)
         if monomials:
             items = monomials.items() if isinstance(monomials, dict) else monomials
             for key, coeff in items:
-                self._add_key(key, int(coeff))
+                self._add_key(key, index(coeff))
 
     # -- construction ------------------------------------------------------
 
@@ -259,19 +260,41 @@ def linear_coefficients(P: Poly) -> tuple[int, ...] | None:
 
 
 class ParseError(ValueError):
-    """Syntax error in an expression, with a 0-based position."""
+    """Syntax error in input text, with a 0-based position."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} at position {position}")
         self.position = position
 
 
-def read_int(digits: str, position: int) -> int:
-    """The value of a run of decimal digits that starts at position."""
+_NATURAL_RE = re.compile(r"\s*([0-9]*)\s*", re.ASCII)
+_INTEGER_RE = re.compile(r"\s*([+-]?[0-9]*)\s*", re.ASCII)
+
+
+def read_int(text: str, position: int = 0, where: str = "", signed: bool = False) -> int:
+    """The one rule for an integer in any text prlab reads: ASCII digits with
+    ASCII whitespace around them, after one + or - when signed.  text starts
+    at position of its input and fills the place named by where; anything
+    else, or more digits than int() converts, is a ParseError there."""
+    at = f" in {where}" if where else ""
+    m = (_INTEGER_RE if signed else _NATURAL_RE).match(text)
+    if m.end() < len(text):
+        raise ParseError(f"unexpected character {text[m.end()]!r}{at}", position + m.end())
+    if not m.group(1).lstrip("+-"):
+        raise ParseError(f"expected {'an integer' if signed else 'a natural number'}{at}",
+                         position + m.end(1))
     try:
-        return int(digits)
-    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
-        raise ParseError("integer literal too long", position) from None
+        return int(m.group(1))
+    except ValueError:
+        raise ParseError(f"integer literal too long{at}", position + m.start(1)) from None
+
+
+def read_ints(text: str, position: int = 0, where: str = "", signed: bool = False,
+              separators: str = "") -> list[int]:
+    """The integers of text's items, which whitespace or any of separators
+    delimit, each read by read_int."""
+    items = re.finditer(rf"[^\s{separators}]+", text)
+    return [read_int(m[0], position + m.start(), where, signed) for m in items]
 
 
 class Cursor:

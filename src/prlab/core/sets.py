@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from operator import index
 
-from .poly import ParseError
+from .poly import read_int
 
 
 class FiniteSet:
@@ -48,12 +48,6 @@ class FiniteSet:
     def total(self) -> int:
         return sum(self.elements)
 
-    def shift(self, n: int) -> "FiniteSet":
-        return FiniteSet(x + n for x in self.elements)
-
-    def issubset(self, other) -> bool:
-        return all(x in other for x in self.elements)
-
     def __eq__(self, other):
         if not isinstance(other, FiniteSet):
             return NotImplemented
@@ -70,22 +64,6 @@ class FiniteSet:
 
 
 _SPACE = " \t\n\r\f\v"
-_NATURAL = re.compile(r"\s*([0-9]*)\s*", re.ASCII)
-
-
-def _int(token: str, start: int, where: str) -> int:
-    """The natural number that token, at position start of its text, spells
-    in ASCII digits with optional whitespace around them.  Anything else, or
-    more digits than int() converts, is a ParseError naming where it is."""
-    m = _NATURAL.match(token)
-    if m.end() < len(token):
-        raise ParseError(f"unexpected character {token[m.end()]!r} in {where}", start + m.end())
-    if not m.group(1):
-        raise ParseError(f"expected a natural number in {where}", start + m.end())
-    try:
-        return int(m.group(1))
-    except ValueError:
-        raise ParseError(f"integer literal too long in {where}", start + m.start(1)) from None
 
 
 def _ints(body: str, start: int, where: str) -> list[int]:
@@ -95,7 +73,7 @@ def _ints(body: str, start: int, where: str) -> list[int]:
         return []
     out = []
     for token in body.split(","):
-        out.append(_int(token, start, where))
+        out.append(read_int(token, start, where))
         start += len(token) + 1
     return out
 
@@ -141,15 +119,6 @@ class PeriodicSet:
     @classmethod
     def evens(cls) -> "PeriodicSet":
         return cls(2, {0})
-
-    @classmethod
-    def multiples(cls, k: int) -> "PeriodicSet":
-        return cls(k, {0})
-
-    @classmethod
-    def from_finite(cls, fs: FiniteSet) -> "PeriodicSet":
-        t = (fs.max() + 1) if fs else 0
-        return cls(1, set(), t, fs.elements)
 
     # -- membership ---------------------------------------------------------
 
@@ -211,7 +180,7 @@ def parse_periodic(text: str) -> PeriodicSet:
 
     def number(name: str) -> int:
         raw, start = fields.get(name, ("0", 0))
-        return _int(raw, start, f"field {name!r}")
+        return read_int(raw, start, f"field {name!r}")
 
     def intset(name: str) -> set[int]:
         raw, start = fields.get(name, ("{}", 0))

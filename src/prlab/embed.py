@@ -12,8 +12,10 @@ import math
 import re
 from fractions import Fraction
 from itertools import product as cartesian
+from operator import index
 from typing import Callable, NamedTuple
 
+from .core.poly import read_int
 from .core.sets import FiniteSet, PeriodicSet
 from .search import SearchBudgetExceeded, contains_ap, node_budget
 
@@ -157,7 +159,7 @@ _FAMILIES = {
                       "affinity takes parameters a, b", ((1, 4), (0, 4)),
                       lambda p, n: p[0] * n + p[1], _affine_composite),
     "polynomial": _Rule(
-        lambda k: tuple((f"a{i}", int(i == k - 1)) for i in range(k)) if k >= 2 else None,
+        lambda k: tuple((f"a{i}", 1 if i == k - 1 else 0) for i in range(k)) if k >= 2 else None,
         "polynomial needs degree >= 1 (at least two coefficients)", ((0, 2), (0, 2), (1, 2)),
         lambda p, n: sum(a * n**i for i, a in enumerate(p)), lambda b: b),
 }
@@ -177,7 +179,7 @@ class FamilySpec:
         if rule is None:
             raise ValueError(f"unknown family kind {kind!r}")
         self.kind = kind
-        self.bounds = tuple((int(lo), int(hi)) for lo, hi in bounds)
+        self.bounds = tuple((index(lo), index(hi)) for lo, hi in bounds)
         if rule.params(len(self.bounds)) is None:
             raise ValueError(rule.arity_error.format(kind=kind))
         if any(lo > hi for lo, hi in self.bounds):
@@ -227,10 +229,10 @@ def family(kind: str, bounds=None) -> FamilySpec:
         return FamilySpec(kind, tuple(bounds))
     bounds = bounds or {}
     if kind == "polynomial" and bounds:
-        bad = next((name for name in bounds if not re.fullmatch(r"a(0|[1-9]\d*)", name)), None)
+        bad = next((name for name in bounds if not re.fullmatch(r"a(0|[1-9][0-9]*)", name)), None)
         if bad is not None:
             raise ValueError(f"polynomial bounds use a0..ad, got {bad!r}")
-        degree = max(int(name[1:]) for name in bounds)
+        degree = max(read_int(name[1:], 1, "a bound name") for name in bounds)
         if degree < 1:
             raise ValueError("polynomial bounds must reach at least a1")
         return FamilySpec(kind, tuple(bounds.get(f"a{i}", (0, 0)) for i in range(degree + 1)))
@@ -301,12 +303,6 @@ class FamilyProbeReport(NamedTuple):
     transitivity_counterexample: tuple | None  # (f_params, g_params, FiniteSet)
     reflexivity_counterexample: FiniteSet | None
     pairs_checked: int
-
-    def clean(self) -> bool:
-        return (
-            self.transitivity_counterexample is None
-            and self.reflexivity_counterexample is None
-        )
 
 
 def wellstructured_probe(fam: FamilySpec, max_nodes: int | None = None) -> FamilyProbeReport:

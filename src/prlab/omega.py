@@ -13,6 +13,7 @@ a term simply raises every indeterminate's depth tag by k.
 from __future__ import annotations
 
 import re
+from operator import index
 from typing import NamedTuple
 
 from .core.poly import Cursor, Poly, read_int
@@ -403,7 +404,7 @@ def verify_table_construction(c, d) -> TableConstructionResult:
     gamma row) and eta_j (generic beta row, indexed gamma row), and verify
     that sum(c_i xi_i) - sum(d_j eta_j) vanishes at every star depth and
     that all vectors are pairwise distinct."""
-    c, d = tuple(int(x) for x in c), tuple(int(x) for x in d)
+    c, d = tuple(map(index, c)), tuple(map(index, d))
     if not c or not d:
         raise ValueError("need at least one coefficient on each side")
     if any(x < 1 for x in c + d):

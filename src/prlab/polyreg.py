@@ -210,20 +210,14 @@ def transform(P: Poly, kind: str, z: int | None = None) -> TransformResult:
     integers), power sends every variable to its z-th power (transfer over
     the positive reals)."""
     if kind == "negate_vars":
-        out = Poly.zero()
-        out.constant = P.constant
-        for key, coeff in P.monomial_items():
-            total = sum(e for _, e in key)
-            out._add_key(key, coeff if total % 2 == 0 else -coeff)
-        return TransformResult(out, "Z")
+        items = ((key, -coeff if sum(e for _, e in key) % 2 else coeff)
+                 for key, coeff in P.monomial_items())
+        return TransformResult(Poly(items, P.constant), "Z")
     if kind == "power":
         if z is None or z < 1:
             raise ValueError("power transform needs an integer z >= 1")
-        out = Poly.zero()
-        out.constant = P.constant
-        for key, coeff in P.monomial_items():
-            out._add_key(tuple((v, e * z) for v, e in key), coeff)
-        return TransformResult(out, "R+")
+        items = ((tuple((v, e * z) for v, e in key), coeff) for key, coeff in P.monomial_items())
+        return TransformResult(Poly(items, P.constant), "R+")
     raise ValueError(f"unknown transform kind {kind!r}")
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain, combinations
+from operator import index
 from typing import NamedTuple
 
 from .core import IntMatrix, Poly, linear_coefficients
@@ -194,7 +195,7 @@ def _zero_sum_subset(coeffs) -> tuple[int, ...] | None:
 def blocking_prime(coefficients) -> int | None:
     """Smallest prime dividing no nonzero subset sum, or None when some
     nonempty subset sums to zero (and no such prime is needed)."""
-    coeffs = [int(c) for c in coefficients]
+    coeffs = list(map(index, coefficients))
     if not coeffs:
         raise ValueError("empty coefficient list")
     if any(c == 0 for c in coeffs):

@@ -236,6 +236,61 @@ def test_set_readers_take_ascii_digits_only():
         assert run(argv) == (3, "", f"error: {message}\n"), argv[:2]
 
 
+# Every integer in an argument or a file is ASCII digits: int() would read
+# each of these as a number, and the CLI answered on it.
+HOSTILE_FILES = {"coloring": "1 ٣ 1_0\n", "matrix": "1 1_0 -٣\n"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["search", "witness", "--poly", "x+y-z", "--coloring", "@coloring"],
+     "unexpected character '٣' in the coloring at position 2"),
+    (["check-matrix", "@matrix"], "unexpected character '_' in line 1 of the matrix at position 3"),
+    (["blocking-prime", "٣,1_0"], "unexpected character '٣' in coeffs at position 0"),
+    (["smod", "5", "1_0"],
+     "argument n: invalid int value: '1_0': unexpected character '_' at position 1"),
+    (["smod", "٥", "7"], "argument p: invalid int value: '٥': unexpected character '٥' at position 0"),
+    (["omega", "verify354", "--c", "١,2", "--d", "3"], "unexpected character '١' in --c at position 0"),
+    (["embed", "fmap", "--set", "1", "--in", "2", "--family", "translation", "--bounds", "m=٠..٣"],
+     "unexpected character '٠' in --bounds at position 2"),
+    (["search", "good-coloring", "--ap", "٣", "-n", "9", "-r", "2"],
+     "argument --ap: invalid int value: '٣': unexpected character '٣' at position 0"),
+    (["poly", "expsum", "--left", "١", "--right", "1"], "unexpected character '١' in --left at position 0"),
+], ids=["coloring-file", "matrix-file", "integer-list", "flag-grouping", "flag-non-ascii", "weights",
+        "bounds", "ap-length", "exponents"])
+def test_every_integer_reader_takes_ascii_digits_only(tmp_path, argv, message):
+    for name, content in HOSTILE_FILES.items():
+        (tmp_path / name).write_text(content, encoding="utf-8")
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    for extra in ([], ["--json"]):
+        assert run(argv + extra) == (3, "", f"error: {message}\n"), extra
+
+
+def test_integer_readers_position_their_errors():
+    too_long = "9" * (sys.get_int_max_str_digits() + 1)
+    for argv, message in (
+        (["blocking-prime", "1, 2,x"], "unexpected character 'x' in coeffs at position 5"),
+        (["poly", "construct3513", "--linear", "x1+x2-x3", "--subsets", "1|2,3|1 a", "-n", "2"],
+         "unexpected character 'a' in --subsets at position 8"),
+        (["parametric", "x+y-z", "--subset", "1," + too_long],
+         "integer literal too long in --subset at position 2"),
+        (["embed", "fmap", "--set", "1", "--in", "2", "--family", "affinity",
+          "--bounds", "a=1..2, b=-1..+"], "expected an integer in --bounds at position 15"),
+        (["folkman", "matrix", too_long],
+         f"argument n: invalid int value: '{too_long}': integer literal too long at position 0"),
+    ):
+        assert run(argv) == (3, "", f"error: {message}\n"), argv[:2]
+
+
+def test_signed_integer_readers_take_one_leading_sign():
+    assert run(["smod", "+5", "+50"])[:2] == (0, "smod(5) color of 50: 2\n")
+    assert run(["blocking-prime", "+1,+1,-3"])[:2] == (0, "blocking prime: 5\n")
+    code, env = run_json(["embed", "fmap", "--set", "1", "--in", "5", "--family", "translation",
+                          "--bounds", "m= +0 .. 4"])
+    assert (code, env["verdict"], env["bounds"]["m"]) == (0, "witness", [0, 4])
+    assert run(["smod", "5", "--", "--50"]) == (
+        3, "", "error: argument n: invalid int value: '--50': unexpected character '-' at position 1\n")
+
+
 def test_omega_naturals_are_ascii_digits():
     assert run(["omega", "eval", "٣"]) == (3, "", "error: unexpected character '٣' at position 0\n")
 

@@ -4,7 +4,7 @@ import json
 
 from hypothesis import given, settings, strategies as st
 
-from prlab.cli import VERBS
+from prlab.cli import VERBS, _int_arg
 from test_cli import ENVELOPE_KEYS, VERB_PATHS, _with_files, files_dir, run  # noqa: F401
 
 
@@ -71,7 +71,7 @@ def cli_argv(draw):
             if kwargs.get("action") == "store_true":
                 argv.append(names[0])
                 continue
-            pool = INTS if kwargs.get("type") is int else POOLS[names[0]]
+            pool = INTS if kwargs.get("type") is _int_arg else POOLS[names[0]]
             value = draw(ANY_VALUE if draw(st.integers(0, 4)) == 0 else pool)
             argv += [value] if names[0][0] != "-" else [names[0], value]
     if draw(st.integers(0, 3)) == 0:

@@ -1,13 +1,18 @@
-"""Random text against the three input parsers: each returns a value or
-raises ValueError, and a syntax error in either expression grammar carries a
-position inside the text."""
+"""Random text against the input readers: the two expression grammars, the
+set readers, the matrix and coloring readers.  Each returns a value or
+raises a ParseError with a position inside the text; only a value check of
+the type it builds may raise another ValueError.  Every reader spells an
+integer with one rule, and int() is called in one place."""
 
+import ast
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from prlab.core import ParseError, parse_finite, parse_periodic, parse_poly
+import prlab
+from prlab.core import Coloring, ParseError, parse_finite, parse_matrix, parse_periodic, parse_poly
 from prlab.omega import parse_term
 
 # whitespace of several kinds, uppercase, stray symbols, non-ASCII digits
@@ -18,6 +23,11 @@ TERM_PIECES = ["a", "b", "c1", "0", "3", "17", "+", "*", "(", ")", ",", " ",
                "S1(", "S2(", "S0(", "S", "heart(", "diamond(", "heart", "Foo"]
 PERIODIC_PIECES = ["p=", "residues=", "t=", "prefix=", "{", "}", ",", ";", " ",
                    "0", "1", "2", "4", "12", "-1", "p", "q="]
+MATRIX_PIECES = ["1", "-2", "+3", "0", "12", " ", " ", "\n", "\n", "\t", "-", "+", "1_0", "٣", "--1"]
+COLORING_PIECES = ["1", "2", "3", "+2", "0", "-1", " ", " ", "\n", "1_0", "٣", "+"]
+# the value checks of the types the two file readers build
+MATRIX_VALUE_ERRORS = ("empty matrix text", "ragged rows: matrix must be rectangular")
+COLORING_VALUE_ERRORS = ("empty coloring text", "colors are 1-based positive integers")
 
 
 def texts(pieces):
@@ -37,8 +47,8 @@ def outcome(parse, text):
         return exc
 
 
-def assert_positioned(exc, text):
-    if not isinstance(exc, ValueError) or str(exc) == "input nested too deeply":
+def assert_positioned(exc, text, value_errors=("input nested too deeply",)):
+    if not isinstance(exc, ValueError) or str(exc) in value_errors:
         return
     assert isinstance(exc, ParseError)
     assert 0 <= exc.position <= len(text)
@@ -69,6 +79,22 @@ def test_term_parser_raises_only_positioned_errors(text):
 @example("p=0; residues={0}")
 def test_periodic_parser_raises_only_value_errors(text):
     outcome(parse_periodic, text)
+
+
+@settings(max_examples=300)
+@given(texts(MATRIX_PIECES))
+@example("1 1_0 -٣")
+@example("1 2\n\n3 +4\n")
+def test_matrix_reader_raises_only_positioned_errors(text):
+    assert_positioned(outcome(parse_matrix, text), text, MATRIX_VALUE_ERRORS)
+
+
+@settings(max_examples=300)
+@given(texts(COLORING_PIECES))
+@example("1 ٣ 1_0")
+@example("1 2\n2 +1")
+def test_coloring_reader_raises_only_positioned_errors(text):
+    assert_positioned(outcome(Coloring.from_text, text), text, COLORING_VALUE_ERRORS)
 
 
 @pytest.mark.parametrize("parse, text, message", [
@@ -112,8 +138,76 @@ def test_periodic_parser_raises_only_value_errors(text):
     pytest.param(parse_periodic, "p=5; residues={0}; t=3; prefix={1,}",
                  "expected a natural number in field 'prefix' at position 34",
                  id="periodic-empty-prefix-item"),
+    # the file readers take signed integers by the same rule
+    pytest.param(parse_matrix, "1 2\n1 ٣", "unexpected character '٣' in line 2 of the matrix at position 6",
+                 id="matrix-non-ascii-digit"),
+    pytest.param(parse_matrix, "1 1_0", "unexpected character '_' in line 1 of the matrix at position 3",
+                 id="matrix-digit-grouping"),
+    pytest.param(parse_matrix, "1 -" + "9" * (sys.get_int_max_str_digits() + 1),
+                 "integer literal too long in line 1 of the matrix at position 2", id="matrix-long-entry"),
+    pytest.param(Coloring.from_text, "1 ٣ 1", "unexpected character '٣' in the coloring at position 2",
+                 id="coloring-non-ascii-digit"),
+    pytest.param(Coloring.from_text, "2\n1_0", "unexpected character '_' in the coloring at position 3",
+                 id="coloring-digit-grouping"),
+    pytest.param(Coloring.from_text, "2 " + "1" * (sys.get_int_max_str_digits() + 1),
+                 "integer literal too long in the coloring at position 2", id="coloring-long-color"),
 ])
 def test_parse_error_messages(parse, text, message):
     with pytest.raises(ParseError) as exc:
         parse(text)
     assert str(exc.value) == message
+
+
+def _names_a_type(node, parent) -> bool:
+    """Whether this use of a name only names a type: a type parameter, as in
+    tuple[int, ...], or isinstance's class argument."""
+    if isinstance(parent[node], ast.Tuple):
+        node = parent[node]
+    up = parent[node]
+    if isinstance(up, ast.Subscript):
+        return node is up.slice
+    return isinstance(up, ast.Call) and getattr(up.func, "id", None) == "isinstance" \
+        and node in up.args[1:]
+
+
+def _int_uses():
+    """(module, enclosing function, "call" or "value") for each place under
+    src/prlab where the builtin int is called or passed as a value, not just
+    named as a type in an annotation, a type parameter or isinstance."""
+    root = Path(prlab.__file__).parent
+    uses = set()
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        annotations = {id(n) for node in ast.walk(tree)
+                       for ann in (getattr(node, "annotation", None), getattr(node, "returns", None))
+                       if ann is not None for n in ast.walk(ann)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Name) or node.id != "int" or id(node) in annotations \
+                    or _names_a_type(node, parent):
+                continue
+            scope = parent[node]
+            while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                scope = parent[scope]
+            call = isinstance(parent[node], ast.Call) and parent[node].func is node
+            uses.add((path.relative_to(root).as_posix(), getattr(scope, "name", None),
+                      "call" if call else "value"))
+    return uses
+
+
+def test_int_is_called_in_the_core_reader_only():
+    # every reader and every integer argument goes through read_int, so
+    # one rule decides how an integer is spelled
+    assert _int_uses() == {("core/poly.py", "read_int", "call")}
+
+
+def test_no_pattern_matches_unicode_digits():
+    # \d matches every Unicode decimal digit; integers are ASCII [0-9]
+    root = Path(prlab.__file__).parent
+    found = [
+        f"{path.relative_to(root)}:{node.lineno}"
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "\\d" in node.value
+    ]
+    assert found == []

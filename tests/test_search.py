@@ -569,7 +569,7 @@ def test_injective_two_row_matrix_witness_matches_brute_force():
 
 
 def test_blocking_coloring_admits_no_witness_on_long_interval():
-    coloring = Coloring.from_function(1, 2000, lambda n: smod(5, n), num_colors=4)
+    coloring = Coloring(1, [smod(5, n) for n in range(1, 2001)], num_colors=4)
     for system in (
         poly_system(parse_poly("x+y-3*z")),
         poly_system(parse_poly("x+y+z-4*w")),
@@ -757,7 +757,7 @@ def test_extractor_on_constant_coloring():
 
 
 def test_extractor_on_parity_coloring():
-    coloring = Coloring.from_function(0, 324, lambda n: n % 2 + 1)
+    coloring = Coloring(0, [n % 2 + 1 for n in range(325)])
     triple = vdw325_extract(coloring)
     assert triple == (0, 2, 4)
     assert is_mono_3ap(coloring, triple)
