@@ -66,16 +66,10 @@ def _int_list(text: str, where: str, start: int = 0) -> list[int]:
     return values
 
 
-def _jsonable(x):
-    if x is None or isinstance(x, (bool, int, float, str)):
-        return x
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (set, frozenset)):
-        return [_jsonable(v) for v in sorted(x)]
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return str(x)
+def _no_json_form(x):
+    """json.dumps's hook for a value with no JSON form: a set becomes its
+    sorted list, anything else its str."""
+    return sorted(x) if isinstance(x, (set, frozenset)) else str(x)
 
 
 def _parse_set_or_periodic(text: str):
@@ -129,14 +123,14 @@ def _as_text(value):
 
 def _status_json(code: int, v):
     payload = _verdict_payload(v)
-    return code, [json.dumps(payload)], v.status, payload
+    return code, [json.dumps(payload, default=_no_json_form)], v.status, payload
 
 
 def _verdict_payload(v) -> dict:
     return {
         "status": v.status,
         "method": v.method,
-        "certificate": _jsonable(v.certificate),
+        "certificate": v.certificate,
         "notes": list(v.notes),
     }
 
@@ -742,13 +736,13 @@ def main(argv=None) -> int:
     if args.json:
         provenance = verb.provenance(args) if callable(verb.provenance) else verb.provenance
         envelope = {
-            "verdict": _jsonable(reply.verdict),
-            "certificate": _jsonable(reply.certificate),
+            "verdict": reply.verdict,
+            "certificate": reply.certificate,
             "provenance": provenance,
             "timing_ms": timing,
-            "bounds": _jsonable(reply.bounds),
+            "bounds": reply.bounds,
         }
-        print(json.dumps(envelope))
+        print(json.dumps(envelope, default=_no_json_form))
     else:
         for line in reply.lines:
             print(line)

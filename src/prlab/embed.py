@@ -44,29 +44,18 @@ def _expanded_residues(A: PeriodicSet, p: int):
 def fe_periodic(A: PeriodicSet, B: PeriodicSet) -> bool:
     """Whether every finite subset of A shifts into B.
 
-    For infinite A the verdict splits on where the witnessing shifts live.
-    Arbitrarily large shifts work exactly when some residue rotation maps
-    every residue A's members occupy (tail residues plus prefix members
-    reduced mod the common period) into B's residue set.  Otherwise only a
-    shift n below B's threshold can work, and it must pass three checks: A's
-    tail residues rotate into B's residues, every prefix member of A lands in
-    B under n, and the tail members that land below B's threshold are checked
+    The verdict splits on where the witnessing shifts live.  Arbitrarily
+    large shifts work exactly when some residue rotation maps every residue
+    A's members occupy (tail residues plus prefix members reduced mod the
+    common period) into B's residue set.  Otherwise only a shift n below B's
+    threshold can work, and it must pass three checks: A's tail residues
+    rotate into B's residues, every prefix member of A lands in B under n,
+    and the tail members that land below B's threshold are checked
     explicitly.  Shifts at or above B's threshold are covered by the rotation
-    case, so the two cases together are a complete decision.
-
-    Finite A reduces to shifting the element set; shifts at or beyond B's
-    threshold act periodically, so scanning n < threshold + period decides
-    exactly.
+    case, so the two cases together are a complete decision.  A finite A has
+    no tail residues, so the same two cases decide it: its members fit one
+    rotation or one shift below B's threshold.
     """
-    if A.is_finite():
-        members = sorted(A.prefix)
-        if not members:
-            return True
-        return any(
-            all(B.membership(n + x) for x in members)
-            for n in range(B.threshold + B.period)
-        )
-
     p = math.lcm(A.period, B.period)
     ra = _expanded_residues(A, p)
     rb = _expanded_residues(B, p)
@@ -164,6 +153,7 @@ _FAMILIES = {
         lambda p, n: sum(a * n**i for i, a in enumerate(p)), lambda b: b),
 }
 FAMILY_KINDS = tuple(_FAMILIES)
+MAX_POLY_DEGREE = 64
 
 
 class FamilySpec:
@@ -220,8 +210,9 @@ class FamilySpec:
 def family(kind: str, bounds=None) -> FamilySpec:
     """The family of the given kind.  bounds is one (lo, hi) pair per
     parameter, or a mapping from parameter names to pairs over the defaults.
-    Named polynomial bounds a0..ad set the degree d by the largest index, and
-    every coefficient left unnamed is fixed at (0, 0)."""
+    Named polynomial bounds a0..ad set the degree d (at most
+    MAX_POLY_DEGREE) by the largest index, and every coefficient left unnamed
+    is fixed at (0, 0)."""
     rule = _FAMILIES.get(kind)
     if rule is None:
         raise ValueError(f"unknown family {kind!r}; known kinds: {', '.join(FAMILY_KINDS)}")
@@ -235,6 +226,8 @@ def family(kind: str, bounds=None) -> FamilySpec:
         degree = max(read_int(name[1:], 1, "a bound name") for name in bounds)
         if degree < 1:
             raise ValueError("polynomial bounds must reach at least a1")
+        if degree > MAX_POLY_DEGREE:
+            raise ValueError(f"polynomial bounds reach at most a{MAX_POLY_DEGREE}")
         return FamilySpec(kind, tuple(bounds.get(f"a{i}", (0, 0)) for i in range(degree + 1)))
     names = [name for name, _ in rule.params(len(rule.defaults))]
     for name in bounds:

@@ -24,18 +24,6 @@ from .core.poly import Cursor, Poly, read_int
 class OmegaTerm:
     __slots__ = ()
 
-    def __add__(self, other):
-        return Sum(self, _coerce(other))
-
-    def __radd__(self, other):
-        return Sum(_coerce(other), self)
-
-    def __mul__(self, other):
-        return Prod(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return Prod(_coerce(other), self)
-
     def __str__(self):
         """Stars, sums and products print without recursion: the stack holds
         the pieces still to write, terms and literal strings, the next on top."""
@@ -61,14 +49,6 @@ class OmegaTerm:
 
     def __repr__(self):
         return f"{type(self).__name__}({self})"
-
-
-def _coerce(x) -> "OmegaTerm":
-    if isinstance(x, OmegaTerm):
-        return x
-    if isinstance(x, int) and x >= 0:
-        return Nat(x)
-    raise TypeError(f"cannot use {x!r} as a term")
 
 
 _ATOM_RE = re.compile(r"[a-z][a-z0-9_]*")
@@ -355,35 +335,22 @@ class TableConstructionResult(NamedTuple):
 def _coefficient_table(coeffs):
     """One table: indexed rows 1..n plus the generic row, laid out in column
     triples (t, s): s=1 gives c_{t+1}; s=3 gives c_{t+1}+c_{t+2}; s=2 gives
-    c_{t+1}+c_{t+2} on row t+1, zero on row t+2, c_{t+1} elsewhere.  A
-    single coefficient degenerates to the one-column table (c_1)."""
+    c_{t+1}+c_{t+2} on row t+1, zero on row t+2, c_{t+1} elsewhere.  The
+    generic row is row 0, which no column singles out.  A single coefficient
+    degenerates to the one-column table (c_1)."""
     nn = len(coeffs)
     if nn == 1:
         return ((coeffs[0],),), (coeffs[0],)
-    width = 3 * (nn - 1)
-    rows = []
-    for i in range(1, nn + 1):
-        row = []
-        for j in range(1, width + 1):
-            t, s = divmod(j - 1, 3)
-            s += 1
-            if s == 1:
-                row.append(coeffs[t])
-            elif s == 2:
-                if i == t + 1:
-                    row.append(coeffs[t] + coeffs[t + 1])
-                elif i == t + 2:
-                    row.append(0)
-                else:
-                    row.append(coeffs[t])
-            else:
-                row.append(coeffs[t] + coeffs[t + 1])
-        rows.append(tuple(row))
-    generic = []
-    for j in range(1, width + 1):
-        t, s = divmod(j - 1, 3)
-        generic.append(coeffs[t] + coeffs[t + 1] if s + 1 == 3 else coeffs[t])
-    return tuple(rows), tuple(generic)
+
+    def row(i):
+        cells = []
+        for t in range(nn - 1):
+            pair = coeffs[t] + coeffs[t + 1]
+            middle = pair if i == t + 1 else 0 if i == t + 2 else coeffs[t]
+            cells += (coeffs[t], middle, pair)
+        return tuple(cells)
+
+    return tuple(row(i) for i in range(1, nn + 1)), row(0)
 
 
 def vector_term(vec, atom: str = "a") -> OmegaTerm:

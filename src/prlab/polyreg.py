@@ -10,12 +10,14 @@ criterion applies, and "unknown" otherwise; unknown never means irregular.
 from __future__ import annotations
 
 from itertools import product
+from math import prod
 from typing import NamedTuple
 
 from .core import Poly, linear_coefficients, poly_props
 from .rado import blocking_prime, linear_pr
 
 MAX_EXCLUSIVE_MONOMIALS = 16
+MAX_EXCLUSIVE_SETS = 10**5
 
 
 class PrVerdict(NamedTuple):
@@ -36,10 +38,8 @@ def reduct(P: Poly) -> Poly:
     """Replace each monomial by a fresh variable: the linear form whose
     coefficients are P's monomial coefficients in stored order."""
     _require_zero_constant(P)
-    out = Poly.zero()
-    for i, (_, coeff) in enumerate(P.monomial_items(), start=1):
-        out = out + Poly.const(coeff) * Poly.variable(f"y{i}")
-    return out
+    keys = [((f"y{i}", 1),) for i in range(1, len(P.monomials) + 1)]
+    return Poly(zip(keys, P.coefficients()))
 
 
 def _private_variables(P: Poly) -> list[tuple[str, ...]]:
@@ -62,6 +62,8 @@ def exclusive_sets(P: Poly):
     per_monomial = _private_variables(P)
     if any(not cands for cands in per_monomial):
         return ()
+    if prod(map(len, per_monomial)) > MAX_EXCLUSIVE_SETS:
+        raise ValueError(f"too many exclusive variable sets (max {MAX_EXCLUSIVE_SETS})")
     return tuple(product(*per_monomial))
 
 
@@ -98,24 +100,15 @@ def necessary_check(P: Poly) -> PrVerdict:
     coefficients have no zero-sum subset; the certificate carries the
     smallest prime blocking every subset sum."""
     _require_zero_constant(P)
-    props = poly_props(P)
-    if not props.is_homogeneous:
+    if not poly_props(P).is_homogeneous:
         return PrVerdict("unknown", notes=("not homogeneous",))
-    coeffs = P.coefficients()
-    if len(coeffs) == 1:
-        p = blocking_prime(coeffs)
-        return PrVerdict(
-            "not_PR_certified",
-            method="homogeneous-reduct-blocking",
-            certificate={"reduct": str(reduct(P)), "blocking_prime": p},
-        )
-    lin = linear_pr(reduct(P))
-    if lin.pr:
+    p = blocking_prime(P.coefficients())
+    if p is None:
         return PrVerdict("unknown", notes=("reduct has a zero-sum coefficient subset",))
     return PrVerdict(
         "not_PR_certified",
         method="homogeneous-reduct-blocking",
-        certificate={"reduct": str(reduct(P)), "blocking_prime": lin.blocking_prime},
+        certificate={"reduct": str(reduct(P)), "blocking_prime": p},
     )
 
 
@@ -144,15 +137,14 @@ def attach_products(L: Poly, subsets, n: int) -> ConstructResult:
     fresh = [f"y{j}" for j in range(1, n + 1)]
     if any(v in fresh for v in variables):
         raise ValueError("variable names collide with the fresh y variables")
-    out = Poly.zero()
+    items = []
     for v, a, F in zip(variables, coeffs, subsets):
         F = sorted(set(F))
         if any(not 1 <= j <= n for j in F):
             raise ValueError(f"subset {F} not within 1..{n}")
-        term = Poly.const(a) * Poly.variable(v)
-        for j in F:
-            term = term * Poly.variable(f"y{j}")
-        out = out + term
+        key = sorted([(v, 1)] + [(f"y{j}", 1) for j in F])
+        items.append((tuple(key), a))
+    out = Poly(items)
     verdict = sufficient_ipr(out)
     if verdict.status != "IPR_certified":
         raise RuntimeError(f"internal check failed: construction is {verdict.status}")
@@ -168,34 +160,33 @@ def reciprocal(P: Poly) -> Poly:
         raise ValueError("polynomial must be homogeneous")
     d = props.degree
     variables = P.variables()
-    out = Poly.const(P.constant)
+    items = []
     for key, coeff in P.monomial_items():
         exps = dict(key)
-        term = Poly.const(coeff)
-        for v in variables:
-            e = d - exps.get(v, 0)
-            if e:
-                term = term * Poly.variable(v) ** e
-        out = out + term
-    return out
+        flipped = ((v, d - exps.get(v, 0)) for v in variables)
+        items.append((tuple((v, e) for v, e in flipped if e), coeff))
+    return Poly(items, P.constant)
 
 
 def exp_sum_ipr(n_exps, m_exps) -> PrVerdict:
     """Difference of two power products prod(x_i^n_i) - prod(y_j^m_j):
-    certified injectively regular when the exponent sums agree."""
+    certified injectively regular when the exponent sums agree, unless each
+    side is one power: x^a = y^a forces x = y."""
     n_exps, m_exps = tuple(n_exps), tuple(m_exps)
     if not n_exps or not m_exps:
         raise ValueError("need at least one exponent on each side")
     if any(e < 1 for e in n_exps + m_exps):
         raise ValueError("exponents must be positive")
-    if sum(n_exps) == sum(m_exps):
+    if sum(n_exps) != sum(m_exps):
         return PrVerdict(
-            "IPR_certified",
-            method="equal-exponent-sums",
-            certificate={"sum": sum(n_exps)},
+            "unknown", notes=(f"exponent sums differ: {sum(n_exps)} vs {sum(m_exps)}",)
         )
+    if len(n_exps) == len(m_exps) == 1:
+        return PrVerdict("unknown", notes=("one power on each side: x^a = y^a forces x = y",))
     return PrVerdict(
-        "unknown", notes=(f"exponent sums differ: {sum(n_exps)} vs {sum(m_exps)}",)
+        "IPR_certified",
+        method="equal-exponent-sums",
+        certificate={"sum": sum(n_exps)},
     )
 
 

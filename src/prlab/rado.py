@@ -184,6 +184,8 @@ def columns_condition(M: IntMatrix) -> ColumnsConditionVerdict:
 
 def _zero_sum_subset(coeffs) -> tuple[int, ...] | None:
     """Indices of the first (smallest, then lex) nonempty subset summing to 0."""
+    if len(coeffs) > MAX_COEFFS:
+        raise ValueError(f"more than {MAX_COEFFS} coefficients")
     idx = range(len(coeffs))
     for size in range(1, len(coeffs) + 1):
         for sub in combinations(idx, size):

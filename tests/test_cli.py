@@ -291,6 +291,24 @@ def test_signed_integer_readers_take_one_leading_sign():
         3, "", "error: argument n: invalid int value: '--50': unexpected character '-' at position 1\n")
 
 
+def test_equation_past_the_coefficient_cap_exits_three_at_once():
+    # every extra coefficient doubled the subset scan that ran before the
+    # cap was checked: about 75 s for these 26 coefficients
+    expr = "+".join(f"x{i}" for i in range(1, 27))
+    env = dict(os.environ, PYTHONPATH=str(Path(prlab.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-m", "prlab.cli", "check-linear", expr],
+                         capture_output=True, text=True, env=env, timeout=10)
+    assert (out.returncode, out.stdout, out.stderr) == (3, "", "error: more than 20 coefficients\n")
+
+
+def test_exclusive_set_count_is_capped():
+    # 3^11 = 177,147 sets, one printed line each
+    private = "+".join(f"a{i}*b{i}*c{i}" for i in range(1, 12))
+    for extra in ([], ["--json"]):
+        assert run(["poly", "exclusive", private] + extra) == (
+            3, "", "error: too many exclusive variable sets (max 100000)\n")
+
+
 def test_omega_naturals_are_ascii_digits():
     assert run(["omega", "eval", "٣"]) == (3, "", "error: unexpected character '٣' at position 0\n")
 
@@ -325,6 +343,11 @@ def test_retired_threads_and_seed_flags_exit_three():
      "polynomial bounds use a0..ad, got 'm'"),
     (["embed", "probe-family", "--family", "polynomial", "--bounds", "a0=1..2"],
      "polynomial bounds must reach at least a1"),
+    (["embed", "probe-family", "--family", "polynomial", "--bounds", "a65=0..1"],
+     "polynomial bounds reach at most a64"),
+    (["embed", "fmap", "--set", "1,2", "--in", "5", "--family", "polynomial",
+      "--bounds", "a0=0..1,a65=0..1", "--json"],
+     "polynomial bounds reach at most a64"),
     (["embed", "fmap", "--set", "1", "--in", "2", "--family", "polynomial",
       "--bounds", "a01=1..2"],
      "polynomial bounds use a0..ad, got 'a01'"),
@@ -336,7 +359,8 @@ def test_retired_threads_and_seed_flags_exit_three():
      "empty parameter range"),
     (["poly", "reciprocal", "x^3 + x*y^2 - z^3", "--degree", "3"],
      "unrecognized arguments: --degree 3"),
-], ids=["unknown-kind", "polynomial-name", "polynomial-degree", "polynomial-leading-zero",
+], ids=["unknown-kind", "polynomial-name", "polynomial-degree", "probe-polynomial-degree-cap",
+        "fmap-polynomial-degree-cap", "polynomial-leading-zero",
         "unknown-parameter", "empty-range", "retired-degree"])
 def test_family_usage_error_messages(argv, message):
     assert run(argv) == (3, "", f"error: {message}\n")
@@ -825,6 +849,11 @@ def test_poly_expsum_verb():
     code, env = run_json(["poly", "expsum", "--left", "1,2", "--right", "4"])
     assert code == 2
     assert env["verdict"] == "unknown"
+    # x^a = y^a forces x = y, so one power on each side is never certified
+    for power in ("1", "2"):
+        code, env = run_json(["poly", "expsum", "--left", power, "--right", power])
+        assert (code, env["verdict"]) == (2, "unknown")
+        assert env["certificate"]["notes"] == ["one power on each side: x^a = y^a forces x = y"]
 
 
 def test_poly_invariance_verb():

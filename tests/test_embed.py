@@ -252,6 +252,14 @@ def test_family_application_rules():
     assert FamilySpec("polynomial", ((0, 2), (0, 2), (1, 2))).apply((1, 0, 2), 3) == 19
 
 
+def test_polynomial_family_degree_is_capped():
+    # the degree is the largest index named, and every lower coefficient
+    # gets a bound pair
+    assert len(family("polynomial", {"a64": (0, 1)}).bounds) == 65
+    with pytest.raises(ValueError, match="^polynomial bounds reach at most a64$"):
+        family("polynomial", {"a1": (1, 2), "a65": (0, 1)})
+
+
 def test_family_parameter_iteration_filters_invalid():
     fam = FamilySpec("exponential", ((0, 3),))
     assert list(fam.iter_params()) == [(2,), (3,)]

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from prlab import polyreg
 from prlab.core import Poly, parse_poly, poly_props
 from prlab.polyreg import (
+    PrVerdict,
     attach_products,
     exclusive_sets,
     exp_sum_ipr,
@@ -70,6 +72,13 @@ def test_exclusive_sets_monomial_cap():
     many = "+".join(f"x{i}" for i in range(17))
     with pytest.raises(ValueError):
         exclusive_sets(parse_poly(many))
+
+
+def test_exclusive_sets_count_cap(monkeypatch):
+    monkeypatch.setattr(polyreg, "MAX_EXCLUSIVE_SETS", 8)
+    assert len(exclusive_sets(parse_poly("a1*b1+a2*b2-a3*b3"))) == 8
+    with pytest.raises(ValueError, match=r"^too many exclusive variable sets \(max 8\)$"):
+        exclusive_sets(parse_poly("a1*b1+a2*b2+a3*b3-a4*b4"))
 
 
 # -- sufficiency ------------------------------------------------------------
@@ -231,7 +240,10 @@ def test_double_reciprocal_is_a_monomial_multiple():
 
 def test_exponent_sum_criterion():
     assert exp_sum_ipr([1, 2], [3]).status == "IPR_certified"
-    assert exp_sum_ipr([1], [1]).status == "IPR_certified"
+    # x^a = y^a forces x = y: no solution has distinct values
+    for a in (1, 2):
+        assert exp_sum_ipr([a], [a]) == PrVerdict(
+            "unknown", notes=("one power on each side: x^a = y^a forces x = y",))
     assert exp_sum_ipr([2], [1]).status == "unknown"
 
 

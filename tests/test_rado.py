@@ -192,6 +192,17 @@ def test_linear_pr_rejects_nonlinear_and_single_variable():
         linear_pr(parse_poly("3*x"))
 
 
+def test_coefficient_cap_comes_before_the_subset_scan():
+    # x1 - x2 is a zero-sum subset, yet past the cap no scan runs at all
+    many = parse_poly("x1-x2+" + "+".join(f"x{i}" for i in range(3, 22)))
+    with pytest.raises(ValueError, match="^more than 20 coefficients$"):
+        linear_pr(many)
+    with pytest.raises(ValueError, match="^more than 20 coefficients$"):
+        affine_pr(parse_poly("+".join(f"x{i}" for i in range(1, 22)) + "+21"))
+    twenty = parse_poly("x1-x2+" + "+".join(f"x{i}" for i in range(3, 21)))
+    assert linear_pr(twenty).subset == ("x1", "x2")
+
+
 @given(st.lists(st.integers(-9, 9).filter(lambda c: c != 0), min_size=2, max_size=7))
 @settings(max_examples=150)
 def test_verdict_matches_brute_force_subset_search(coeffs):
