@@ -103,13 +103,12 @@ def _yes_no(ok, yes: str, no: str):
     return (0 if ok else 1), [yes if ok else no], bool(ok)
 
 
-def _flag_list(flags, labels):
-    """One `label: yes|no` line per flag; the JSON keys are the labels with
-    spaces replaced by underscores, which are also the attribute names."""
-    keys = [label.replace(" ", "_") for label in labels]
-    values = [getattr(flags, key) for key in keys]
-    lines = [f"{label}: {'yes' if val else 'no'}" for label, val in zip(labels, values)]
-    return 0, lines, dict(zip(keys, values))
+def _flag_list(flags):
+    """One `label: yes|no` line per field of the flags tuple, labelled by
+    its name with spaces for underscores; the JSON keys are the names."""
+    lines = [f"{key.replace('_', ' ')}: {'yes' if val else 'no'}"
+             for key, val in zip(flags._fields, flags)]
+    return 0, lines, flags._asdict()
 
 
 def _budget_exceeded(exc, bounds: dict):
@@ -122,17 +121,8 @@ def _as_text(value):
 
 
 def _status_json(code: int, v):
-    payload = _verdict_payload(v)
+    payload = v._asdict()
     return code, [json.dumps(payload, default=_no_json_form)], v.status, payload
-
-
-def _verdict_payload(v) -> dict:
-    return {
-        "status": v.status,
-        "method": v.method,
-        "certificate": v.certificate,
-        "notes": list(v.notes),
-    }
 
 
 # -- matrix / linear / affine verbs ------------------------------------------
@@ -236,9 +226,7 @@ def _system_from_args(args, injective: bool = False):
 
 def _system_bounds(args, **extra):
     from . import search
-    out = {"max_nodes": search.node_budget(args.max_nodes)}
-    out.update(extra)
-    return out
+    return {"max_nodes": search.NodeBudget(args.max_nodes).limit, **extra}
 
 
 def _good_coloring(args):
@@ -362,7 +350,7 @@ def _poly_construct(args):
         start += len(chunk) + 1
     result = polyreg.attach_products(L, subsets, args.n)
     lines = [str(result.poly), f"status: {result.verdict.status}"]
-    return 0, lines, str(result.poly), _verdict_payload(result.verdict)
+    return 0, lines, str(result.poly), result.verdict._asdict()
 
 
 def _poly_reciprocal(args):
@@ -392,9 +380,7 @@ def _poly_expsum(args):
 
 def _poly_invariance(args):
     from . import polyreg
-    return _flag_list(
-        polyreg.invariance(parse_poly(args.expr)),
-        ("translation invariant", "dilation invariant", "additive", "multiplicative"))
+    return _flag_list(polyreg.invariance(parse_poly(args.expr)))
 
 
 # -- omega verbs -------------------------------------------------------------
@@ -477,8 +463,7 @@ def _embed_fe(args):
 
 def _embed_classify(args):
     from . import embed
-    return _flag_list(embed.classify(parse_periodic(args.spec)),
-                      ("thick", "syndetic", "piecewise syndetic", "finite"))
+    return _flag_list(embed.classify(parse_periodic(args.spec)))
 
 
 def _embed_bd(args):
@@ -508,7 +493,7 @@ def _embed_apmax(args):
 def _embed_probe_family(args):
     from . import embed, search
     fam = embed.family(args.family, _parse_bounds(args.bounds or ""))
-    budget = search.node_budget(args.max_nodes, embed.DEFAULT_PROBE_BUDGET)
+    budget = search.NodeBudget(args.max_nodes, embed.DEFAULT_PROBE_BUDGET).limit
     bounds = {**_bounds_payload(fam), "max_nodes": budget}
     try:
         report = embed.wellstructured_probe(fam, budget)
@@ -609,7 +594,7 @@ VERBS = (
          "per-class-least-witness-search",
          _SYSTEM + (_arg("--coloring", required=True,
                          help="file with one line of 1-based colors for [1,n]"),
-                    _arg("--injective", action="store_true")),
+                    _INJECTIVE),
          _witness),
     Verb("vdw extract325", "monochromatic 3-term progression from a 2-coloring of [0,324]",
          "block-pattern-case-analysis",

@@ -1,8 +1,9 @@
 """Finite and eventually periodic subsets of the naturals.
 
-A PeriodicSet is (period p, residue set, threshold t, prefix): membership for
-n >= t is n mod p in residues; below t the explicit prefix decides.  Finite
-sets are the residues-empty case, so both kinds share one representation.
+A FiniteSet is its sorted elements.  A PeriodicSet is (period p, residue
+set, threshold t, prefix): membership for n >= t is n mod p in residues;
+below t the explicit prefix decides, so a PeriodicSet with no residues is
+finite too, though it stays a PeriodicSet.
 """
 
 from __future__ import annotations
@@ -106,22 +107,6 @@ class PeriodicSet:
         self.threshold = threshold
         self.prefix = pre
 
-    # -- canonical members --------------------------------------------------
-
-    @classmethod
-    def naturals(cls) -> "PeriodicSet":
-        return cls(1, {0})
-
-    @classmethod
-    def odds(cls) -> "PeriodicSet":
-        return cls(2, {1})
-
-    @classmethod
-    def evens(cls) -> "PeriodicSet":
-        return cls(2, {0})
-
-    # -- membership ---------------------------------------------------------
-
     def membership(self, n: int) -> bool:
         if n < 0:
             return False
@@ -130,9 +115,6 @@ class PeriodicSet:
         return (n % self.period) in self.residues
 
     __contains__ = membership
-
-    def is_finite(self) -> bool:
-        return not self.residues
 
     def elements_upto(self, n: int) -> list[int]:
         return [x for x in range(n + 1) if self.membership(x)]

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 from .core.poly import read_int
 from .core.sets import FiniteSet, PeriodicSet
-from .search import SearchBudgetExceeded, contains_ap, node_budget
+from .search import NodeBudget, contains_ap
 
 
 # -- finite embeddability ---------------------------------------------------
@@ -242,27 +242,25 @@ class FmapResult(NamedTuple):
 
     params: tuple | None
     status: str  # "witness" | "none-within-bounds"
-    tried: int  # parameter tuples tried
 
     def found(self) -> bool:
         return self.params is not None
 
 
-def fmap_witness(F: FiniteSet, B, fam: FamilySpec, max_nodes: int | None = None) -> FmapResult:
+def fmap_witness(F: FiniteSet, B, fam: FamilySpec, budget: NodeBudget | None = None) -> FmapResult:
     """First parameter tuple (lexicographically) whose map sends every
     element of F into B.  B may be a finite set or a periodic set; only
-    membership is used.  With max_nodes, trying more parameter tuples than
-    that raises SearchBudgetExceeded."""
+    membership is used.  With a budget, each parameter tuple tried spends
+    one node of it."""
     if not F:
         raise ValueError("pattern must be nonempty")
     elems = F.elements
-    tried = 0
-    for tried, params in enumerate(fam.iter_params(), start=1):
-        if max_nodes is not None and tried > max_nodes:
-            raise SearchBudgetExceeded(tried)
+    for params in fam.iter_params():
+        if budget is not None:
+            budget.spend()
         if all(fam.apply(params, x) in B for x in elems):
-            return FmapResult(tuple(params), "witness", tried)
-    return FmapResult(None, "none-within-bounds", tried)
+            return FmapResult(tuple(params), "witness")
+    return FmapResult(None, "none-within-bounds")
 
 
 def a_maximal_probe(A, L: int) -> bool:
@@ -308,16 +306,10 @@ def wellstructured_probe(fam: FamilySpec, max_nodes: int | None = None) -> Famil
     A node is one parameter tuple tried by any of the probe's scans; past
     the node budget (DEFAULT_PROBE_BUDGET when none is given) it raises
     SearchBudgetExceeded."""
-    budget, used = node_budget(max_nodes, DEFAULT_PROBE_BUDGET), 0
+    budget = NodeBudget(max_nodes, DEFAULT_PROBE_BUDGET)
 
     def maps_into(F, B, spec):
-        nonlocal used
-        try:
-            got = fmap_witness(F, B, spec, budget - used)
-        except SearchBudgetExceeded as exc:
-            raise SearchBudgetExceeded(used + exc.nodes) from None
-        used += got.tried
-        return got.found()
+        return fmap_witness(F, B, spec, budget).found()
 
     h_fam = fam  # widening reverses a range only when the family has no member
     if next(fam.iter_params(), None) is not None:

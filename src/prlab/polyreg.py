@@ -14,7 +14,7 @@ from math import prod
 from typing import NamedTuple
 
 from .core import Poly, linear_coefficients, poly_props
-from .rado import blocking_prime, linear_pr
+from .rado import _zero_sum_subset, blocking_prime
 
 MAX_EXCLUSIVE_MONOMIALS = 16
 MAX_EXCLUSIVE_SETS = 10**5
@@ -79,10 +79,11 @@ def sufficient_ipr(P: Poly) -> PrVerdict:
     if any(not cands for cands in per_monomial):
         return PrVerdict("unknown", notes=("no set of exclusive variables",))
     red = reduct(P)
-    if len(red.variables()) < 2:
+    variables = red.variables()
+    if len(variables) < 2:
         return PrVerdict("unknown", notes=("single monomial",))
-    lin = linear_pr(red)
-    if not lin.pr:
+    sub = _zero_sum_subset(linear_coefficients(red))
+    if sub is None:
         return PrVerdict("unknown", notes=("reduct has no zero-sum coefficient subset",))
     return PrVerdict(
         "IPR_certified",
@@ -90,7 +91,7 @@ def sufficient_ipr(P: Poly) -> PrVerdict:
         certificate={
             "exclusive_variables": tuple(cands[0] for cands in per_monomial),
             "reduct": str(red),
-            "zero_sum_subset": lin.subset,
+            "zero_sum_subset": tuple(variables[i] for i in sub),
         },
     )
 
@@ -131,8 +132,7 @@ def attach_products(L: Poly, subsets, n: int) -> ConstructResult:
         raise ValueError("need one index subset per variable")
     if n < 0:
         raise ValueError("n must be >= 0")
-    lin = linear_pr(L)
-    if not lin.pr:
+    if _zero_sum_subset(coeffs) is None:
         raise ValueError("linear part has no zero-sum coefficient subset")
     fresh = [f"y{j}" for j in range(1, n + 1)]
     if any(v in fresh for v in variables):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 from operator import index
 from typing import NamedTuple
 
@@ -142,9 +142,9 @@ def verify_columns_certificate(M: IntMatrix, cert: ColumnsConditionCertificate) 
 def columns_condition(M: IntMatrix) -> ColumnsConditionVerdict:
     """Ordered block partition of the columns whose first block sums to zero
     and whose later block sums lie in the rational span of all earlier
-    columns.  Each block is the first remaining subset, smallest first and
-    then lexicographic, whose sum lies in the span of the columns placed so
-    far (an empty span holds only the zero vector).
+    columns.  Each block is the first remaining subset, in _zero_sum_subset's
+    order (smallest first, then lexicographic), whose sum lies in the span of
+    the columns placed so far (an empty span holds only the zero vector).
 
     No choice is ever undone.  The span only grows, so a block that is valid
     now stays valid after any other valid block B is placed, once B's columns
@@ -160,10 +160,8 @@ def columns_condition(M: IntMatrix) -> ColumnsConditionVerdict:
     remaining = list(range(n))
     blocks, combos = [], []
     while remaining:
-        candidates = chain.from_iterable(
-            combinations(remaining, size) for size in range(1, len(remaining) + 1)
-        )
-        for block in candidates:
+        sizes = range(1, len(remaining) + 1)
+        for block in (b for size in sizes for b in combinations(remaining, size)):
             sol = span.solve([sum(x) for x in zip(*(cols[c] for c in block))])
             if sol is not None:
                 break
@@ -188,10 +186,32 @@ def _zero_sum_subset(coeffs) -> tuple[int, ...] | None:
         raise ValueError(f"more than {MAX_COEFFS} coefficients")
     idx = range(len(coeffs))
     for size in range(1, len(coeffs) + 1):
-        for sub in combinations(idx, size):
-            if sum(coeffs[i] for i in sub) == 0:
+        # combinations of the indices and of the values come in step
+        for sub, values in zip(combinations(idx, size), combinations(coeffs, size)):
+            if sum(values) == 0:
                 return sub
     return None
+
+
+def _least_blocking_prime(coeffs) -> int:
+    """Smallest prime dividing no nonempty subset sum of coefficients that
+    have no zero-sum subset.  For each prime p, bit s of a p-bit mask says
+    some nonempty subset sums to s mod p; each coefficient adds itself and a
+    rotation of the mask.  Every subset sum is nonzero and at most sum |c|
+    in size, so the first prime above that bound always blocks."""
+    total = sum(map(abs, coeffs))
+    p = 2
+    while p <= total:
+        full, mask = (1 << p) - 1, 0
+        for c in coeffs:
+            r = c % p
+            mask |= (mask << r | mask >> (p - r)) & full | 1 << r
+            if mask & 1:
+                break
+        else:
+            return p
+        p = _next_prime(p)
+    return p
 
 
 def blocking_prime(coefficients) -> int | None:
@@ -202,17 +222,9 @@ def blocking_prime(coefficients) -> int | None:
         raise ValueError("empty coefficient list")
     if any(c == 0 for c in coeffs):
         raise ValueError("zero coefficient")
-    if len(coeffs) > MAX_COEFFS:
-        raise ValueError(f"more than {MAX_COEFFS} coefficients")
-    sums: set[int] = set()
-    for c in coeffs:
-        sums |= {c} | {s + c for s in sums}
-    if 0 in sums:
+    if _zero_sum_subset(coeffs) is not None:
         return None
-    p = 2
-    while any(s % p == 0 for s in sums):
-        p = _next_prime(p)
-    return p
+    return _least_blocking_prime(coeffs)
 
 
 class LinearPrVerdict(NamedTuple):
@@ -234,7 +246,7 @@ def linear_pr(P: Poly) -> LinearPrVerdict:
     sub = _zero_sum_subset(coeffs)
     if sub is not None:
         return LinearPrVerdict(True, subset=tuple(variables[i] for i in sub))
-    return LinearPrVerdict(False, blocking_prime=blocking_prime(coeffs))
+    return LinearPrVerdict(False, blocking_prime=_least_blocking_prime(coeffs))
 
 
 class AffinePrVerdict(NamedTuple):

@@ -26,13 +26,24 @@ class SearchBudgetExceeded(RuntimeError):
         self.nodes = nodes
 
 
-def node_budget(max_nodes: int | None, default: int = DEFAULT_NODE_BUDGET) -> int:
-    """The node budget in force: the default when none is given."""
-    if max_nodes is None:
-        return default
-    if max_nodes < 0:
-        raise ValueError("node budget must be >= 0")
-    return max_nodes
+class NodeBudget:
+    """One search's node budget: limit nodes in all (the default when none
+    is given), used of them so far."""
+
+    __slots__ = ("limit", "used")
+
+    def __init__(self, limit: int | None = None, default: int = DEFAULT_NODE_BUDGET):
+        if limit is not None and limit < 0:
+            raise ValueError("node budget must be >= 0")
+        self.limit, self.used = default if limit is None else limit, 0
+
+    def spend(self) -> int:
+        """Count one node and return the count; past the limit raise
+        SearchBudgetExceeded."""
+        self.used += 1
+        if self.used > self.limit:
+            raise SearchBudgetExceeded(self.used)
+        return self.used
 
 
 class SolutionSystem(NamedTuple):
@@ -492,7 +503,7 @@ def _colorings(sets, n: int, r: int, fail_first: bool):
                 break
 
 
-def _search(index, n: int, r: int, budget: int) -> SearchOutcome:
+def _search(index, n: int, r: int, budget: NodeBudget) -> SearchOutcome:
     """Complete search for the lexicographically least good r-coloring of
     [1,n] avoiding every value set of the by-maximum index (all of whose
     maxima are <= n), by a race of two walkers over one set build.
@@ -502,18 +513,19 @@ def _search(index, n: int, r: int, budget: int) -> SearchOutcome:
     take one node each in turn.  Element order's answer is final.  A
     fail-first None is final as well: no good coloring exists.  A good
     coloring found by fail-first only retires it, since it need not be the
-    least.  Every node of either walker counts against the one budget."""
+    least.  Every node of either walker is spent from the one budget."""
     sets = _value_sets(index, n)
     if sets is None:
         return SearchOutcome(True, None, 0)
     lex = _colorings(sets, n, r, False)
     race = [lex]
-    nodes = 0
+    start = budget.used
     while True:
         for walker in race:
             try:
                 next(walker)
             except StopIteration as stop:
+                nodes = budget.used - start
                 if stop.value is None:
                     return SearchOutcome(True, None, nodes)
                 if walker is lex:
@@ -522,10 +534,7 @@ def _search(index, n: int, r: int, budget: int) -> SearchOutcome:
                     return SearchOutcome(False, coloring, nodes)
                 race = [lex]  # fail-first found a coloring, maybe not the least
                 break
-            nodes += 1
-            if nodes > budget:
-                raise SearchBudgetExceeded(nodes)
-            if nodes == n:
+            if budget.spend() - start == n:
                 race = [lex, _colorings(sets, n, r, True)]
 
 
@@ -543,7 +552,7 @@ def good_coloring(
         raise ValueError("need at least one color")
     if n < 1:
         raise ValueError("bound must be >= 1")
-    budget = node_budget(max_nodes)
+    budget = NodeBudget(max_nodes)
     return _search(solutions_by_max(system, n), n, r, budget)
 
 
@@ -563,20 +572,14 @@ def forcing_number(
         raise ValueError("need at least one color")
     if n_max < 1:
         raise ValueError("bound must be >= 1")
-    budget = node_budget(max_nodes)
-    used = 0
+    budget = NodeBudget(max_nodes)
     index, built = {}, 0
     for n in range(1, n_max + 1):
         if n > built:
             built = min(n_max, 2 * n)
             index = solutions_by_max(system, built)
         upto = {m: sets for m, sets in index.items() if m <= n}
-        try:
-            outcome = _search(upto, n, r, budget - used)
-        except SearchBudgetExceeded as exc:
-            raise SearchBudgetExceeded(used + exc.nodes) from None
-        used += outcome.nodes
-        if outcome.forced:
+        if _search(upto, n, r, budget).forced:
             return n
     return None
 

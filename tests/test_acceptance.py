@@ -290,11 +290,11 @@ def _pure_periodic_sets():
 def test_11_embeddability_rule_and_oracle():
     assert fe_shift(FiniteSet((1, 3)), FiniteSet((2, 5))) is None
     assert fe_shift(FiniteSet((2, 5)), FiniteSet((1, 3))) is None
-    assert fe_periodic(PeriodicSet.odds(), PeriodicSet.evens())
-    assert fe_periodic(PeriodicSet.evens(), PeriodicSet.odds())
+    assert fe_periodic(PeriodicSet(2, {1}), PeriodicSet(2, {0}))
+    assert fe_periodic(PeriodicSet(2, {0}), PeriodicSet(2, {1}))
 
     groups = [_box_sets(), _pure_periodic_sets(), list(test_embed.periodic_corpus())]
-    naturals = PeriodicSet.naturals()
+    naturals = PeriodicSet(1, {0})
     pairs = 0
     for sets in groups:
         densities = [bd(A) for A in sets]

@@ -1,4 +1,7 @@
+import ast
 import contextlib
+import importlib
+import inspect
 import io
 import json
 import os
@@ -299,6 +302,27 @@ def test_equation_past_the_coefficient_cap_exits_three_at_once():
     out = subprocess.run([sys.executable, "-m", "prlab.cli", "check-linear", expr],
                          capture_output=True, text=True, env=env, timeout=10)
     assert (out.returncode, out.stdout, out.stderr) == (3, "", "error: more than 20 coefficients\n")
+
+
+def test_blocking_prime_of_twenty_powers_of_three_is_quick():
+    # 2^20 distinct subset sums: testing each prime against all of them took
+    # about 22 s and 167 MB; one subset scan and residue masks take about 1 s
+    coeffs = ",".join(str(3**i) for i in range(20))
+    env = dict(os.environ, PYTHONPATH=str(Path(prlab.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-m", "prlab.cli", "blocking-prime", coeffs],
+                         capture_output=True, text=True, env=env, timeout=10)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "blocking prime: 59051\n", "")
+
+
+def test_poly_check_searches_for_the_blocking_prime_once(monkeypatch):
+    steps = []  # every prime a search steps past
+    next_prime = rado._next_prime
+    monkeypatch.setattr(rado, "_next_prime", lambda n: steps.append(n) or next_prime(n))
+    code, env = run_json(["poly", "check", "+".join(f"{3**i}*x{i}" for i in range(16))])
+    p = env["certificate"]["certificate"]["blocking_prime"]
+    assert (code, env["verdict"]) == (1, "not_PR_certified")
+    # one search steps from 2 past every prime below p, and no second one runs
+    assert steps == [q for q in range(2, p) if rado._is_prime(q)]
 
 
 def test_exclusive_set_count_is_capped():
@@ -1777,3 +1801,16 @@ def test_exact_output(files_dir, argv, code, text, envelope):
     assert isinstance(timing, (int, float)) and not isinstance(timing, bool) and timing >= 0
     assert got == envelope
 
+
+def test_every_traced_span_names_a_function_of_its_module():
+    # the benchmark's traced run wraps each (module, name) of its SPAN_TABLE,
+    # so a renamed or deleted function breaks it; the table is read as data,
+    # without importing the benchmark
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "trace.py").read_text())
+    value = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["SPAN_TABLE"])
+    table = ast.literal_eval(value)
+    assert len(table) >= 30
+    for module, name, _ in table:
+        function = getattr(importlib.import_module(module), name, None)
+        assert inspect.isfunction(function) and function.__module__ == module, (module, name)

@@ -248,7 +248,7 @@ def test_parse_finite_formats():
 
 
 def test_periodic_membership():
-    evens = PeriodicSet.evens()
+    evens = PeriodicSet(2, {0})
     assert 0 in evens and 7 not in evens and -2 not in evens
     mixed = PeriodicSet(3, {1}, threshold=4, prefix={0, 2})
     assert [n for n in range(10) if n in mixed] == [0, 2, 4, 7]
@@ -256,9 +256,9 @@ def test_periodic_membership():
 
 
 def test_periodic_canonical_members():
-    assert PeriodicSet.naturals().membership(0)
-    assert 5 in PeriodicSet.odds()
-    assert PeriodicSet.evens().is_finite() is False
+    assert PeriodicSet(1, {0}).membership(0)
+    assert 5 in PeriodicSet(2, {1})
+    assert PeriodicSet(2, {0}).elements_upto(10) == [0, 2, 4, 6, 8, 10]
 
 
 def test_periodic_text_round_trip():

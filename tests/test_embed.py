@@ -115,10 +115,10 @@ def test_fe_shift_witnesses_compose():
 # -- fe on eventually periodic sets ------------------------------------------
 
 def test_fe_periodic_parity_fixtures():
-    odds, evens = PeriodicSet.odds(), PeriodicSet.evens()
+    odds, evens = PeriodicSet(2, {1}), PeriodicSet(2, {0})
     assert fe_periodic(odds, evens)
     assert fe_periodic(evens, odds)
-    assert not fe_periodic(PeriodicSet.naturals(), odds)
+    assert not fe_periodic(PeriodicSet(1, {0}), odds)
     assert fe_periodic(PeriodicSet(4, {0}), evens)
 
 
@@ -126,9 +126,9 @@ def test_fe_periodic_prefix_blocks_embedding():
     # {0} together with the odds: the chunk {0, 1} needs two consecutive
     # members downstream, which the evens never supply.
     A = PeriodicSet(2, {1}, 1, {0})
-    assert not fe_periodic(A, PeriodicSet.evens())
+    assert not fe_periodic(A, PeriodicSet(2, {0}))
     assert fe_periodic(A, A)
-    assert fe_periodic(A, PeriodicSet.naturals())
+    assert fe_periodic(A, PeriodicSet(1, {0}))
 
 
 def test_fe_periodic_finite_cases():
@@ -136,9 +136,9 @@ def test_fe_periodic_finite_cases():
     gap3 = PeriodicSet(1, set(), 6, (2, 5))
     assert not fe_periodic(gap2, gap3)
     assert not fe_periodic(gap3, gap2)
-    assert fe_periodic(gap2, PeriodicSet.odds())
-    assert fe_periodic(gap2, PeriodicSet.evens())
-    assert not fe_periodic(gap3, PeriodicSet.evens())
+    assert fe_periodic(gap2, PeriodicSet(2, {1}))
+    assert fe_periodic(gap2, PeriodicSet(2, {0}))
+    assert not fe_periodic(gap3, PeriodicSet(2, {0}))
     assert fe_periodic(PeriodicSet(1, set()), PeriodicSet(1, set(), 1, {0}))
 
 
@@ -157,14 +157,14 @@ def test_fe_periodic_reflexive_on_corpus():
 # -- classification and density ----------------------------------------------
 
 def test_classify_fixtures():
-    evens = classify(PeriodicSet.evens())
+    evens = classify(PeriodicSet(2, {0}))
     assert (evens.thick, evens.syndetic, evens.piecewise_syndetic, evens.finite) == (
         False,
         True,
         True,
         False,
     )
-    full = classify(PeriodicSet.naturals())
+    full = classify(PeriodicSet(1, {0}))
     assert full.thick and full.syndetic and full.piecewise_syndetic
     fin = classify(PeriodicSet(1, set(), 4, {1, 2, 3}))
     assert fin.finite and not (fin.thick or fin.syndetic or fin.piecewise_syndetic)
@@ -187,16 +187,16 @@ def test_classify_matches_run_and_gap_scan():
 
 
 def test_thickness_equals_receiving_everything():
-    naturals = PeriodicSet.naturals()
+    naturals = PeriodicSet(1, {0})
     for A in periodic_corpus():
         assert classify(A).thick == fe_periodic(naturals, A)
 
 
 def test_bd_fixtures():
-    assert bd(PeriodicSet.evens()) == Fraction(1, 2)
+    assert bd(PeriodicSet(2, {0})) == Fraction(1, 2)
     assert bd(PeriodicSet(5, {0, 1, 2})) == Fraction(3, 5)
     assert bd(PeriodicSet(1, set(), 4, {1, 2, 3})) == 0
-    assert bd(PeriodicSet.naturals()) == 1
+    assert bd(PeriodicSet(1, {0})) == 1
 
 
 def test_bd_counts_periodic_windows_exactly():
@@ -348,7 +348,7 @@ def test_fmap_none_is_flagged_as_bounded():
 
 def test_fmap_into_periodic_target():
     got = fmap_witness(
-        FiniteSet((1, 2, 3)), PeriodicSet.odds(), FamilySpec("affinity", ((1, 4), (0, 4)))
+        FiniteSet((1, 2, 3)), PeriodicSet(2, {1}), FamilySpec("affinity", ((1, 4), (0, 4)))
     )
     assert got.found()
     a, b = got.params
@@ -384,8 +384,8 @@ def test_initial_segment_maps_into_any_long_progression():
 # -- progression probe -------------------------------------------------------
 
 def test_a_maximal_probe_fixtures():
-    assert a_maximal_probe(PeriodicSet.naturals(), 7)
-    assert a_maximal_probe(PeriodicSet.evens(), 5)
+    assert a_maximal_probe(PeriodicSet(1, {0}), 7)
+    assert a_maximal_probe(PeriodicSet(2, {0}), 5)
     assert not a_maximal_probe(FiniteSet(2**k for k in range(9)), 3)
     assert a_maximal_probe(FiniteSet((4,)), 1)
     with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prlab.core import parse_matrix, parse_poly
+from prlab.core import Poly, parse_matrix, parse_poly
 from prlab.rado import (
     ColumnsConditionCertificate,
     affine_pr,
@@ -221,6 +221,40 @@ def test_blocking_prime_fixtures():
     # all of 2, 3, 5 divide some subset sum here; the answer lies past
     # 1 + max|sum|, so no a-priori prime cap is safe
     assert blocking_prime([1, 1, 1, 2]) == 7
+
+
+def _oracle(coeffs):
+    """Brute force over every nonempty subset: the least subset (by size,
+    then lexicographic) that sums to zero, and the least prime dividing no
+    subset sum when there is none."""
+    subsets = [sub for size in range(1, len(coeffs) + 1)
+               for sub in combinations(range(len(coeffs)), size)]
+    sums = [sum(coeffs[i] for i in sub) for sub in subsets]
+    if 0 in sums:
+        return subsets[sums.index(0)], None
+    p = 2
+    while any(s % p == 0 for s in sums) or any(p % q == 0 for q in range(2, p)):
+        p += 1
+    return None, p
+
+
+def test_blocking_prime_and_linear_pr_match_brute_force_on_seeded_lists():
+    rng = random.Random(19)
+    found = {True: 0, False: 0}  # lists with and without a zero-sum subset
+    for _ in range(2_000):
+        size = rng.randint(1, 12)
+        bound = rng.choice((3, 20, 1_000))  # small bounds make zero sums common
+        coeffs = [rng.choice((-1, 1)) * rng.randint(1, bound) for _ in range(size)]
+        sub, p = _oracle(coeffs)
+        found[sub is not None] += 1
+        assert blocking_prime(coeffs) == p, coeffs
+        if size >= 2:
+            # zero-padded names keep the variables in coefficient order
+            names = [f"x{i:02d}" for i in range(size)]
+            v = linear_pr(Poly((((name, 1),), c) for name, c in zip(names, coeffs)))
+            names = None if sub is None else tuple(names[i] for i in sub)
+            assert (v.pr, v.subset, v.blocking_prime) == (sub is not None, names, p), coeffs
+    assert min(found.values()) >= 500
 
 
 def test_blocking_prime_input_validation():
