@@ -473,12 +473,16 @@ def _embed_bd(args):
 
 
 def _embed_fmap(args):
-    from . import embed
+    from . import embed, search
     F = parse_finite(args.set)
     B = _parse_set_or_periodic(args.target)
     fam = embed.family(args.family, _parse_bounds(args.bounds or ""))
-    got = embed.fmap_witness(F, B, fam)
-    bounds = _bounds_payload(fam)
+    budget = search.NodeBudget(args.max_nodes, embed.DEFAULT_PROBE_BUDGET)
+    bounds = {**_bounds_payload(fam), "max_nodes": budget.limit}
+    try:
+        got = embed.fmap_witness(F, B, fam, budget)
+    except search.SearchBudgetExceeded as exc:
+        return _budget_exceeded(exc, bounds)
     if not got.found():
         return 2, ["no witness within the declared bounds"], "none-within-bounds", None, bounds
     return 0, [f"witness: {fam.describe(got.params)}"], "witness", {"params": got.params}, bounds
@@ -660,7 +664,7 @@ VERBS = (
          (_arg("--set", required=True, help="finite pattern"),
           _arg("--in", dest="target", required=True, help="target set (finite or periodic)"),
           _arg("--family", required=True),
-          _arg("--bounds", help="e.g. a=1..10,b=0..20")),
+          _arg("--bounds", help="e.g. a=1..10,b=0..20"), _MAX_NODES),
          _embed_fmap),
     Verb("embed apmax", "progression probe", "windowed-progression-scan",
          (_arg("spec", help="finite set or periodic spec"),

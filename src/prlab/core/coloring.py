@@ -8,7 +8,7 @@ from .poly import read_ints
 
 
 class Coloring:
-    __slots__ = ("lo", "hi", "_colors", "num_colors")
+    __slots__ = ("lo", "hi", "_colors", "num_colors", "_classes")
 
     def __init__(self, lo: int, values, num_colors: int | None = None):
         vals = tuple(map(index, values))
@@ -22,6 +22,7 @@ class Coloring:
         self.num_colors = max(vals) if num_colors is None else num_colors
         if self.num_colors < max(vals):
             raise ValueError("num_colors smaller than a used color")
+        self._classes = None
 
     @classmethod
     def from_text(cls, text: str, lo: int = 1) -> "Coloring":
@@ -39,12 +40,20 @@ class Coloring:
     def values(self) -> tuple[int, ...]:
         return self._colors
 
+    @property
+    def classes(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Each color with the ascending tuple of its points, in order of the
+        colors' first appearance; computed on first use, then kept."""
+        if self._classes is None:
+            members: dict[int, list[int]] = {}
+            for n, c in enumerate(self._colors, self.lo):
+                members.setdefault(c, []).append(n)
+            self._classes = tuple((c, tuple(ns)) for c, ns in members.items())
+        return self._classes
+
     def color_classes(self) -> dict[int, list[int]]:
         """Map color -> ascending list of points with that color."""
-        classes: dict[int, list[int]] = {}
-        for n in range(self.lo, self.hi + 1):
-            classes.setdefault(self._colors[n - self.lo], []).append(n)
-        return classes
+        return {c: list(ns) for c, ns in self.classes}
 
     def __eq__(self, other):
         if not isinstance(other, Coloring):

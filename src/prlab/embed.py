@@ -285,7 +285,8 @@ DEFAULT_PROBE_SAMPLES = (
     FiniteSet((0, 1, 2)),
     FiniteSet((2, 5, 8)),
 )
-# The probe's default node budget: about 7 s of scanning on a 2-vCPU host.
+# The default node budget of the probe and of `embed fmap`: about 7 s of the
+# probe's scanning on a 2-vCPU host.
 DEFAULT_PROBE_BUDGET = 10**7
 
 

@@ -180,8 +180,13 @@ class _LinearRows:
     an ascending value list: a linear equation is one row, A x = 0 has one row
     per matrix row.  The state is what each row's unassigned variables still
     owe; variables j and later reach sums in [lows[j], highs[j]].  When a row's
-    masks fit in MAX_MASK_BITS, masks[j] has bit s - lows[j] set for every
-    reachable s, which makes feasibility exact."""
+    masks fit in MAX_MASK_BITS, masks[j] for j >= 1 has bit s - lows[j] set
+    for every reachable s, which makes feasibility exact.
+
+    _walk asks depth 0 once, of the start state, so depth 0 is decided here.
+    A start outside some row's depth-0 interval needs no masks at all.
+    Otherwise masks[0], the largest, is never built: its bit for the start is
+    one AND of masks[1] with the shifts -c0·x of the first variable."""
 
     def __init__(self, rows, constants, values):
         self.rows = rows
@@ -190,17 +195,29 @@ class _LinearRows:
         vmin, vmax = values[0], values[-1]
         self.tables = []
         for row in rows:
-            exact = len(row) * sum(map(abs, row)) * (vmax - vmin) <= MAX_MASK_BITS
             lows, highs = [0] * (len(row) + 1), [0] * (len(row) + 1)
-            masks = [0] * len(row) + [1] if exact else None
             for j in reversed(range(len(row))):
                 ends = (row[j] * vmin, row[j] * vmax)
                 lows[j], highs[j] = lows[j + 1] + min(ends), highs[j + 1] + max(ends)
-                if masks:
-                    masks[j] = _reach(masks[j + 1], row[j], values)
-            self.tables.append((lows, highs, masks))
+            self.tables.append([lows, highs, None])
+        self.start_reachable = all(
+            lows[0] <= need <= highs[0] for need, (lows, highs, _) in zip(self.start, self.tables))
+        for need, row, table in zip(self.start, rows, self.tables):
+            if not self.start_reachable:
+                break
+            if len(row) * sum(map(abs, row)) * (vmax - vmin) > MAX_MASK_BITS:
+                continue
+            lows, masks = table[0], [None] * len(row) + [1]
+            for j in reversed(range(1, len(row))):
+                masks[j] = _reach(masks[j + 1], row[j], values)
+            shift = need - lows[1] + min(-row[0] * vmin, -row[0] * vmax)
+            hits = masks[1] >> shift if shift >= 0 else masks[1] << -shift
+            self.start_reachable = bool(hits & _reach(1, -row[0], values))
+            table[2] = masks
 
     def feasible(self, owed, depth: int) -> bool:
+        if not depth:
+            return self.start_reachable
         for need, (lows, highs, masks) in zip(owed, self.tables):
             low = lows[depth]
             if not low <= need <= highs[depth]:
@@ -300,19 +317,19 @@ def _walk(constraint, k: int, values, injective: bool, first: bool):
     return out
 
 
-def _solutions(system: SolutionSystem, values, first: bool):
-    """Solutions of the system with every value in the ascending value list,
-    in lexicographic order: all of them, or only the first.  Enumeration
-    walks a nonlinear equation's variables highest partial degree first and
-    sorts; first=True keeps the natural order, where the first found is least."""
+def _solver(system: SolutionSystem, first: bool):
+    """A function of an ascending value list that returns the solutions of the
+    system with every value in it, in lexicographic order: all of them, or
+    only the first.  The system is read once, here, for every list.
+    Enumeration walks a nonlinear equation's variables highest partial degree
+    first and sorts; first=True keeps the natural order, where the first
+    found is least."""
+    order = None
     if system.kind == "ap":
         k = system.ap_length
-        sols = (tuple(a + t * d for t in range(k)) for a, d in _progressions(values, k))
-        return list(islice(sols, 1) if first else sols)
-    order = None
-    if system.kind == "matrix":
+    elif system.kind == "matrix":
         M = system.matrix
-        constraint, k = _LinearRows(M.entries, [0] * M.rows, values), M.cols
+        rows, constants, k = M.entries, [0] * M.rows, M.cols
     else:
         P = system.poly
         variables = P.variables()
@@ -323,16 +340,22 @@ def _solutions(system: SolutionSystem, values, first: bool):
             raise ValueError(f"partial degree exceeds enumeration bound {MAX_POLY_PARTIAL_DEGREE}")
         coeffs = linear_coefficients(P)
         if coeffs is not None:
-            constraint = _LinearRows([coeffs], [P.constant], values)
+            rows, constants = [coeffs], [P.constant]
         else:
             order = variables if first else sorted(
                 variables, key=lambda v: (-props.partial_degrees[v], v))
-            constraint = _PolyResidual(P, order, values[0], values[-1])
-    sols = _walk(constraint, k, values, system.injective, first)
-    if order is None:
-        return sols
-    slots = [order.index(v) for v in variables]
-    return sorted(tuple(sol[i] for i in slots) for sol in sols)
+            slots = [order.index(v) for v in variables]
+
+    def solve(values):
+        if system.kind == "ap":
+            sols = (tuple(a + t * d for t in range(k)) for a, d in _progressions(values, k))
+            return list(islice(sols, 1) if first else sols)
+        if order is None:
+            return _walk(_LinearRows(rows, constants, values), k, values, system.injective, first)
+        constraint = _PolyResidual(P, order, values[0], values[-1])
+        sols = _walk(constraint, k, values, system.injective, first)
+        return sorted(tuple(sol[i] for i in slots) for sol in sols)
+    return solve
 
 
 def enumerate_solutions(system: SolutionSystem, n: int):
@@ -340,7 +363,7 @@ def enumerate_solutions(system: SolutionSystem, n: int):
     lexicographically; distinct-valued when the system is injective."""
     if n < 1:
         raise ValueError("bound must be >= 1")
-    return _solutions(system, range(1, n + 1), False)
+    return _solver(system, False)(range(1, n + 1))
 
 
 def solutions_by_max(system: SolutionSystem, n: int):
@@ -589,7 +612,8 @@ def forcing_number(
 def mono_witness(coloring: Coloring, system: SolutionSystem):
     """Lexicographically least monochromatic solution whose values all lie in
     one color class of the coloring, or None."""
-    found = (_solutions(system, values, True) for values in coloring.color_classes().values())
+    solve = _solver(system, True)
+    found = (solve(values) for _, values in coloring.classes)
     return min((w[0] for w in found if w), default=None)
 
 

@@ -351,7 +351,7 @@ def test_tensorized_long_flat_sum_exits_zero():
 
 
 def test_retired_threads_and_seed_flags_exit_three():
-    # --max-nodes too: only the two search verbs and embed probe-family take it
+    # --max-nodes too: only the two search verbs, embed fmap and embed probe-family take it
     for flag in (["--threads", "4"], ["--seed", "7"], ["--max-nodes", "-5"]):
         code, out, err = run(["check-linear", "x+y-z", *flag])
         assert code == 3, flag
@@ -579,15 +579,17 @@ HELP_AND_USAGE = [
      ''),
     (['embed', 'fmap', '-h'], 0,
      'usage: prlab embed fmap [-h] [--json] --set SET --in TARGET --family FAMILY\n'
-     '                        [--bounds BOUNDS]\n'
+     '                        [--bounds BOUNDS] [--max-nodes MAX_NODES]\n'
      '\n'
      'options:\n'
-     '  -h, --help       show this help message and exit\n'
-     '  --json           emit one JSON envelope\n'
-     '  --set SET        finite pattern\n'
-     '  --in TARGET      target set (finite or periodic)\n'
+     '  -h, --help            show this help message and exit\n'
+     '  --json                emit one JSON envelope\n'
+     '  --set SET             finite pattern\n'
+     '  --in TARGET           target set (finite or periodic)\n'
      '  --family FAMILY\n'
-     '  --bounds BOUNDS  e.g. a=1..10,b=0..20\n',
+     '  --bounds BOUNDS       e.g. a=1..10,b=0..20\n'
+     '  --max-nodes MAX_NODES\n'
+     '                        total search node budget (>= 0)\n',
      ''),
     (['search', 'bogus'], 3,
      '',
@@ -997,6 +999,25 @@ def test_embed_fmap_verb():
     ])
     assert code == 0
     assert "a=2, b=3" in out
+
+
+def test_embed_fmap_budget():
+    # 10^10 parameter tuples: without a budget the scan runs for hours
+    wide = ["embed", "fmap", "--set", "1,2", "--in", "5", "--family", "affinity",
+            "--bounds", "a=1..100000,b=0..100000", "--max-nodes", "1000"]
+    code, env = run_json(wide)
+    assert (code, env["verdict"], env["certificate"]) == (2, "budget-exceeded", None)
+    assert env["bounds"] == {"family": "affinity", "a": [1, 100000], "b": [0, 100000],
+                             "max_nodes": 1000}
+    assert run(wide) == (2, "search exhausted the node budget after 1001 nodes\n", "")
+    # a=2, b=3 is the 25th parameter tuple tried
+    argv = ["embed", "fmap", "--set", "1,2,3", "--in", "5,7,9,11",
+            "--family", "affinity", "--bounds", "a=1..10,b=0..20"]
+    code, env = run_json(argv)
+    assert (code, env["certificate"], env["bounds"]["max_nodes"]) == (0, {"params": [2, 3]}, 10**7)
+    assert run_json(argv + ["--max-nodes", "25"])[0] == 0
+    assert run(argv + ["--max-nodes", "24"])[0] == 2
+    assert run(argv + ["--max-nodes", "-1"]) == (3, "", "error: node budget must be >= 0\n")
 
 
 def test_embed_fmap_periodic_target():
@@ -1677,7 +1698,7 @@ EXACT = [
      {'verdict': 'witness',
       'certificate': {'params': [2, 3]},
       'provenance': 'bounded-family-parameter-scan',
-      'bounds': {'family': 'affinity', 'a': [1, 10], 'b': [0, 20]}}),
+      'bounds': {'family': 'affinity', 'a': [1, 10], 'b': [0, 20], 'max_nodes': 10000000}}),
     (['embed',
       'fmap',
       '--set',
@@ -1693,7 +1714,7 @@ EXACT = [
      {'verdict': 'none-within-bounds',
       'certificate': None,
       'provenance': 'bounded-family-parameter-scan',
-      'bounds': {'family': 'translation', 'm': [0, 4]}}),
+      'bounds': {'family': 'translation', 'm': [0, 4], 'max_nodes': 10000000}}),
     (['embed',
       'fmap',
       '--set',
@@ -1722,7 +1743,8 @@ EXACT = [
      {'verdict': 'witness',
       'certificate': {'params': [1, 0, 1]},
       'provenance': 'bounded-family-parameter-scan',
-      'bounds': {'family': 'polynomial', 'a0': [0, 1], 'a1': [0, 0], 'a2': [1, 1]}}),
+      'bounds': {'family': 'polynomial', 'a0': [0, 1], 'a1': [0, 0], 'a2': [1, 1],
+                 'max_nodes': 10000000}}),
     (['embed', 'apmax', '1,2,4,8,16', '--len', '3'],
      1,
      'no 3-term progression\n',

@@ -190,6 +190,12 @@ def test_coloring_zero_based_domain():
 def test_coloring_classes():
     c = Coloring(1, [1, 2, 2, 1, 3])
     assert c.color_classes() == {1: [1, 4], 2: [2, 3], 3: [5]}
+    assert c.classes == ((1, (1, 4)), (2, (2, 3)), (3, (5,)))
+    # the lists are the caller's: changing them leaves the next call alone
+    classes = c.color_classes()
+    classes[1].append(9)
+    del classes[2]
+    assert c.color_classes() == {1: [1, 4], 2: [2, 3], 3: [5]}
 
 
 def test_coloring_validation():

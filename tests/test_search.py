@@ -2,7 +2,7 @@ import ast
 import math
 import random
 import time
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -11,7 +11,7 @@ from hypothesis import assume, given, strategies as st
 import prlab
 from prlab import search
 from prlab.core import Coloring, FiniteSet, Poly, parse_matrix, parse_poly
-from prlab.rado import smod
+from prlab.rado import blocking_prime, smod
 from prlab.search import (
     SearchBudgetExceeded,
     _LinearRows,
@@ -580,6 +580,78 @@ def test_blocking_coloring_admits_no_witness_on_long_interval():
 
 def test_progression_witness_below_one():
     assert mono_witness(Coloring(-3, (1, 2, 1, 2, 1, 1, 1)), ap_system(3)) == (-3, -1, 1)
+
+
+def test_witness_matches_brute_force_on_seeded_linear_systems():
+    # one row with a constant or two homogeneous rows, up to four colors on a
+    # domain that may start below one; the rows decide depth 0 when built
+    rng = random.Random(20)
+    found = 0
+    for case in range(400):
+        k = rng.randint(2, 4)
+        if case % 2:
+            rows = [[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(k)]]
+            constants = [rng.choice((0, rng.randint(-9, 9)))]
+            P = Poly({(("wxyz"[i], 1),): c for i, c in enumerate(rows[0])}, constants[0])
+            make = lambda injective: poly_system(P, injective)
+        else:
+            rows = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(2)]
+            constants = [0, 0]
+            M = parse_matrix("\n".join(" ".join(map(str, r)) for r in rows))
+            make = lambda injective: matrix_system(M, injective)
+        injective = rng.random() < 0.3
+        n = rng.randint(1, (14, 10, 7)[k - 2])
+        coloring = Coloring(rng.randint(-2, 2), [rng.randint(1, 4) for _ in range(n)])
+        want = min((
+            xs
+            for cls in coloring.color_classes().values()
+            for xs in product(cls, repeat=k)
+            if all(sum(a * x for a, x in zip(r, xs)) + c == 0 for r, c in zip(rows, constants))
+            and (not injective or len(set(xs)) == k)
+        ), default=None)
+        assert mono_witness(coloring, make(injective)) == want, (rows, constants, coloring)
+        found += want is not None
+    assert 100 <= found <= 300
+
+
+def test_blocking_colorings_admit_no_witness_for_the_sweep_rows():
+    # Rado: a row with no zero-sum subset has no monochromatic solution under
+    # the super-modulo coloring of its least blocking prime
+    entries = (-3, -2, -1, 1, 2, 3)
+    colorings, rows = {}, 0
+    for k in (2, 3, 4):
+        for row in product(entries, repeat=k):
+            if any(sum(sub) == 0 for size in range(1, k + 1) for sub in combinations(row, size)):
+                continue
+            p = blocking_prime(row)
+            if p not in colorings:
+                colorings[p] = Coloring(1, [smod(p, m) for m in range(1, 501)])
+            P = Poly({(("wxyz"[i], 1),): c for i, c in enumerate(row)})
+            assert mono_witness(colorings[p], poly_system(P)) is None, row
+            rows += 1
+    assert rows == 428  # 234 of them with coefficients of one sign
+
+
+def test_depth_zero_builds_no_mask_for_the_first_variable(monkeypatch):
+    calls = []
+
+    def counted(mask, c, values):
+        calls.append(c)
+        return _reach(mask, c, values)
+
+    monkeypatch.setattr(search, "_reach", counted)
+    coloring = Coloring(1, [smod(5, n) for n in range(1, 2001)], num_colors=4)
+    # positive coefficients never sum to zero over positive values: no masks
+    for text in ("x+2*y+3*z", "x+y+z+4*w"):
+        assert mono_witness(coloring, poly_system(parse_poly(text))) is None
+    assert mono_witness(coloring, matrix_system(parse_matrix("1 1 -3\n1 2 3"))) is None
+    assert calls == []
+    # masks for z and y, then the first variable's shifts -1*x: three per class
+    assert mono_witness(coloring, poly_system(parse_poly("x+y-3*z"))) is None
+    assert calls == [-3, 1, -1] * len(coloring.classes)
+    calls.clear()
+    assert mono_witness(coloring, poly_system(parse_poly("x+y+z-4*w"))) is None
+    assert calls == [1, 1, 1, 4] * len(coloring.classes)  # w is the first variable
 
 
 # -- the compiled polynomial residual ---------------------------------------
