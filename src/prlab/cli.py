@@ -244,8 +244,8 @@ def _good_coloring(args):
         return 1, lines, "forced", None, bounds
     values = outcome.coloring.values()
     lines = [f"good coloring found: {' '.join(str(v) for v in values)}"]
-    for color, members in sorted(outcome.coloring.color_classes().items()):
-        lines.append(f"  color {color}: {members}")
+    for color, members in sorted(outcome.coloring.classes):
+        lines.append(f"  color {color}: {list(members)}")
     return 0, lines, "good-coloring", {"colors": values}, bounds
 
 

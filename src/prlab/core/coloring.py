@@ -8,9 +8,9 @@ from .poly import read_ints
 
 
 class Coloring:
-    __slots__ = ("lo", "hi", "_colors", "num_colors", "_classes")
+    __slots__ = ("lo", "hi", "_colors", "_classes")
 
-    def __init__(self, lo: int, values, num_colors: int | None = None):
+    def __init__(self, lo: int, values):
         vals = tuple(map(index, values))
         if not vals:
             raise ValueError("coloring needs a nonempty domain")
@@ -19,9 +19,6 @@ class Coloring:
         self.lo = lo
         self.hi = lo + len(vals) - 1
         self._colors = vals
-        self.num_colors = max(vals) if num_colors is None else num_colors
-        if self.num_colors < max(vals):
-            raise ValueError("num_colors smaller than a used color")
         self._classes = None
 
     @classmethod
@@ -51,10 +48,6 @@ class Coloring:
             self._classes = tuple((c, tuple(ns)) for c, ns in members.items())
         return self._classes
 
-    def color_classes(self) -> dict[int, list[int]]:
-        """Map color -> ascending list of points with that color."""
-        return {c: list(ns) for c, ns in self.classes}
-
     def __eq__(self, other):
         if not isinstance(other, Coloring):
             return NotImplemented
@@ -67,4 +60,4 @@ class Coloring:
         return " ".join(str(c) for c in self._colors)
 
     def __repr__(self):
-        return f"Coloring(lo={self.lo}, hi={self.hi}, r={self.num_colors})"
+        return f"Coloring(lo={self.lo}, hi={self.hi}, r={max(self._colors)})"

@@ -195,12 +195,19 @@ def _zero_sum_subset(coeffs) -> tuple[int, ...] | None:
 
 def _least_blocking_prime(coeffs) -> int:
     """Smallest prime dividing no nonempty subset sum of coefficients that
-    have no zero-sum subset.  For each prime p, bit s of a p-bit mask says
-    some nonempty subset sums to s mod p; each coefficient adds itself and a
-    rotation of the mask.  Every subset sum is nonzero and at most sum |c|
-    in size, so the first prime above that bound always blocks."""
-    total = sum(map(abs, coeffs))
-    p = 2
+    have no zero-sum subset.  Sums of one sign's coefficients, divided by
+    their gcd, cover each integer in [1, run] (greedily, each next one is at
+    most run + 1), so every prime up to run divides a subset sum and is
+    skipped.  For each prime p, bit s of a p-bit mask says some nonempty
+    subset sums to s mod p; each coefficient adds itself and a rotation of
+    the mask.  Every subset sum is nonzero and at most sum |c| in size, so
+    the first prime above that bound always blocks."""
+    g, runs = math.gcd(*coeffs), [0, 0]  # of the negative, positive coefficients
+    for c in sorted(coeffs, key=abs):
+        if abs(c) // g <= runs[c > 0] + 1:
+            runs[c > 0] += abs(c) // g
+    total, run = sum(map(abs, coeffs)), max(runs)
+    p = _next_prime(run) if run > 1 else 2
     while p <= total:
         full, mask = (1 << p) - 1, 0
         for c in coeffs:

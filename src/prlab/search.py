@@ -278,52 +278,48 @@ class _LinearRows:
         return values if x is None else (x,)
 
 
-def _walk(constraint, k: int, values, injective: bool, first: bool):
-    """Depth-first walk over assignments of k variables from the ascending
-    value list, in lexicographic order.  Returns every solution of the
-    constraint, or only the first.  Above the last level the constraint's
-    feasibility test prunes and its candidates are the values tried; it
-    solves the last variable exactly."""
+def _walk(constraint, k: int, values, injective: bool):
+    """Depth-first walk over assignments of k >= 2 variables from the
+    ascending value list, yielding every solution of the constraint in
+    lexicographic order.  Above the last level the constraint's feasibility
+    test prunes and its candidates are the values tried; the last variable
+    is solved exactly in the loop over the second-last one's candidates.
+    One stack holds a (state, candidate iterator) pair per open depth."""
     members = set(values)
     feasible, candidates, assign, last_values = (
         constraint.feasible, constraint.candidates, constraint.assign, constraint.last_values
     )
-    out: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-
-    def walk(depth: int, state) -> bool:
-        if depth == k - 1:
-            for x in last_values(state, values):
-                if x not in members or (injective and x in prefix):
-                    continue
-                out.append((*prefix, x))
-                if first:
-                    return True
-                if len(out) > MAX_SOLUTIONS:
-                    raise ValueError(f"solution count exceeds {MAX_SOLUTIONS}")
-            return False
-        if not feasible(state, depth):
-            return False
-        for x in candidates(state, depth, values):
+    start, last = constraint.start, k - 2
+    prefix: list[int] = []  # the values taken at the depths below the top
+    stack = [(start, iter(candidates(start, 0, values)))] if feasible(start, 0) else []
+    while stack:
+        state, xs = stack[-1]
+        depth = len(prefix)
+        for x in xs:
             if injective and x in prefix:
                 continue
-            prefix.append(x)
-            if walk(depth + 1, assign(state, depth, x)):
-                return True
-            prefix.pop()
-        return False
-
-    walk(0, constraint.start)
-    return out
+            child = assign(state, depth, x)
+            if depth == last:
+                for z in last_values(child, values):
+                    if z in members and not (injective and (z == x or z in prefix)):
+                        yield (*prefix, x, z)
+            elif feasible(child, depth + 1):
+                prefix.append(x)
+                stack.append((child, iter(candidates(child, depth + 1, values))))
+                break
+        else:
+            stack.pop()
+            del prefix[-1:]
 
 
 def _solver(system: SolutionSystem, first: bool):
     """A function of an ascending value list that returns the solutions of the
     system with every value in it, in lexicographic order: all of them, or
-    only the first.  The system is read once, here, for every list.
-    Enumeration walks a nonlinear equation's variables highest partial degree
-    first and sorts; first=True keeps the natural order, where the first
-    found is least."""
+    only the first.  The system is read once, here, for every list, and
+    each list is one lazy stream of solutions, cut after the first or past
+    MAX_SOLUTIONS.  Enumeration walks a nonlinear equation's variables
+    highest partial degree first and sorts; first=True keeps the natural
+    order, where the first found is least."""
     order = None
     if system.kind == "ap":
         k = system.ap_length
@@ -349,12 +345,15 @@ def _solver(system: SolutionSystem, first: bool):
     def solve(values):
         if system.kind == "ap":
             sols = (tuple(a + t * d for t in range(k)) for a, d in _progressions(values, k))
-            return list(islice(sols, 1) if first else sols)
-        if order is None:
-            return _walk(_LinearRows(rows, constants, values), k, values, system.injective, first)
-        constraint = _PolyResidual(P, order, values[0], values[-1])
-        sols = _walk(constraint, k, values, system.injective, first)
-        return sorted(tuple(sol[i] for i in slots) for sol in sols)
+        elif order is None:
+            sols = _walk(_LinearRows(rows, constants, values), k, values, system.injective)
+        else:
+            walk = _walk(_PolyResidual(P, order, values[0], values[-1]), k, values, system.injective)
+            sols = (tuple(sol[i] for i in slots) for sol in walk)
+        sols = list(islice(sols, 1 if first else MAX_SOLUTIONS + 1))
+        if len(sols) > MAX_SOLUTIONS:
+            raise ValueError(f"solution count exceeds {MAX_SOLUTIONS}")
+        return sols if order is None else sorted(sols)
     return solve
 
 
@@ -552,7 +551,7 @@ def _search(index, n: int, r: int, budget: NodeBudget) -> SearchOutcome:
                 if stop.value is None:
                     return SearchOutcome(True, None, nodes)
                 if walker is lex:
-                    coloring = Coloring(1, stop.value, num_colors=r)
+                    coloring = Coloring(1, stop.value)
                     _check_good_coloring(coloring, index)
                     return SearchOutcome(False, coloring, nodes)
                 race = [lex]  # fail-first found a coloring, maybe not the least

@@ -57,7 +57,7 @@ def test_01_two_color_sum_equation_forcing():
 
     outcome = good_coloring(poly_system(parse_poly("x+y-z")), 4, 2)
     assert not outcome.forced
-    assert outcome.coloring.color_classes() == {1: [1, 4], 2: [2, 3]}
+    assert outcome.coloring.classes == ((1, (1, 4)), (2, (2, 3)))
 
     # oracle: all 2^4 colorings, good ones are exactly {1,4}/{2,3} either way
     triples = [(x, y, x + y) for x in range(1, 5) for y in range(x, 5) if x + y <= 4]

@@ -314,6 +314,17 @@ def test_blocking_prime_of_twenty_powers_of_three_is_quick():
     assert (out.returncode, out.stdout, out.stderr) == (0, "blocking prime: 59051\n", "")
 
 
+def test_blocking_prime_of_twenty_powers_of_two_is_quick():
+    # halved, the sums of 2, 4, ..., 2^20 cover [1, 2^20 - 1]: every prime
+    # up to there divides one, so the scan starts above it instead of
+    # building a mask for each of them, which took about 19 s
+    coeffs = ",".join(str(2**i) for i in range(1, 21))
+    env = dict(os.environ, PYTHONPATH=str(Path(prlab.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-m", "prlab.cli", "blocking-prime", coeffs],
+                         capture_output=True, text=True, env=env, timeout=10)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "blocking prime: 1048583\n", "")
+
+
 def test_poly_check_searches_for_the_blocking_prime_once(monkeypatch):
     steps = []  # every prime a search steps past
     next_prime = rado._next_prime
@@ -777,6 +788,16 @@ def test_witness_verb(tmp_path):
     g.write_text("1 2 2 1\n")
     code, out, _ = run(["search", "witness", "--poly", "x+y-z", "--coloring", str(g)])
     assert code == 1
+
+
+def test_witness_over_1500_variables_answers(tmp_path):
+    # the walk keeps its own stack: one level per variable no longer reaches
+    # Python's recursion limit, which made this exit 3
+    f = tmp_path / "ones.txt"
+    f.write_text(" ".join(["1"] * 2000) + "\n")
+    expr = "+".join(f"x{i}" for i in range(1500)) + "-y"
+    code, out, err = run(["search", "witness", "--poly", expr, "--coloring", str(f)])
+    assert (code, out, err) == (0, f"monochromatic solution: {[1] * 1500 + [1500]}\n", "")
 
 
 def test_vdw_extraction_verb(tmp_path):

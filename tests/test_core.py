@@ -177,7 +177,7 @@ def test_coloring_from_text():
     c = Coloring.from_text("1 2 2 1\n")
     assert (c.lo, c.hi) == (1, 4)
     assert c.values() == (1, 2, 2, 1)
-    assert c.num_colors == 2
+    assert repr(c) == "Coloring(lo=1, hi=4, r=2)"
     assert c.color(3) == 2
 
 
@@ -189,13 +189,8 @@ def test_coloring_zero_based_domain():
 
 def test_coloring_classes():
     c = Coloring(1, [1, 2, 2, 1, 3])
-    assert c.color_classes() == {1: [1, 4], 2: [2, 3], 3: [5]}
     assert c.classes == ((1, (1, 4)), (2, (2, 3)), (3, (5,)))
-    # the lists are the caller's: changing them leaves the next call alone
-    classes = c.color_classes()
-    classes[1].append(9)
-    del classes[2]
-    assert c.color_classes() == {1: [1, 4], 2: [2, 3], 3: [5]}
+    assert c.classes is c.classes  # computed once, then kept
 
 
 def test_coloring_validation():
@@ -205,8 +200,6 @@ def test_coloring_validation():
         Coloring(1, [])
     with pytest.raises(ValueError, match="1-based"):
         Coloring(1, [0, 1])
-    with pytest.raises(ValueError, match="num_colors"):
-        Coloring(1, [1, 3], num_colors=2)
     with pytest.raises(ValueError, match="empty coloring text"):
         Coloring.from_text("   ")
 

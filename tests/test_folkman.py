@@ -66,7 +66,7 @@ def test_monochromatic_sums_imply_weak_monochromaticity():
         values = [
             color if v in F else rng.randint(1, 3) for v in range(1, F.max() + 1)
         ]
-        assert weakly_monochromatic(Coloring(1, tuple(values), num_colors=3), S)
+        assert weakly_monochromatic(Coloring(1, tuple(values)), S)
 
 
 # -- the block matrix -------------------------------------------------------

@@ -35,6 +35,22 @@ SCHUR = poly_system(parse_poly("x+y-z"))
 
 # -- enumeration ------------------------------------------------------------
 
+def test_every_solution_source_has_one_cap(monkeypatch):
+    # progressions, linear rows and polynomial residuals are cut alike
+    monkeypatch.setattr(search, "MAX_SOLUTIONS", 5)
+    for system in (
+        ap_system(3),
+        SCHUR,
+        matrix_system(parse_matrix("1 1 -1")),
+        poly_system(parse_poly("x*y-z")),
+    ):
+        with pytest.raises(ValueError, match="solution count exceeds 5"):
+            enumerate_solutions(system, 10)
+    assert len(enumerate_solutions(ap_system(4), 7)) == 5  # at the cap, not past it
+    # a witness takes the first solution only
+    assert mono_witness(Coloring(1, [1] * 10), ap_system(3)) == (1, 2, 3)
+
+
 def test_enumerate_schur_injective():
     s = poly_system(parse_poly("x+y-z"), injective=True)
     assert enumerate_solutions(s, 4) == [(1, 2, 3), (1, 3, 4), (2, 1, 3), (3, 1, 4)]
@@ -512,10 +528,8 @@ def test_witness_is_lexicographically_least_monochromatic_solution():
         for _ in range(25):
             n = rng.randint(3, 14)
             r = rng.randint(1, 3)
-            coloring = Coloring(
-                1, tuple(rng.randint(1, r) for _ in range(n)), num_colors=r
-            )
-            classes = {c: set(v) for c, v in coloring.color_classes().items()}
+            coloring = Coloring(1, tuple(rng.randint(1, r) for _ in range(n)))
+            classes = {c: set(v) for c, v in coloring.classes}
             mono = [
                 sol
                 for sol in enumerate_solutions(system, n)
@@ -526,7 +540,7 @@ def test_witness_is_lexicographically_least_monochromatic_solution():
 
 
 def brute_witness(holds, k, coloring, injective=False):
-    classes = [set(v) for v in coloring.color_classes().values()]
+    classes = [set(v) for _, v in coloring.classes]
     mono = [
         xs
         for xs in brute_solutions(holds, k, coloring.hi, injective)
@@ -548,9 +562,7 @@ def test_witness_with_cubic_last_variable_matches_brute_force():
             for _ in range(20):
                 n = rng.randint(3, 16)
                 r = rng.randint(1, 3)
-                coloring = Coloring(
-                    1, tuple(rng.randint(1, r) for _ in range(n)), num_colors=r
-                )
+                coloring = Coloring(1, tuple(rng.randint(1, r) for _ in range(n)))
                 want = brute_witness(holds, 3, coloring, injective)
                 assert mono_witness(coloring, system) == want, (text, coloring)
 
@@ -562,14 +574,14 @@ def test_injective_two_row_matrix_witness_matches_brute_force():
     for _ in range(30):
         n = rng.randint(4, 14)
         r = rng.randint(1, 3)
-        coloring = Coloring(1, tuple(rng.randint(1, r) for _ in range(n)), num_colors=r)
+        coloring = Coloring(1, tuple(rng.randint(1, r) for _ in range(n)))
         want = brute_witness(holds, 4, coloring, injective=True)
         assert mono_witness(coloring, system) == want, coloring
     assert mono_witness(Coloring(1, (1,) * 8), system) == (1, 2, 3, 5)
 
 
 def test_blocking_coloring_admits_no_witness_on_long_interval():
-    coloring = Coloring(1, [smod(5, n) for n in range(1, 2001)], num_colors=4)
+    coloring = Coloring(1, [smod(5, n) for n in range(1, 2001)])
     for system in (
         poly_system(parse_poly("x+y-3*z")),
         poly_system(parse_poly("x+y+z-4*w")),
@@ -604,7 +616,7 @@ def test_witness_matches_brute_force_on_seeded_linear_systems():
         coloring = Coloring(rng.randint(-2, 2), [rng.randint(1, 4) for _ in range(n)])
         want = min((
             xs
-            for cls in coloring.color_classes().values()
+            for _, cls in coloring.classes
             for xs in product(cls, repeat=k)
             if all(sum(a * x for a, x in zip(r, xs)) + c == 0 for r, c in zip(rows, constants))
             and (not injective or len(set(xs)) == k)
@@ -640,7 +652,7 @@ def test_depth_zero_builds_no_mask_for_the_first_variable(monkeypatch):
         return _reach(mask, c, values)
 
     monkeypatch.setattr(search, "_reach", counted)
-    coloring = Coloring(1, [smod(5, n) for n in range(1, 2001)], num_colors=4)
+    coloring = Coloring(1, [smod(5, n) for n in range(1, 2001)])
     # positive coefficients never sum to zero over positive values: no masks
     for text in ("x+2*y+3*z", "x+y+z+4*w"):
         assert mono_witness(coloring, poly_system(parse_poly(text))) is None
@@ -750,7 +762,7 @@ def test_linear_walk_matches_brute_force(case, injective, lo, data):
     coloring = Coloring(lo, data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
     mono = [
         xs
-        for cls in coloring.color_classes().values()
+        for _, cls in coloring.classes
         for xs in product(cls, repeat=k)
         if holds(xs) and (not injective or len(set(xs)) == k)
     ]
