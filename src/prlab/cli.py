@@ -139,10 +139,7 @@ def _check_matrix(args):
     ):
         extra = "" if combo is None else f"  via {tuple(str(c) for c in combo)}"
         lines.append(f"block {i}: columns {list(block)}{extra}")
-    combinations = [[str(c) for c in combo] for combo in cert.combinations]
-    return 0, lines, "columns-condition-satisfied", {
-        "blocks": cert.blocks, "combinations": combinations,
-    }
+    return 0, lines, "columns-condition-satisfied", cert._asdict()
 
 
 def _check_linear(args):
@@ -426,13 +423,7 @@ def _omega_verify354(args):
         lines.extend(ledger)
     lines.append(f"zero check: {'pass' if result.zero_check else 'fail'}")
     lines.append(f"distinct check: {'pass' if result.distinct_check else 'fail'}")
-    cert = {
-        "xi": result.xi,
-        "eta": result.eta,
-        "ledger": ledger,
-        "zero_check": result.zero_check,
-        "distinct_check": result.distinct_check,
-    }
+    cert = {**result._asdict(), "ledger": ledger}
     return (0 if ok else 1), lines, "balanced" if ok else "unbalanced", cert
 
 

@@ -83,13 +83,6 @@ class Poly:
                 seen.add(v)
         return tuple(sorted(seen))
 
-    def coefficients(self) -> tuple[int, ...]:
-        """Monomial coefficients in stored (first-appearance) order."""
-        return tuple(self.monomials.values())
-
-    def monomial_items(self) -> tuple[tuple[MonomialKey, int], ...]:
-        return tuple(self.monomials.items())
-
     # -- arithmetic --------------------------------------------------------
 
     def __neg__(self) -> "Poly":

@@ -61,9 +61,10 @@ def fe_periodic(A: PeriodicSet, B: PeriodicSet) -> bool:
     rb = _expanded_residues(B, p)
     occupied = ra | {q % p for q in A.prefix}
 
-    for r in range(p):
-        if all((x + r) % p in rb for x in occupied):
-            return True
+    # a rotation that works sends the least occupied residue onto one of B's
+    a0 = min(occupied, default=None)
+    if a0 is None or any(all((x + b - a0) % p in rb for x in occupied) for b in rb):
+        return True
 
     for n in range(B.threshold):
         if not all((x + n) % p in rb for x in ra):
@@ -241,7 +242,6 @@ class FmapResult(NamedTuple):
     "none within the declared bounds", never a definitive negative."""
 
     params: tuple | None
-    status: str  # "witness" | "none-within-bounds"
 
     def found(self) -> bool:
         return self.params is not None
@@ -259,8 +259,8 @@ def fmap_witness(F: FiniteSet, B, fam: FamilySpec, budget: NodeBudget | None = N
         if budget is not None:
             budget.spend()
         if all(fam.apply(params, x) in B for x in elems):
-            return FmapResult(tuple(params), "witness")
-    return FmapResult(None, "none-within-bounds")
+            return FmapResult(tuple(params))
+    return FmapResult(None)
 
 
 def a_maximal_probe(A, L: int) -> bool:

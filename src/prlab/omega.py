@@ -138,19 +138,9 @@ def _depths(form: Poly) -> list[int]:
 def form_text(form: Poly) -> str:
     """Monomials by total degree, then by key; depth 0 prints as the bare
     atom, depth k as Sk(atom)."""
-    parts = []
-    for key in sorted(form.monomials, key=lambda k: (sum(e for _, e in k), k)):
-        c = form.monomials[key]
-        body = "*".join(
-            (n if d == 0 else f"S{d}({n})") + (f"^{e}" if e > 1 else "")
-            for (n, d), e in key
-        )
-        text = body if c == 1 else f"-{body}" if c == -1 else f"{c}*{body}"
-        parts.append(text if not parts or text.startswith("-") else "+" + text)
-    if form.constant or not parts:
-        text = str(form.constant)
-        parts.append("+" + text if parts and form.constant > 0 else text)
-    return "".join(parts)
+    keys = sorted(form.monomials, key=lambda k: (sum(e for _, e in k), k))
+    return str(Poly({tuple((n if d == 0 else f"S{d}({n})", e) for (n, d), e in key):
+                     form.monomials[key] for key in keys}, form.constant))
 
 
 def canonical(t: OmegaTerm) -> Poly:
@@ -317,16 +307,8 @@ class LedgerLine(NamedTuple):
 
 
 class TableConstructionResult(NamedTuple):
-    c: tuple[int, ...]
-    d: tuple[int, ...]
-    beta_rows: tuple[tuple[int, ...], ...]
-    beta_generic: tuple[int, ...]
-    gamma_rows: tuple[tuple[int, ...], ...]
-    gamma_generic: tuple[int, ...]
     xi: tuple[tuple[int, ...], ...]
     eta: tuple[tuple[int, ...], ...]
-    xi_terms: tuple[OmegaTerm, ...]
-    eta_terms: tuple[OmegaTerm, ...]
     ledger: tuple[LedgerLine, ...]
     zero_check: bool
     distinct_check: bool
@@ -395,30 +377,14 @@ def verify_table_construction(c, d) -> TableConstructionResult:
         if sum(plus) != sum(minus):
             zero = False
 
-    xi_terms = tuple(vector_term(v) for v in xi)
-    eta_terms = tuple(vector_term(v) for v in eta)
     combo = Poly.zero()
-    for ci, t in zip(c, xi_terms):
-        combo = combo + ci * canonical(t)
-    for dj, t in zip(d, eta_terms):
-        combo = combo - dj * canonical(t)
+    for ci, v in zip(c, xi):
+        combo = combo + ci * canonical(vector_term(v))
+    for dj, v in zip(d, eta):
+        combo = combo - dj * canonical(vector_term(v))
     if combo.is_zero() != zero:
         raise RuntimeError("internal check failed: symbolic and ledger verdicts differ")
 
     vectors = xi + eta
     distinct = len(set(vectors)) == len(vectors)
-    return TableConstructionResult(
-        c=c,
-        d=d,
-        beta_rows=beta_rows,
-        beta_generic=beta_generic,
-        gamma_rows=gamma_rows,
-        gamma_generic=gamma_generic,
-        xi=xi,
-        eta=eta,
-        xi_terms=xi_terms,
-        eta_terms=eta_terms,
-        ledger=tuple(ledger),
-        zero_check=zero,
-        distinct_check=distinct,
-    )
+    return TableConstructionResult(xi, eta, tuple(ledger), zero, distinct)

@@ -39,13 +39,13 @@ def reduct(P: Poly) -> Poly:
     coefficients are P's monomial coefficients in stored order."""
     _require_zero_constant(P)
     keys = [((f"y{i}", 1),) for i in range(1, len(P.monomials) + 1)]
-    return Poly(zip(keys, P.coefficients()))
+    return Poly(zip(keys, P.monomials.values()))
 
 
 def _private_variables(P: Poly) -> list[tuple[str, ...]]:
     """For each monomial, its variables that occur in no other monomial."""
     _require_zero_constant(P)
-    monomials = [key for key, _ in P.monomial_items()]
+    monomials = list(P.monomials)
     if len(monomials) > MAX_EXCLUSIVE_MONOMIALS:
         raise ValueError(f"too many monomials (max {MAX_EXCLUSIVE_MONOMIALS})")
     occurrences: dict[str, int] = {}
@@ -103,7 +103,7 @@ def necessary_check(P: Poly) -> PrVerdict:
     _require_zero_constant(P)
     if not poly_props(P).is_homogeneous:
         return PrVerdict("unknown", notes=("not homogeneous",))
-    p = blocking_prime(P.coefficients())
+    p = blocking_prime(P.monomials.values())
     if p is None:
         return PrVerdict("unknown", notes=("reduct has a zero-sum coefficient subset",))
     return PrVerdict(
@@ -161,7 +161,7 @@ def reciprocal(P: Poly) -> Poly:
     d = props.degree
     variables = P.variables()
     items = []
-    for key, coeff in P.monomial_items():
+    for key, coeff in P.monomials.items():
         exps = dict(key)
         flipped = ((v, d - exps.get(v, 0)) for v in variables)
         items.append((tuple((v, e) for v, e in flipped if e), coeff))
@@ -202,12 +202,12 @@ def transform(P: Poly, kind: str, z: int | None = None) -> TransformResult:
     the positive reals)."""
     if kind == "negate_vars":
         items = ((key, -coeff if sum(e for _, e in key) % 2 else coeff)
-                 for key, coeff in P.monomial_items())
+                 for key, coeff in P.monomials.items())
         return TransformResult(Poly(items, P.constant), "Z")
     if kind == "power":
         if z is None or z < 1:
             raise ValueError("power transform needs an integer z >= 1")
-        items = ((tuple((v, e * z) for v, e in key), coeff) for key, coeff in P.monomial_items())
+        items = ((tuple((v, e * z) for v, e in key), coeff) for key, coeff in P.monomials.items())
         return TransformResult(Poly(items, P.constant), "R+")
     raise ValueError(f"unknown transform kind {kind!r}")
 
@@ -242,7 +242,7 @@ def invariance(P: Poly) -> InvarianceFlags:
     both = {v: a_vars[v] + b_vars[v] for v in P.variables()}
     additive = P.substitute(both) == P.substitute(a_vars) + P.substitute(b_vars)
 
-    items = P.monomial_items()
+    items = P.monomials.items()
     multiplicative = (
         len(items) == 2
         and sorted(coeff for _, coeff in items) == [-1, 1]

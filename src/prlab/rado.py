@@ -18,6 +18,8 @@ from .core import IntMatrix, Poly, linear_coefficients
 
 MAX_COLUMNS = 20
 MAX_COEFFS = 20
+# trial division decides primality up to here in well under a second
+MAX_SMOD_MODULUS = 10**12
 
 
 # -- small prime helpers ----------------------------------------------------
@@ -262,7 +264,6 @@ class AffinePrVerdict(NamedTuple):
     k: int | None = None
     z: int | None = None
     subset: tuple[str, ...] | None = None
-    notes: tuple[str, ...] = ("constant solutions are searched over k >= 1",)
 
 
 def affine_pr(P: Poly) -> AffinePrVerdict:
@@ -350,7 +351,6 @@ class ParametricSolution(NamedTuple):
     zs = z * bezout the scaled ones actually used by the assignment.
     """
 
-    k: int
     zs: tuple[int, ...]
     bezout: tuple[int, ...]
     m: int
@@ -392,7 +392,6 @@ def parametric_solution(P: Poly, J) -> ParametricSolution:
     if coef_a != 0 or coef_b != 0:
         raise RuntimeError("internal check failed: parametric family does not vanish")
     return ParametricSolution(
-        k=len(j_vars),
         zs=zs,
         bezout=tuple(bez),
         m=m,
@@ -409,6 +408,8 @@ def parametric_solution(P: Poly, J) -> ParametricSolution:
 def smod(p: int, n: int) -> int:
     """Color of n under the super-modulo-p coloring: write n = a * p^k with
     p not dividing a, and return a mod p (a color in 1..p-1)."""
+    if p > MAX_SMOD_MODULUS:
+        raise ValueError("p must be at most 10^12")
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if n < 1:

@@ -13,7 +13,7 @@ import pytest
 
 import prlab
 import test_omega
-from prlab import rado, search
+from prlab import omega, polyreg, rado, search
 from prlab.cli import main
 from prlab.core.coloring import Coloring
 from prlab.core.poly import parse_poly
@@ -33,6 +33,14 @@ def run_json(argv):
     lines = [ln for ln in out.splitlines() if ln.strip()]
     assert len(lines) == 1, "json mode must print exactly one envelope"
     return code, json.loads(lines[0])
+
+
+def run_process(argv):
+    """The CLI in a child interpreter, as users run it, given 10 s."""
+    env = dict(os.environ, PYTHONPATH=str(Path(prlab.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-m", "prlab.cli", *argv],
+                         capture_output=True, text=True, env=env, timeout=10)
+    return out.returncode, out.stdout, out.stderr
 
 
 ENVELOPE_KEYS = {"verdict", "certificate", "provenance", "timing_ms", "bounds"}
@@ -212,6 +220,24 @@ def test_internal_check_failure_exits_three(monkeypatch, tmp_path):
     assert out == ""
     assert err.startswith("error: internal check failed: ")
 
+    # squared entries: a uniform rescaling of every vector would still vanish
+    vector_term = omega.vector_term
+    monkeypatch.setattr(omega, "vector_term",
+                        lambda vec, atom="a": vector_term([x * x for x in vec], atom))
+    # one multiplier moved: moving every one by the same amount keeps the family
+    monkeypatch.setattr(rado, "_normalize_bezout", lambda coeffs, bez: [bez[0] + 1, *bez[1:]])
+    monkeypatch.setattr(polyreg, "sufficient_ipr", lambda P: polyreg.PrVerdict("unknown"))
+    monkeypatch.setattr(search, "is_mono_3ap", lambda coloring, triple: False)
+    coloring = tmp_path / "v.txt"
+    coloring.write_text(" ".join(str(1 + n % 5 // 3) for n in range(325)) + "\n")
+    for argv in (["omega", "verify354", "--c", "3,2,4", "--d", "1,8"],
+                 ["parametric", "x+y-z", "--subset", "x,z"],
+                 ["poly", "construct3513", "--linear", "x+y-z", "--subsets", "1|2|3", "-n", "3"],
+                 ["vdw", "extract325", "--coloring", str(coloring)]):
+        code, out, err = run(argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("error: internal check failed: "), argv
+
 
 def test_deeply_nested_omega_term_exits_three():
     code, out, err = run(["omega", "eval", "(" * 2000 + "a" + ")" * 2000])
@@ -298,20 +324,14 @@ def test_equation_past_the_coefficient_cap_exits_three_at_once():
     # every extra coefficient doubled the subset scan that ran before the
     # cap was checked: about 75 s for these 26 coefficients
     expr = "+".join(f"x{i}" for i in range(1, 27))
-    env = dict(os.environ, PYTHONPATH=str(Path(prlab.__file__).resolve().parents[1]))
-    out = subprocess.run([sys.executable, "-m", "prlab.cli", "check-linear", expr],
-                         capture_output=True, text=True, env=env, timeout=10)
-    assert (out.returncode, out.stdout, out.stderr) == (3, "", "error: more than 20 coefficients\n")
+    assert run_process(["check-linear", expr]) == (3, "", "error: more than 20 coefficients\n")
 
 
 def test_blocking_prime_of_twenty_powers_of_three_is_quick():
     # 2^20 distinct subset sums: testing each prime against all of them took
     # about 22 s and 167 MB; one subset scan and residue masks take about 1 s
     coeffs = ",".join(str(3**i) for i in range(20))
-    env = dict(os.environ, PYTHONPATH=str(Path(prlab.__file__).resolve().parents[1]))
-    out = subprocess.run([sys.executable, "-m", "prlab.cli", "blocking-prime", coeffs],
-                         capture_output=True, text=True, env=env, timeout=10)
-    assert (out.returncode, out.stdout, out.stderr) == (0, "blocking prime: 59051\n", "")
+    assert run_process(["blocking-prime", coeffs]) == (0, "blocking prime: 59051\n", "")
 
 
 def test_blocking_prime_of_twenty_powers_of_two_is_quick():
@@ -319,10 +339,24 @@ def test_blocking_prime_of_twenty_powers_of_two_is_quick():
     # up to there divides one, so the scan starts above it instead of
     # building a mask for each of them, which took about 19 s
     coeffs = ",".join(str(2**i) for i in range(1, 21))
-    env = dict(os.environ, PYTHONPATH=str(Path(prlab.__file__).resolve().parents[1]))
-    out = subprocess.run([sys.executable, "-m", "prlab.cli", "blocking-prime", coeffs],
-                         capture_output=True, text=True, env=env, timeout=10)
-    assert (out.returncode, out.stdout, out.stderr) == (0, "blocking prime: 1048583\n", "")
+    assert run_process(["blocking-prime", coeffs]) == (0, "blocking prime: 1048583\n", "")
+
+
+def test_coprime_periods_decide_at_once():
+    # a rotation that works sends A's least residue onto one of B's, so only
+    # those are tried: trying every one below lcm(10007, 10009) ran past 60 s
+    argv = ["embed", "fe", "--periodic", "p=10007; residues={1}",
+            "--in-periodic", "p=10009; residues={1}"]
+    assert run_process(argv) == (1, "not finitely embeddable\n", "")
+
+
+def test_smod_refuses_a_modulus_above_ten_to_the_twelve():
+    # trial division on 2^61 - 1 ran past 20 s; up to 10^12 it takes well
+    # under a second
+    assert run_process(["smod", str(2**61 - 1), "5"]) == (
+        3, "", "error: p must be at most 10^12\n")
+    assert run_process(["smod", "999999999989", "5"]) == (
+        0, "smod(999999999989) color of 5: 5\n", "")
 
 
 def test_poly_check_searches_for_the_blocking_prime_once(monkeypatch):

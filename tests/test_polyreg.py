@@ -186,7 +186,7 @@ def test_construction_keeps_the_linear_coefficients():
             for _ in range(k)
         ]
         got = attach_products(L, subsets, n)
-        assert sorted(got.poly.coefficients()) == sorted(L.coefficients())
+        assert sorted(got.poly.monomials.values()) == sorted(L.monomials.values())
         assert reduct(got.poly) == reduct(L)
 
 

@@ -322,7 +322,7 @@ def test_affine_constant_route_demands_positive_k():
 
 def test_parametric_schur_family():
     ps = parametric_solution(parse_poly("x+y-z"), ["x", "z"])
-    assert (ps.k, ps.c, ps.d, ps.m, ps.z) == (2, 1, 1, 1, -1)
+    assert (len(ps.j_vars), ps.c, ps.d, ps.m, ps.z) == (2, 1, 1, 1, -1)
     assert ps.j_vars == ("x", "z") and ps.other_vars == ("y",)
     # raw multipliers satisfy the gcd identity over the subset
     assert 1 * ps.bezout[0] + (-1) * ps.bezout[1] == ps.c
