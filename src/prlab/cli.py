@@ -488,8 +488,8 @@ def _embed_apmax(args):
 def _embed_probe_family(args):
     from . import embed, search
     fam = embed.family(args.family, _parse_bounds(args.bounds or ""))
-    budget = search.NodeBudget(args.max_nodes, embed.DEFAULT_PROBE_BUDGET).limit
-    bounds = {**_bounds_payload(fam), "max_nodes": budget}
+    budget = search.NodeBudget(args.max_nodes, embed.DEFAULT_PROBE_BUDGET)
+    bounds = {**_bounds_payload(fam), "max_nodes": budget.limit}
     try:
         report = embed.wellstructured_probe(fam, budget)
     except search.SearchBudgetExceeded as exc:

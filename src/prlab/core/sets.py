@@ -116,9 +116,6 @@ class PeriodicSet:
 
     __contains__ = membership
 
-    def elements_upto(self, n: int) -> list[int]:
-        return [x for x in range(n + 1) if self.membership(x)]
-
     def __eq__(self, other):
         if not isinstance(other, PeriodicSet):
             return NotImplemented

@@ -37,48 +37,46 @@ def fe_shift(F: FiniteSet, B: FiniteSet):
     return None
 
 
+# One periodic set may expand to at most this many residues mod the common
+# period; coprime periods near 10^9 would build sets of about 10^9.
+MAX_EXPANDED_RESIDUES = 10**6
+
+
 def _expanded_residues(A: PeriodicSet, p: int):
+    if len(A.residues) * (p // A.period) > MAX_EXPANDED_RESIDUES:
+        raise ValueError("a periodic set expands to more than 10^6 residues mod the lcm of the periods")
     return {r + k * A.period for r in A.residues for k in range(p // A.period)}
 
 
 def fe_periodic(A: PeriodicSet, B: PeriodicSet) -> bool:
     """Whether every finite subset of A shifts into B.
 
-    The verdict splits on where the witnessing shifts live.  Arbitrarily
-    large shifts work exactly when some residue rotation maps every residue
-    A's members occupy (tail residues plus prefix members reduced mod the
-    common period) into B's residue set.  Otherwise only a shift n below B's
-    threshold can work, and it must pass three checks: A's tail residues
-    rotate into B's residues, every prefix member of A lands in B under n,
-    and the tail members that land below B's threshold are checked
-    explicitly.  Shifts at or above B's threshold are covered by the rotation
-    case, so the two cases together are a complete decision.  A finite A has
-    no tail residues, so the same two cases decide it: its members fit one
-    rotation or one shift below B's threshold.
+    That holds exactly when one shift n sends all of A into B, and such an n
+    sends A's least element a into B: either n + a is a prefix member of B,
+    or n >= max(0, t_B - a).  In the second case all of A lands at or above
+    B's threshold, where only n mod p (the lcm of the periods) matters, so
+    the least such n in each class that sends a onto one of B's residues
+    stands for its class.  Each of these at most |B.prefix| + |residues of B
+    mod p| shifts is checked whole: A's tail residues rotate into B's, every
+    prefix member of A lands in B, and so does every tail member of A that
+    lands below B's threshold.
     """
     p = math.lcm(A.period, B.period)
     ra = _expanded_residues(A, p)
     rb = _expanded_residues(B, p)
-    occupied = ra | {q % p for q in A.prefix}
-
-    # a rotation that works sends the least occupied residue onto one of B's
-    a0 = min(occupied, default=None)
-    if a0 is None or any(all((x + b - a0) % p in rb for x in occupied) for b in rb):
+    starts = [A.threshold + (r - A.threshold) % A.period for r in A.residues]
+    a = min(A.prefix.union(starts), default=None)
+    if a is None:
         return True
+    low = max(0, B.threshold - a)
+    shifts = {q - a for q in B.prefix if q >= a} | {low + (b - a - low) % p for b in rb}
 
-    for n in range(B.threshold):
-        if not all((x + n) % p in rb for x in ra):
-            continue
-        if not all(B.membership(n + q) for q in A.prefix):
-            continue
-        boundary = range(A.threshold, max(A.threshold, B.threshold - n))
-        if all(
-            B.membership(n + x)
-            for x in boundary
-            if (x % A.period) in A.residues
-        ):
-            return True
-    return False
+    def sends(n: int) -> bool:
+        return (all((x + n) % p in rb for x in ra)
+                and all(n + q in B for q in A.prefix)
+                and all(n + x in B for x0 in starts for x in range(x0, B.threshold - n, A.period)))
+
+    return any(sends(n) for n in shifts)
 
 
 # -- classification and density ---------------------------------------------
@@ -250,32 +248,30 @@ class FmapResult(NamedTuple):
 def fmap_witness(F: FiniteSet, B, fam: FamilySpec, budget: NodeBudget | None = None) -> FmapResult:
     """First parameter tuple (lexicographically) whose map sends every
     element of F into B.  B may be a finite set or a periodic set; only
-    membership is used.  With a budget, each parameter tuple tried spends
-    one node of it."""
+    membership is used.  Each parameter tuple tried spends one node of the
+    budget (DEFAULT_PROBE_BUDGET nodes when none is given)."""
     if not F:
         raise ValueError("pattern must be nonempty")
+    budget = budget or NodeBudget(DEFAULT_PROBE_BUDGET)
     elems = F.elements
     for params in fam.iter_params():
-        if budget is not None:
-            budget.spend()
+        budget.spend()
         if all(fam.apply(params, x) in B for x in elems):
             return FmapResult(tuple(params))
     return FmapResult(None)
 
 
 def a_maximal_probe(A, L: int) -> bool:
-    """Whether A contains an increasing arithmetic progression of length L,
-    scanning an explicit window.  For a periodic set with any residue at all
-    the window provably suffices: the residue class itself is a progression
-    with the period as step."""
+    """Whether A contains an increasing arithmetic progression of length L.
+    A periodic set with a residue has one of every length, its residue class
+    past the threshold; one without is its finite prefix."""
     if L < 1:
         raise ValueError("progression length must be >= 1")
-    if isinstance(A, FiniteSet):
-        window = A
-    else:
-        span = A.threshold + (L + 1) * A.period
-        window = FiniteSet(A.elements_upto(span))
-    return contains_ap(window, L) is not None
+    if isinstance(A, PeriodicSet):
+        if A.residues:
+            return True
+        A = FiniteSet(A.prefix)
+    return contains_ap(A, L) is not None
 
 
 # -- closure probe for generated families ------------------------------------
@@ -285,8 +281,8 @@ DEFAULT_PROBE_SAMPLES = (
     FiniteSet((0, 1, 2)),
     FiniteSet((2, 5, 8)),
 )
-# The default node budget of the probe and of `embed fmap`: about 7 s of the
-# probe's scanning on a 2-vCPU host.
+# The default node budget of `fmap_witness`, the probe and `embed fmap`:
+# about 7 s of the probe's scanning on a 2-vCPU host.
 DEFAULT_PROBE_BUDGET = 10**7
 
 
@@ -297,7 +293,7 @@ class FamilyProbeReport(NamedTuple):
     pairs_checked: int
 
 
-def wellstructured_probe(fam: FamilySpec, max_nodes: int | None = None) -> FamilyProbeReport:
+def wellstructured_probe(fam: FamilySpec, budget: NodeBudget | None = None) -> FamilyProbeReport:
     """Search for violations of the two closure properties a well-structured
     family needs: for members f, g there should be a member h with h(F)
     inside (g o f)(F), and for every F some member should map F into itself.
@@ -307,7 +303,7 @@ def wellstructured_probe(fam: FamilySpec, max_nodes: int | None = None) -> Famil
     A node is one parameter tuple tried by any of the probe's scans; past
     the node budget (DEFAULT_PROBE_BUDGET when none is given) it raises
     SearchBudgetExceeded."""
-    budget = NodeBudget(max_nodes, DEFAULT_PROBE_BUDGET)
+    budget = budget or NodeBudget(DEFAULT_PROBE_BUDGET)
 
     def maps_into(F, B, spec):
         return fmap_witness(F, B, spec, budget).found()

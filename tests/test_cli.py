@@ -350,6 +350,34 @@ def test_coprime_periods_decide_at_once():
     assert run_process(argv) == (1, "not finitely embeddable\n", "")
 
 
+def test_embed_fe_tries_no_shift_below_the_threshold():
+    # a shift must send A's least element into B, so a threshold of 10^7
+    # leaves one shift per residue of B; scanning every shift below it took
+    # 8 s for all naturals and 10 s for the prefixed set
+    target = "p=2; residues={0}; t=10000000"
+    for source in ("p=1; residues={0}", "p=2; residues={0}; t=2; prefix={1}"):
+        argv = ["embed", "fe", "--periodic", source, "--in-periodic", target]
+        assert run_process(argv) == (1, "not finitely embeddable\n", "")
+
+
+def test_embed_apmax_reads_a_residue_as_a_progression():
+    # scanning a window of four periods of 10^9 ran past 10 s
+    assert run_process(["embed", "apmax", "p=1000000000; residues={0}", "--len", "3"]) == (
+        0, "contains a 3-term progression\n", "")
+
+
+def test_embed_fe_refuses_periodic_sets_past_a_million_residues():
+    # coprime periods near 10^9 would expand each set to about 10^9 residues;
+    # 999983 and 999979 expand to just under 10^6 and still answer
+    argv = ["embed", "fe", "--periodic", "p=1000000007; residues={1}",
+            "--in-periodic", "p=1000000009; residues={1}"]
+    assert run_process(argv) == (
+        3, "", "error: a periodic set expands to more than 10^6 residues mod the lcm of the periods\n")
+    argv = ["embed", "fe", "--periodic", "p=999983; residues={1}",
+            "--in-periodic", "p=999979; residues={1}"]
+    assert run_process(argv) == (1, "not finitely embeddable\n", "")
+
+
 def test_smod_refuses_a_modulus_above_ten_to_the_twelve():
     # trial division on 2^61 - 1 ran past 20 s; up to 10^12 it takes well
     # under a second

@@ -18,7 +18,7 @@ from prlab.embed import (
     fmap_witness,
     wellstructured_probe,
 )
-from prlab.search import SearchBudgetExceeded
+from prlab.search import NodeBudget, SearchBudgetExceeded
 
 
 # -- oracles shared with the acceptance suite --------------------------------
@@ -28,7 +28,7 @@ def window_embeds(A: PeriodicSet, B: PeriodicSet) -> bool:
     scanning every shift up to a bound that provably suffices for eventually
     periodic sets."""
     p = math.lcm(A.period, B.period)
-    chunk = A.elements_upto(4 * p + A.threshold + B.threshold)
+    chunk = [x for x in range(4 * p + A.threshold + B.threshold + 1) if x in A]
     if not chunk:
         return True
     limit = 4 * p + B.threshold
@@ -140,6 +140,17 @@ def test_fe_periodic_finite_cases():
     assert fe_periodic(gap2, PeriodicSet(2, {0}))
     assert not fe_periodic(gap3, PeriodicSet(2, {0}))
     assert fe_periodic(PeriodicSet(1, set()), PeriodicSet(1, set(), 1, {0}))
+
+
+def test_fe_periodic_expands_at_most_a_million_residues():
+    naturals = PeriodicSet(1, {0})
+    assert not fe_periodic(naturals, PeriodicSet(10**6, {0}))
+    with pytest.raises(ValueError, match="more than 10\\^6 residues"):
+        fe_periodic(naturals, PeriodicSet(10**6 + 1, {0}))
+    # each residue expands to one per period of the lcm, 500001 of them here
+    assert not fe_periodic(PeriodicSet(2, {0}), PeriodicSet(500001, {0}))
+    with pytest.raises(ValueError, match="more than 10\\^6 residues"):
+        fe_periodic(PeriodicSet(2, {0, 1}), PeriodicSet(500001, {0}))
 
 
 def test_fe_periodic_agrees_with_window_oracle():
@@ -452,10 +463,10 @@ def test_probe_budget_counts_every_parameter_tuple_tried():
     # each sample then maps into itself at the first tuple, m = 0
     fam = family("translation")
     need = 3 * sum(m + k + 1 for m in range(13) for k in range(13)) + 3
-    assert wellstructured_probe(fam, need) == wellstructured_probe(fam)
+    assert wellstructured_probe(fam, NodeBudget(need)) == wellstructured_probe(fam)
     for budget in (0, 1, need - 1):
         with pytest.raises(SearchBudgetExceeded) as exc:
-            wellstructured_probe(fam, budget)
+            wellstructured_probe(fam, NodeBudget(budget))
         assert exc.value.nodes == budget + 1
     with pytest.raises(ValueError, match="node budget must be >= 0"):
-        wellstructured_probe(fam, -1)
+        wellstructured_probe(fam, NodeBudget(-1))
