@@ -58,9 +58,9 @@ def _int_arg(text: str) -> int:
 
 
 def _int_list(text: str, where: str, start: int = 0) -> list[int]:
-    """The integers of text, separated by commas or whitespace; text starts
-    at position start of the argument named by where."""
-    values = read_ints(text, start, where, signed=True, separators=",")
+    """The comma-separated integers of text, which starts at position start
+    of the argument named by where."""
+    values = read_ints(text, start, where, signed=True)
     if not values:
         raise CliUsageError("expected a comma-separated list of integers")
     return values
@@ -91,10 +91,6 @@ def _parse_bounds(text: str) -> dict[str, tuple[int, int]]:
         elif part[0].strip():
             raise CliUsageError(f"bad bounds fragment {part[0].strip()!r}; expected name=lo..hi")
     return out
-
-
-def _bounds_payload(fam) -> dict:
-    return {"family": fam.kind, **dict(zip(fam.param_names(), fam.bounds))}
 
 
 # -- shared renderers --------------------------------------------------------
@@ -221,19 +217,13 @@ def _system_from_args(args, injective: bool = False):
     return search.ap_system(args.ap)
 
 
-def _system_bounds(args, **extra):
-    from . import search
-    return {"max_nodes": search.NodeBudget(args.max_nodes).limit, **extra}
-
-
 def _good_coloring(args):
     from . import search
     system = _system_from_args(args, injective=args.injective)
-    bounds = _system_bounds(args, n=args.n, r=args.r)
+    budget = search.NodeBudget(args.max_nodes)
+    bounds = {"max_nodes": budget.limit, "n": args.n, "r": args.r}
     try:
-        outcome = search.good_coloring(
-            system, args.n, args.r, max_nodes=args.max_nodes
-        )
+        outcome = search.good_coloring(system, args.n, args.r, budget)
     except search.SearchBudgetExceeded as exc:
         return _budget_exceeded(exc, bounds)
     if outcome.forced:
@@ -249,9 +239,10 @@ def _good_coloring(args):
 def _forcing_number(args):
     from . import search
     system = _system_from_args(args, injective=args.injective)
-    bounds = _system_bounds(args, r=args.r, max=args.max)
+    budget = search.NodeBudget(args.max_nodes)
+    bounds = {"max_nodes": budget.limit, "r": args.r, "max": args.max}
     try:
-        n = search.forcing_number(system, args.r, args.max, max_nodes=args.max_nodes)
+        n = search.forcing_number(system, args.r, args.max, budget)
     except search.SearchBudgetExceeded as exc:
         return _budget_exceeded(exc, bounds)
     if n is None:
@@ -463,13 +454,20 @@ def _embed_bd(args):
     return 0, [f"banach density: {density}"], density
 
 
+def _family_scan(args):
+    """The family, node budget and bounds payload of a family-scan verb."""
+    from . import embed, search
+    fam = embed.family(args.family, _parse_bounds(args.bounds or ""))
+    budget = search.NodeBudget(args.max_nodes, embed.DEFAULT_PROBE_BUDGET)
+    params = dict(zip(fam.param_names(), fam.bounds))
+    return fam, budget, {"family": fam.kind, **params, "max_nodes": budget.limit}
+
+
 def _embed_fmap(args):
     from . import embed, search
     F = parse_finite(args.set)
     B = _parse_set_or_periodic(args.target)
-    fam = embed.family(args.family, _parse_bounds(args.bounds or ""))
-    budget = search.NodeBudget(args.max_nodes, embed.DEFAULT_PROBE_BUDGET)
-    bounds = {**_bounds_payload(fam), "max_nodes": budget.limit}
+    fam, budget, bounds = _family_scan(args)
     try:
         got = embed.fmap_witness(F, B, fam, budget)
     except search.SearchBudgetExceeded as exc:
@@ -487,9 +485,7 @@ def _embed_apmax(args):
 
 def _embed_probe_family(args):
     from . import embed, search
-    fam = embed.family(args.family, _parse_bounds(args.bounds or ""))
-    budget = search.NodeBudget(args.max_nodes, embed.DEFAULT_PROBE_BUDGET)
-    bounds = {**_bounds_payload(fam), "max_nodes": budget.limit}
+    fam, budget, bounds = _family_scan(args)
     try:
         report = embed.wellstructured_probe(fam, budget)
     except search.SearchBudgetExceeded as exc:
@@ -642,7 +638,7 @@ VERBS = (
          _omega_verify354),
     Verb("embed fe", "finite embeddability",
          lambda a: "least-shift-scan" if a.finite is not None
-         else "residue-rotation-with-boundary-checks",
+         else "pinned-shift-scan",
          (_arg("--finite", help="finite pattern, comma-separated"),
           _arg("--in", dest="target", help="finite target, comma-separated"),
           _arg("--periodic", help="periodic pattern, p=..; residues={..} form"),
@@ -657,7 +653,7 @@ VERBS = (
           _arg("--family", required=True),
           _arg("--bounds", help="e.g. a=1..10,b=0..20"), _MAX_NODES),
          _embed_fmap),
-    Verb("embed apmax", "progression probe", "windowed-progression-scan",
+    Verb("embed apmax", "progression probe", "residue-class-or-finite-progression-scan",
          (_arg("spec", help="finite set or periodic spec"),
           _arg("--len", type=_int_arg, required=True)),
          _embed_apmax),

@@ -24,7 +24,7 @@ class Coloring:
     @classmethod
     def from_text(cls, text: str, lo: int = 1) -> "Coloring":
         """Whitespace-separated 1-based color indices, the color of lo first."""
-        colors = read_ints(text, where="the coloring", signed=True)
+        colors = read_ints(text, where="the coloring", signed=True, spaced=True)
         if not colors:
             raise ValueError("empty coloring text")
         return cls(lo, colors)

@@ -58,7 +58,7 @@ def parse_matrix(text: str) -> IntMatrix:
     skipped."""
     rows, start = [], 0
     for number, line in enumerate(text.splitlines(keepends=True), start=1):
-        row = read_ints(line, start, f"line {number} of the matrix", signed=True)
+        row = read_ints(line, start, f"line {number} of the matrix", signed=True, spaced=True)
         if row:
             rows.append(row)
         start += len(line)

@@ -260,6 +260,7 @@ class ParseError(ValueError):
         self.position = position
 
 
+SPACE = " \t\n\r\f\v"  # ASCII whitespace
 _NATURAL_RE = re.compile(r"\s*([0-9]*)\s*", re.ASCII)
 _INTEGER_RE = re.compile(r"\s*([+-]?[0-9]*)\s*", re.ASCII)
 
@@ -283,10 +284,14 @@ def read_int(text: str, position: int = 0, where: str = "", signed: bool = False
 
 
 def read_ints(text: str, position: int = 0, where: str = "", signed: bool = False,
-              separators: str = "") -> list[int]:
-    """The integers of text's items, which whitespace or any of separators
-    delimit, each read by read_int."""
-    items = re.finditer(rf"[^\s{separators}]+", text)
+              spaced: bool = False) -> list[int]:
+    """The integers of text's items, each read by read_int.  Items are split
+    at commas, with ASCII whitespace allowed around each, so an empty item is
+    a ParseError; spaced items are split at runs of whitespace instead.
+    Blank text is no items."""
+    if not text.strip(SPACE):
+        return []
+    items = re.finditer(r"\S+" if spaced else r"(?<![^,])[^,]*", text)
     return [read_int(m[0], position + m.start(), where, signed) for m in items]
 
 

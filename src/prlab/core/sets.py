@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from operator import index
 
-from .poly import read_int
+from .poly import SPACE, read_int, read_ints
 
 
 class FiniteSet:
@@ -64,28 +64,13 @@ class FiniteSet:
         return f"FiniteSet({list(self.elements)})"
 
 
-_SPACE = " \t\n\r\f\v"
-
-
-def _ints(body: str, start: int, where: str) -> list[int]:
-    """The comma-separated naturals of body, at position start of its text;
-    none when body is blank."""
-    if not body.strip(_SPACE):
-        return []
-    out = []
-    for token in body.split(","):
-        out.append(read_int(token, start, where))
-        start += len(token) + 1
-    return out
-
-
 def parse_finite(text: str) -> FiniteSet:
     """Comma-separated naturals, optionally in braces; a blank string is the
     empty set."""
-    body = text.strip(_SPACE)
+    body = text.strip(SPACE)
     start = text.index(body)
     inner = body.strip("{}")
-    return FiniteSet(_ints(inner, start + body.index(inner), "the set"))
+    return FiniteSet(read_ints(inner, start + body.index(inner), "the set"))
 
 
 class PeriodicSet:
@@ -165,6 +150,6 @@ def parse_periodic(text: str) -> PeriodicSet:
         raw, start = fields.get(name, ("{}", 0))
         if raw.startswith("{"):
             raw, start = raw[1:-1], start + 1
-        return set(_ints(raw, start, f"field {name!r}"))
+        return set(read_ints(raw, start, f"field {name!r}"))
 
     return PeriodicSet(number("p"), intset("residues"), number("t"), intset("prefix"))

@@ -47,27 +47,33 @@ class NodeBudget:
 
 
 class SolutionSystem(NamedTuple):
-    """What the colorings must avoid: one equation P = 0, a homogeneous
-    system A x = 0, or a k-term arithmetic progression; values range over
-    positive integers, pairwise distinct when injective."""
+    """What the colorings must avoid, read once when built: k variables over
+    positive integers, pairwise distinct when injective, solving the linear
+    rows (rows · x + constants = 0), the nonlinear equation poly = 0, or,
+    with neither, forming an increasing k-term arithmetic progression.  A
+    linear equation keeps its poly too, for the enumeration caps."""
 
-    kind: str  # "poly" | "matrix" | "ap"
-    poly: Poly | None = None
-    matrix: IntMatrix | None = None
-    ap_length: int | None = None
+    k: int
     injective: bool = False
+    rows: tuple | None = None
+    constants: tuple | None = None
+    poly: Poly | None = None
 
 
 def poly_system(P: Poly, injective: bool = False) -> SolutionSystem:
-    if len(P.variables()) < 2:
+    k = len(P.variables())
+    if k < 2:
         raise ValueError("system needs at least two variables")
-    return SolutionSystem(kind="poly", poly=P, injective=injective)
+    coeffs = linear_coefficients(P)
+    if coeffs is None:
+        return SolutionSystem(k, injective, poly=P)
+    return SolutionSystem(k, injective, (coeffs,), (P.constant,), P)
 
 
 def matrix_system(M: IntMatrix, injective: bool = False) -> SolutionSystem:
     if M.cols < 2:
         raise ValueError("system needs at least two variables")
-    return SolutionSystem(kind="matrix", matrix=M, injective=injective)
+    return SolutionSystem(M.cols, injective, M.entries, (0,) * M.rows)
 
 
 def ap_system(k: int) -> SolutionSystem:
@@ -75,7 +81,7 @@ def ap_system(k: int) -> SolutionSystem:
     the values are automatically distinct."""
     if k < 2:
         raise ValueError("progression length must be >= 2")
-    return SolutionSystem(kind="ap", ap_length=k, injective=True)
+    return SolutionSystem(k, True)
 
 
 # -- solution enumeration ---------------------------------------------------
@@ -312,57 +318,46 @@ def _walk(constraint, k: int, values, injective: bool):
             del prefix[-1:]
 
 
-def _solver(system: SolutionSystem, first: bool):
-    """A function of an ascending value list that returns the solutions of the
-    system with every value in it, in lexicographic order: all of them, or
-    only the first.  The system is read once, here, for every list, and
-    each list is one lazy stream of solutions, cut after the first or past
-    MAX_SOLUTIONS.  Enumeration walks a nonlinear equation's variables
-    highest partial degree first and sorts; first=True keeps the natural
-    order, where the first found is least."""
-    order = None
-    if system.kind == "ap":
-        k = system.ap_length
-    elif system.kind == "matrix":
-        M = system.matrix
-        rows, constants, k = M.entries, [0] * M.rows, M.cols
-    else:
+def _solutions(system: SolutionSystem, values, order=None):
+    """One lazy stream of the solutions of the system with every value in the
+    ascending list, in lexicographic order; a nonlinear equation's variables
+    are walked in the given order (by default their names' order), and its
+    solutions come in that order."""
+    k = system.k
+    if system.rows is not None:
+        constraint = _LinearRows(system.rows, system.constants, values)
+    elif system.poly is not None:
         P = system.poly
-        variables = P.variables()
-        k, props = len(variables), poly_props(P)
-        if not first and k > MAX_POLY_VARS:
-            raise ValueError(f"too many variables (max {MAX_POLY_VARS})")
-        if not first and props.max_partial_degree > MAX_POLY_PARTIAL_DEGREE:
-            raise ValueError(f"partial degree exceeds enumeration bound {MAX_POLY_PARTIAL_DEGREE}")
-        coeffs = linear_coefficients(P)
-        if coeffs is not None:
-            rows, constants = [coeffs], [P.constant]
-        else:
-            order = variables if first else sorted(
-                variables, key=lambda v: (-props.partial_degrees[v], v))
-            slots = [order.index(v) for v in variables]
-
-    def solve(values):
-        if system.kind == "ap":
-            sols = (tuple(a + t * d for t in range(k)) for a, d in _progressions(values, k))
-        elif order is None:
-            sols = _walk(_LinearRows(rows, constants, values), k, values, system.injective)
-        else:
-            walk = _walk(_PolyResidual(P, order, values[0], values[-1]), k, values, system.injective)
-            sols = (tuple(sol[i] for i in slots) for sol in walk)
-        sols = list(islice(sols, 1 if first else MAX_SOLUTIONS + 1))
-        if len(sols) > MAX_SOLUTIONS:
-            raise ValueError(f"solution count exceeds {MAX_SOLUTIONS}")
-        return sols if order is None else sorted(sols)
-    return solve
+        constraint = _PolyResidual(P, order or P.variables(), values[0], values[-1])
+    else:
+        return (tuple(a + t * d for t in range(k)) for a, d in _progressions(values, k))
+    return _walk(constraint, k, values, system.injective)
 
 
 def enumerate_solutions(system: SolutionSystem, n: int):
     """All assignments in [1,n]^vars satisfying the system, sorted
-    lexicographically; distinct-valued when the system is injective."""
+    lexicographically; distinct-valued when the system is injective.  A
+    nonlinear equation's variables are walked highest partial degree first,
+    and its solutions sorted back into name order."""
     if n < 1:
         raise ValueError("bound must be >= 1")
-    return _solver(system, False)(range(1, n + 1))
+    P, order = system.poly, None
+    if P is not None:
+        props = poly_props(P)
+        if system.k > MAX_POLY_VARS:
+            raise ValueError(f"too many variables (max {MAX_POLY_VARS})")
+        if props.max_partial_degree > MAX_POLY_PARTIAL_DEGREE:
+            raise ValueError(f"partial degree exceeds enumeration bound {MAX_POLY_PARTIAL_DEGREE}")
+        if system.rows is None:
+            order = sorted(P.variables(), key=lambda v: (-props.partial_degrees[v], v))
+    sols = _solutions(system, range(1, n + 1), order)
+    if order is not None:
+        slots = [order.index(v) for v in P.variables()]
+        sols = (tuple(sol[i] for i in slots) for sol in sols)
+    sols = list(islice(sols, MAX_SOLUTIONS + 1))
+    if len(sols) > MAX_SOLUTIONS:
+        raise ValueError(f"solution count exceeds {MAX_SOLUTIONS}")
+    return sols if order is None else sorted(sols)
 
 
 def solutions_by_max(system: SolutionSystem, n: int):
@@ -561,7 +556,7 @@ def _search(index, n: int, r: int, budget: NodeBudget) -> SearchOutcome:
 
 
 def good_coloring(
-    system: SolutionSystem, n: int, r: int, max_nodes: int | None = None
+    system: SolutionSystem, n: int, r: int, budget: NodeBudget | None = None
 ) -> SearchOutcome:
     """Complete search for an r-coloring of [1,n] with no monochromatic
     solution; a returned coloring is the lexicographically least one.  An
@@ -574,12 +569,11 @@ def good_coloring(
         raise ValueError("need at least one color")
     if n < 1:
         raise ValueError("bound must be >= 1")
-    budget = NodeBudget(max_nodes)
-    return _search(solutions_by_max(system, n), n, r, budget)
+    return _search(solutions_by_max(system, n), n, r, budget or NodeBudget())
 
 
 def forcing_number(
-    system: SolutionSystem, r: int, n_max: int, max_nodes: int | None = None
+    system: SolutionSystem, r: int, n_max: int, budget: NodeBudget | None = None
 ):
     """Least n <= n_max at which every r-coloring of [1,n] contains a
     monochromatic solution, or None if no such n is found.  Each n is one
@@ -594,7 +588,7 @@ def forcing_number(
         raise ValueError("need at least one color")
     if n_max < 1:
         raise ValueError("bound must be >= 1")
-    budget = NodeBudget(max_nodes)
+    budget = budget or NodeBudget()
     index, built = {}, 0
     for n in range(1, n_max + 1):
         if n > built:
@@ -611,9 +605,8 @@ def forcing_number(
 def mono_witness(coloring: Coloring, system: SolutionSystem):
     """Lexicographically least monochromatic solution whose values all lie in
     one color class of the coloring, or None."""
-    solve = _solver(system, True)
-    found = (solve(values) for _, values in coloring.classes)
-    return min((w[0] for w in found if w), default=None)
+    found = (next(_solutions(system, values), None) for _, values in coloring.classes)
+    return min((w for w in found if w is not None), default=None)
 
 
 # -- the 325 extractor ------------------------------------------------------

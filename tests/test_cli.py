@@ -306,6 +306,19 @@ def test_integer_readers_position_their_errors():
           "--bounds", "a=1..2, b=-1..+"], "expected an integer in --bounds at position 15"),
         (["folkman", "matrix", too_long],
          f"argument n: invalid int value: '{too_long}': integer literal too long at position 0"),
+        # every integer list is split at commas, with whitespace around each
+        # item, and an empty item is refused where it stands
+        (["blocking-prime", "1,,2"], "expected an integer in coeffs at position 2"),
+        (["blocking-prime", "1,2,"], "expected an integer in coeffs at position 4"),
+        (["blocking-prime", ",1,2"], "expected an integer in coeffs at position 0"),
+        (["blocking-prime", "1, ,2"], "expected an integer in coeffs at position 3"),
+        (["blocking-prime", "1 2"], "unexpected character '2' in coeffs at position 2"),
+        (["omega", "verify354", "--c", "1 2", "--d", "3"], "unexpected character '2' in --c at position 2"),
+        (["poly", "expsum", "--left", "1,2", "--right", "3,"], "expected an integer in --right at position 2"),
+        (["parametric", "x+y-z", "--subset", "1,,2"], "expected an integer in --subset at position 2"),
+        (["poly", "construct3513", "--linear", "x+y-z", "--subsets", "1|2,|3", "-n", "2"],
+         "expected an integer in --subsets at position 4"),
+        (["folkman", "fs", "1,,2"], "expected a natural number in the set at position 2"),
     ):
         assert run(argv) == (3, "", f"error: {message}\n"), argv[:2]
 
@@ -456,9 +469,11 @@ def test_retired_threads_and_seed_flags_exit_three():
      "empty parameter range"),
     (["poly", "reciprocal", "x^3 + x*y^2 - z^3", "--degree", "3"],
      "unrecognized arguments: --degree 3"),
+    (["embed", "probe-family", "--family", "affinity", "--bounds", "a=1..2, b"],
+     "bad bounds fragment 'b'; expected name=lo..hi"),
 ], ids=["unknown-kind", "polynomial-name", "polynomial-degree", "probe-polynomial-degree-cap",
         "fmap-polynomial-degree-cap", "polynomial-leading-zero",
-        "unknown-parameter", "empty-range", "retired-degree"])
+        "unknown-parameter", "empty-range", "retired-degree", "bounds-fragment"])
 def test_family_usage_error_messages(argv, message):
     assert run(argv) == (3, "", f"error: {message}\n")
 
@@ -682,6 +697,12 @@ HELP_AND_USAGE = [
     (['check-linear', 'x', '--bogus'], 3,
      '',
      'error: unrecognized arguments: --bogus\n'),
+    (['embed', 'fe', '--periodic', 'p=2; residues={1}'], 3,
+     '',
+     'error: --periodic and --in-periodic go together\n'),
+    (['blocking-prime', ' \t'], 3,
+     '',
+     'error: expected a comma-separated list of integers\n'),
 ]
 
 
@@ -1729,14 +1750,14 @@ EXACT = [
      'finitely embeddable\n',
      {'verdict': True,
       'certificate': None,
-      'provenance': 'residue-rotation-with-boundary-checks',
+      'provenance': 'pinned-shift-scan',
       'bounds': None}),
     (['embed', 'fe', '--periodic', 'p=1; residues={0}', '--in-periodic', 'p=2; residues={1}'],
      1,
      'not finitely embeddable\n',
      {'verdict': False,
       'certificate': None,
-      'provenance': 'residue-rotation-with-boundary-checks',
+      'provenance': 'pinned-shift-scan',
       'bounds': None}),
     (['embed', 'fe', '--finite', '1,2'], 3, '', None),
     (['embed', 'classify', 'p=4; residues={0,1}'],
@@ -1833,14 +1854,14 @@ EXACT = [
      'no 3-term progression\n',
      {'verdict': False,
       'certificate': None,
-      'provenance': 'windowed-progression-scan',
+      'provenance': 'residue-class-or-finite-progression-scan',
       'bounds': None}),
     (['embed', 'apmax', 'p=1; residues={0}', '--len', '6'],
      0,
      'contains a 6-term progression\n',
      {'verdict': True,
       'certificate': None,
-      'provenance': 'windowed-progression-scan',
+      'provenance': 'residue-class-or-finite-progression-scan',
       'bounds': None}),
     (['embed', 'probe-family', '--family', 'exponential'],
      0,

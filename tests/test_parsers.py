@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import prlab
 from prlab.core import Coloring, ParseError, parse_finite, parse_matrix, parse_periodic, parse_poly
+from prlab.core.poly import read_ints
 from prlab.omega import parse_term
 
 # whitespace of several kinds, uppercase, stray symbols, non-ASCII digits
@@ -95,6 +96,25 @@ def test_matrix_reader_raises_only_positioned_errors(text):
 @example("1 2\n2 +1")
 def test_coloring_reader_raises_only_positioned_errors(text):
     assert_positioned(outcome(Coloring.from_text, text), text, COLORING_VALUE_ERRORS)
+
+
+ASCII_SPACE = st.text(" \t\n\r\f\v", max_size=2)
+
+
+@given(st.lists(st.tuples(ASCII_SPACE, st.integers(-99, 99), ASCII_SPACE), max_size=6))
+def test_integer_lists_read_back_with_whitespace_around_items(items):
+    text = ",".join(f"{before}{n}{after}" for before, n, after in items)
+    assert read_ints(text, signed=True) == [n for _, n, _ in items]
+
+
+@given(st.lists(st.integers(0, 99).map(str), min_size=1, max_size=5), ASCII_SPACE, st.data())
+def test_an_empty_list_item_is_refused_where_it_is(items, blank, data):
+    at = data.draw(st.integers(0, len(items)))
+    text = ",".join(items[:at] + [blank] + items[at:])
+    position = sum(len(item) + 1 for item in items[:at]) + len(blank)
+    with pytest.raises(ParseError) as exc:
+        read_ints(text)
+    assert str(exc.value) == f"expected a natural number at position {position}"
 
 
 @pytest.mark.parametrize("parse, text, message", [

@@ -149,6 +149,27 @@ def test_tampered_certificate_rejected():
     assert not verify_columns_certificate(M, bad)
 
 
+# each breaks the certificate of the multi-block literal above in one place
+PLANTED_BAD_CERTIFICATES = [
+    lambda c: c._replace(blocks=c.blocks[:-1] + ((3,),)),
+    lambda c: c._replace(blocks=c.blocks[:-1] + ((4, 4),)),
+    lambda c: c._replace(combinations=c.combinations + ((Fraction(0),) * 6,)),
+    lambda c: c._replace(combinations=(c.combinations[0], c.combinations[1][:-1], c.combinations[2])),
+    lambda c: c._replace(combinations=c.combinations[:2] + (
+        (c.combinations[2][0] + 1, *c.combinations[2][1:]),)),
+]
+
+
+@pytest.mark.parametrize("tamper", PLANTED_BAD_CERTIFICATES, ids=[
+    "column-missing", "column-repeated", "combination-too-many", "combination-wrong-length",
+    "combination-misses-the-block-sum"])
+def test_planted_bad_certificates_are_rejected(tamper):
+    M = parse_matrix("1 -2 -1 1 0 2\n1 -3 1 -3 3 0")
+    good = columns_condition(M).certificate
+    assert verify_columns_certificate(M, good) is True
+    assert verify_columns_certificate(M, tamper(good)) is False
+
+
 def test_column_cap_enforced():
     M = parse_matrix(" ".join(["1"] * 21))
     with pytest.raises(ValueError):

@@ -10,9 +10,10 @@ from hypothesis import assume, given, strategies as st
 
 import prlab
 from prlab import search
-from prlab.core import Coloring, FiniteSet, Poly, parse_matrix, parse_poly
+from prlab.core import Coloring, FiniteSet, Poly, linear_coefficients, parse_matrix, parse_poly
 from prlab.rado import blocking_prime, smod
 from prlab.search import (
+    NodeBudget,
     SearchBudgetExceeded,
     _LinearRows,
     _check_good_coloring,
@@ -249,7 +250,7 @@ def test_forcing_number_exhaustion_returns_none():
 
 def test_node_budget_raises():
     with pytest.raises(SearchBudgetExceeded):
-        good_coloring(SCHUR, 13, 3, max_nodes=10)
+        good_coloring(SCHUR, 13, 3, budget=NodeBudget(10))
 
 
 def test_forcing_number_spends_one_budget_across_the_sweep():
@@ -259,7 +260,7 @@ def test_forcing_number_spends_one_budget_across_the_sweep():
     assert max(per_n) < 100 < sum(per_n)
     assert forcing_number(SCHUR, 3, 14) == 14
     with pytest.raises(SearchBudgetExceeded) as info:
-        forcing_number(SCHUR, 3, 14, max_nodes=100)
+        forcing_number(SCHUR, 3, 14, budget=NodeBudget(100))
     assert info.value.nodes == 101
 
 
@@ -284,9 +285,9 @@ def test_forcing_bound_below_one_is_rejected():
 
 def test_negative_node_budget_is_rejected():
     with pytest.raises(ValueError):
-        good_coloring(SCHUR, 5, 2, max_nodes=-1)
+        good_coloring(SCHUR, 5, 2, budget=NodeBudget(-1))
     with pytest.raises(ValueError):
-        forcing_number(SCHUR, 2, 5, max_nodes=-1)
+        forcing_number(SCHUR, 2, 5, budget=NodeBudget(-1))
 
 
 def naive_least_good_coloring(system, n, r):
@@ -319,7 +320,7 @@ def test_backtracking_agrees_with_naive_enumeration():
         for n in range(1, 9 if r == 2 else 7):
             got = good_coloring(system, n, r)
             assert got.forced == (not naive_good_coloring_exists(system, n, r)), (
-                system.kind,
+                system,
                 n,
                 r,
             )
@@ -331,7 +332,7 @@ def test_search_returns_the_lexicographically_least_good_coloring():
             got = good_coloring(system, n, r)
             want = naive_least_good_coloring(system, n, r)
             assert (got.coloring.values() if got.coloring else None) == want, (
-                system.kind,
+                system,
                 n,
                 r,
             )
@@ -449,7 +450,7 @@ def test_node_budget_counts_the_nodes_of_both_walkers(monkeypatch):
     assert steps == {False: 47, True: 10}  # fail-first finds a coloring and retires
     assert out.nodes == 57 and out.coloring == good_coloring(system, 23, 3).coloring
     with pytest.raises(SearchBudgetExceeded) as info:
-        good_coloring(system, 23, 3, max_nodes=56)
+        good_coloring(system, 23, 3, budget=NodeBudget(56))
     assert info.value.nodes == 57
 
 
@@ -492,7 +493,7 @@ def test_forced_is_monotone_in_the_bound():
         prev = False
         for n in range(1, 12):
             forced = good_coloring(system, n, r).forced
-            assert not (prev and not forced), (system.kind, n, r)
+            assert not (prev and not forced), (system, n, r)
             prev = forced
 
 
@@ -536,7 +537,7 @@ def test_witness_is_lexicographically_least_monochromatic_solution():
                 if any(set(sol) <= cls for cls in classes.values())
             ]
             got = mono_witness(coloring, system)
-            assert got == (min(mono) if mono else None), (system.kind, coloring)
+            assert got == (min(mono) if mono else None), (system, coloring)
 
 
 def brute_witness(holds, k, coloring, injective=False):
@@ -592,6 +593,41 @@ def test_blocking_coloring_admits_no_witness_on_long_interval():
 
 def test_progression_witness_below_one():
     assert mono_witness(Coloring(-3, (1, 2, 1, 2, 1, 1, 1)), ap_system(3)) == (-3, -1, 1)
+
+
+def test_nonlinear_witness_on_a_class_through_zero():
+    # x^2 over [-2, 2] ranges over [0, 4], not [4, 4]
+    assert mono_witness(Coloring(-2, [1] * 5), poly_system(parse_poly("x^2+y^2"))) == (0, 0)
+
+
+def test_witness_matches_brute_force_on_seeded_nonlinear_equations_through_zero():
+    # domains start at -2, -1 or 0, so a class may hold 0 between negatives
+    # and positives, where a monomial's least or largest value is 0
+    rng = random.Random(24)
+    cases = found = 0
+    while cases < 300:
+        names = "xyz"[:rng.randint(2, 3)]
+        monomials = {}
+        for _ in range(rng.randint(2, 4)):
+            key = tuple((v, e) for v in names if (e := rng.randint(0, 2)))
+            monomials[key] = rng.choice((-2, -1, 1, 2))
+        P = Poly(monomials, rng.choice((0, 0, rng.randint(-4, 4))))
+        variables = P.variables()
+        if len(variables) < 2 or linear_coefficients(P) is not None:
+            continue
+        cases += 1
+        injective = rng.random() < 0.3
+        coloring = Coloring(rng.randint(-2, 0), [rng.randint(1, 3) for _ in range(rng.randint(1, 8))])
+        want = min((
+            xs
+            for _, cls in coloring.classes
+            for xs in product(cls, repeat=len(variables))
+            if P.evaluate(dict(zip(variables, xs))) == 0
+            and (not injective or len(set(xs)) == len(xs))
+        ), default=None)
+        assert mono_witness(coloring, poly_system(P, injective)) == want, (str(P), coloring)
+        found += want is not None
+    assert 50 <= found <= 250
 
 
 def test_witness_matches_brute_force_on_seeded_linear_systems():
