@@ -29,17 +29,13 @@ from typing import Callable, NamedTuple
 
 from .core.coloring import Coloring
 from .core.matrix import parse_matrix
-from .core.poly import ParseError, parse_poly, read_int, read_ints
+from .core.poly import ParseError, parse_poly, read_int, read_ints, read_items
 from .core.sets import parse_finite, parse_periodic
-
-
-class CliUsageError(ValueError):
-    pass
 
 
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
-        raise CliUsageError(message)
+        raise ValueError(message)
 
 
 # -- small helpers -----------------------------------------------------------
@@ -57,15 +53,6 @@ def _int_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}: {exc}") from None
 
 
-def _int_list(text: str, where: str, start: int = 0) -> list[int]:
-    """The comma-separated integers of text, which starts at position start
-    of the argument named by where."""
-    values = read_ints(text, start, where, signed=True)
-    if not values:
-        raise CliUsageError("expected a comma-separated list of integers")
-    return values
-
-
 def _no_json_form(x):
     """json.dumps's hook for a value with no JSON form: a set becomes its
     sorted list, anything else its str."""
@@ -78,18 +65,19 @@ def _parse_set_or_periodic(text: str):
     return parse_finite(text)
 
 
-_BOUND_RE = re.compile(r"\s*([A-Za-z][A-Za-z0-9]*)=(.*?)\.\.(.*)", re.DOTALL)
+_BOUND_RE = re.compile(r"([A-Za-z][A-Za-z0-9]*)=(.*?)\.\.(.*)", re.DOTALL)
 
 
 def _parse_bounds(text: str) -> dict[str, tuple[int, int]]:
-    """Comma-separated name=lo..hi fragments."""
+    """Comma-separated name=lo..hi fragments, each name at most once."""
     out = {}
-    for part in re.finditer(r"[^,]+", text):
-        m = _BOUND_RE.match(text, *part.span())
-        if m:
-            out[m[1]] = tuple(read_int(m[g], m.start(g), "--bounds", signed=True) for g in (2, 3))
-        elif part[0].strip():
-            raise CliUsageError(f"bad bounds fragment {part[0].strip()!r}; expected name=lo..hi")
+    for part, at in read_items(text):
+        m = _BOUND_RE.fullmatch(part)
+        if m is None:
+            raise ParseError(f"bad bounds fragment {part!r}; expected name=lo..hi", at)
+        if m[1] in out:
+            raise ParseError(f"bounds name {m[1]!r} given twice", at)
+        out[m[1]] = tuple(read_int(m[g], at + m.start(g), "--bounds", signed=True) for g in (2, 3))
     return out
 
 
@@ -173,7 +161,7 @@ def _smod(args):
 
 def _blocking_prime(args):
     from . import rado
-    p = rado.blocking_prime(_int_list(args.coeffs, "coeffs"))
+    p = rado.blocking_prime(read_ints(args.coeffs, where="coeffs", signed=True))
     if p is None:
         lines = ["no blocking prime: some subset of the coefficients sums to zero"]
         return 1, lines, "no-blocking-prime"
@@ -183,15 +171,14 @@ def _blocking_prime(args):
 def _parametric(args):
     from . import rado
     P = parse_poly(args.expr)
-    tokens = [t.strip() for t in args.subset.split(",") if t.strip()]
-    names = P.variables()
-    if tokens and all(re.fullmatch(r"[0-9]+", t) for t in tokens):
-        idx = _int_list(args.subset, "--subset")
-        if any(not 1 <= i <= len(names) for i in idx):
-            raise CliUsageError(f"subset indices must lie in 1..{len(names)}")
-        subset = [names[i - 1] for i in idx]
-    else:
-        subset = tokens
+    names, subset = P.variables(), []
+    for item, at in read_items(args.subset):  # a variable's name or its 1-based position
+        if item not in names:
+            i = read_int(item, at, "--subset", signed=True)
+            if not 1 <= i <= len(names):
+                raise ParseError(f"subset indices must lie in 1..{len(names)}", at)
+            item = names[i - 1]
+        subset.append(item)
     ps = rado.parametric_solution(P, subset)
     lines = [f"family over parameters (a, b), c = {ps.c}, m = {ps.m}, z = {ps.z}:"]
     for v, zv in zip(ps.j_vars, ps.zs):
@@ -208,7 +195,7 @@ def _system_from_args(args, injective: bool = False):
     from . import search
     given = [x for x in (args.poly, args.matrix, args.ap) if x is not None]
     if len(given) != 1:
-        raise CliUsageError("give exactly one of --poly, --matrix, --ap")
+        raise ValueError("give exactly one of --poly, --matrix, --ap")
     if args.poly is not None:
         return search.poly_system(parse_poly(args.poly), injective=injective)
     if args.matrix is not None:
@@ -332,10 +319,8 @@ def _poly_check(args):
 def _poly_construct(args):
     from . import polyreg
     L = parse_poly(args.linear)
-    subsets, start = [], 0
-    for chunk in args.subsets.split("|"):
-        subsets.append(tuple(_int_list(chunk, "--subsets", start)))
-        start += len(chunk) + 1
+    subsets = [tuple(read_ints(chunk, at, "--subsets", signed=True))
+               for chunk, at in read_items(args.subsets, "|")]
     result = polyreg.attach_products(L, subsets, args.n)
     lines = [str(result.poly), f"status: {result.verdict.status}"]
     return 0, lines, str(result.poly), result.verdict._asdict()
@@ -349,7 +334,7 @@ def _poly_reciprocal(args):
 def _poly_transform(args):
     from . import polyreg
     if args.negate == (args.power is not None):
-        raise CliUsageError("give exactly one of --negate, --power")
+        raise ValueError("give exactly one of --negate, --power")
     P = parse_poly(args.expr)
     if args.negate:
         result = polyreg.transform(P, "negate_vars")
@@ -361,7 +346,8 @@ def _poly_transform(args):
 
 def _poly_expsum(args):
     from . import polyreg
-    left, right = _int_list(args.left, "--left"), _int_list(args.right, "--right")
+    left = read_ints(args.left, where="--left", signed=True)
+    right = read_ints(args.right, where="--right", signed=True)
     verdict = polyreg.exp_sum_ipr(left, right)
     return _status_json(0 if verdict.status == "IPR_certified" else 2, verdict)
 
@@ -398,14 +384,16 @@ def _omega_rpair(args):
 
 def _omega_tensorized(args):
     from . import omega
-    terms = [omega.parse_term(chunk) for chunk in args.terms.split(";")]
+    terms = [omega.parse_term(term, at) for term, at in read_items(args.terms, ";")]
     out = [str(t) for t in omega.tensorized(terms)]
     return 0, out, out
 
 
 def _omega_verify354(args):
     from . import omega
-    result = omega.verify_table_construction(_int_list(args.c, "--c"), _int_list(args.d, "--d"))
+    c = read_ints(args.c, where="--c", signed=True)
+    d = read_ints(args.d, where="--d", signed=True)
+    result = omega.verify_table_construction(c, d)
     ok = result.zero_check and result.distinct_check
     ledger = [line.text() for line in result.ledger]
     lines = [f"xi_{i}  = {list(v)}" for i, v in enumerate(result.xi, start=1)]
@@ -425,18 +413,16 @@ def _embed_fe(args):
     finite_pair = args.finite is not None or args.target is not None
     periodic_pair = args.periodic is not None or args.target_periodic is not None
     if finite_pair == periodic_pair:
-        raise CliUsageError(
-            "give either --finite with --in, or --periodic with --in-periodic"
-        )
+        raise ValueError("give either --finite with --in, or --periodic with --in-periodic")
     if finite_pair:
         if args.finite is None or args.target is None:
-            raise CliUsageError("--finite and --in go together")
+            raise ValueError("--finite and --in go together")
         n = embed.fe_shift(parse_finite(args.finite), parse_finite(args.target))
         if n is None:
             return 1, ["not embeddable"], "not-embeddable"
         return 0, [f"embeds with shift {n}"], "embeddable", {"shift": n}
     if args.periodic is None or args.target_periodic is None:
-        raise CliUsageError("--periodic and --in-periodic go together")
+        raise ValueError("--periodic and --in-periodic go together")
     A = parse_periodic(args.periodic)
     B = parse_periodic(args.target_periodic)
     ok = embed.fe_periodic(A, B)

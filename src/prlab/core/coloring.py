@@ -16,15 +16,15 @@ class Coloring:
             raise ValueError("coloring needs a nonempty domain")
         if any(v < 1 for v in vals):
             raise ValueError("colors are 1-based positive integers")
-        self.lo = lo
-        self.hi = lo + len(vals) - 1
+        self.lo = index(lo)
+        self.hi = self.lo + len(vals) - 1
         self._colors = vals
         self._classes = None
 
     @classmethod
     def from_text(cls, text: str, lo: int = 1) -> "Coloring":
         """Whitespace-separated 1-based color indices, the color of lo first."""
-        colors = read_ints(text, where="the coloring", signed=True, spaced=True)
+        colors = read_ints(text, where="the coloring", signed=True, sep=None)
         if not colors:
             raise ValueError("empty coloring text")
         return cls(lo, colors)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from operator import index
 
-from .poly import read_ints
+from .poly import read_ints, read_items
 
 
 class IntMatrix:
@@ -56,12 +56,11 @@ class IntMatrix:
 def parse_matrix(text: str) -> IntMatrix:
     """One row per line, entries separated by whitespace; blank lines are
     skipped."""
-    rows, start = [], 0
-    for number, line in enumerate(text.splitlines(keepends=True), start=1):
-        row = read_ints(line, start, f"line {number} of the matrix", signed=True, spaced=True)
+    rows = []
+    for number, (line, at) in enumerate(read_items(text, "\n"), start=1):
+        row = read_ints(line, at, f"line {number} of the matrix", signed=True, sep=None)
         if row:
             rows.append(row)
-        start += len(line)
     if not rows:
         raise ValueError("empty matrix text")
     return IntMatrix(rows)

@@ -283,33 +283,41 @@ def read_int(text: str, position: int = 0, where: str = "", signed: bool = False
         raise ParseError(f"integer literal too long{at}", position + m.start(1)) from None
 
 
-def read_ints(text: str, position: int = 0, where: str = "", signed: bool = False,
-              spaced: bool = False) -> list[int]:
-    """The integers of text's items, each read by read_int.  Items are split
-    at commas, with ASCII whitespace allowed around each, so an empty item is
-    a ParseError; spaced items are split at runs of whitespace instead.
-    Blank text is no items."""
+def read_items(text: str, sep: str | None = ",", position: int = 0) -> list[tuple[str, int]]:
+    """The one splitter of outside text: each item of text, stripped of the
+    ASCII whitespace around it, with the position where it stands (text
+    starts at position of its input).  Items are split at every sep, or at
+    runs of whitespace when sep is None; no item is dropped, so an empty
+    item stands between its separators.  Blank text has no items."""
     if not text.strip(SPACE):
         return []
-    items = re.finditer(r"\S+" if spaced else r"(?<![^,])[^,]*", text)
-    return [read_int(m[0], position + m.start(), where, signed) for m in items]
+    pattern = r"\S+" if sep is None else "(?<![^{0}])[^{0}]*".format(re.escape(sep))
+    return [(m[0].strip(SPACE), position + m.end() - len(m[0].lstrip(SPACE)))
+            for m in re.finditer(pattern, text)]
+
+
+def read_ints(text: str, position: int = 0, where: str = "", signed: bool = False,
+              sep: str | None = ",") -> list[int]:
+    """The integers of text's items (read_items), each read by read_int where
+    it stands, so an empty item is a ParseError."""
+    return [read_int(item, at, where, signed) for item, at in read_items(text, sep, position)]
 
 
 class Cursor:
-    """The (kind, value, position) tokens of a text, read front to back and
-    closed by ("end", None, len(text))."""
+    """The (kind, value, position) tokens of a text that starts at position
+    of its input, read front to back and closed by ("end", None, its end)."""
 
-    def __init__(self, pattern: re.Pattern, text: str):
+    def __init__(self, pattern: re.Pattern, text: str, position: int = 0):
         if text is None or not text.strip():
-            raise ParseError("empty input", 0)
+            raise ParseError("empty input", position)
         self.tokens = []
         for m in pattern.finditer(text):
             kind = m.lastgroup
-            pos = m.start(kind)
+            pos = position + m.start(kind)
             if kind == "bad":
                 raise ParseError(f"unexpected character {m[kind]!r}", pos)
             self.tokens.append((kind, read_int(m[kind], pos) if kind == "int" else m[kind], pos))
-        self.tokens.append(("end", None, len(text)))
+        self.tokens.append(("end", None, position + len(text)))
         self.i = 0
 
     def peek(self):

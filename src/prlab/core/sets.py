@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from operator import index
 
-from .poly import SPACE, read_int, read_ints
+from .poly import ParseError, read_int, read_ints, read_items
 
 
 class FiniteSet:
@@ -64,19 +64,24 @@ class FiniteSet:
         return f"FiniteSet({list(self.elements)})"
 
 
+def _naturals(text: str, position: int, where: str) -> list[int]:
+    """Comma-separated naturals, optionally inside one pair of braces around
+    the whole list; text starts at position of its input."""
+    m = re.fullmatch(r"\s*\{(.*)\}\s*", text, re.ASCII | re.DOTALL)
+    return read_ints(m[1], position + m.start(1), where) if m else read_ints(text, position, where)
+
+
 def parse_finite(text: str) -> FiniteSet:
     """Comma-separated naturals, optionally in braces; a blank string is the
     empty set."""
-    body = text.strip(SPACE)
-    start = text.index(body)
-    inner = body.strip("{}")
-    return FiniteSet(read_ints(inner, start + body.index(inner), "the set"))
+    return FiniteSet(_naturals(text, 0, "the set"))
 
 
 class PeriodicSet:
     __slots__ = ("period", "residues", "threshold", "prefix")
 
     def __init__(self, period: int, residues, threshold: int = 0, prefix=()):
+        period, threshold = index(period), index(threshold)
         if period < 1:
             raise ValueError("period must be >= 1")
         if threshold < 0:
@@ -125,31 +130,20 @@ class PeriodicSet:
         return f"PeriodicSet({self.to_text()!r})"
 
 
-_FIELD_RE = re.compile(r"\s*([a-z]+)\s*=\s*(\{[^}]*\}|[0-9]+)\s*$", re.ASCII)
-
-
 def parse_periodic(text: str) -> PeriodicSet:
-    """Parse "p=<int>; residues={r1,...}; t=<int>; prefix={...}" (t/prefix optional)."""
-    fields: dict[str, tuple[str, int]] = {}  # name: (value, its position)
-    start = 0
-    for chunk in text.split(";"):
-        if chunk.strip():
-            m = _FIELD_RE.match(chunk)
-            if m is None:
-                raise ValueError(f"bad field {chunk.strip()!r} in periodic-set text")
-            fields[m.group(1)] = (m.group(2), start + m.start(2))
-        start += len(chunk) + 1
+    """Parse "p=<int>; residues={r1,...}; t=<int>; prefix={...}" (t/prefix
+    optional).  Fields are split at ';', and a blank, malformed, unknown or
+    repeated field is a ParseError where it stands."""
+    fields: dict[str, object] = {}
+    for item, at in read_items(text, ";"):
+        m = re.fullmatch(r"([a-z]+)\s*=(.*)", item, re.ASCII | re.DOTALL)
+        if m is None:
+            raise ParseError(f"bad field {item!r} in periodic-set text", at)
+        name, where = m[1], f"field {m[1]!r}"
+        if name in fields or name not in ("p", "residues", "t", "prefix"):
+            raise ParseError(f"{'repeated' if name in fields else 'unknown'} {where}", at)
+        read = read_int if name in ("p", "t") else _naturals
+        fields[name] = read(m[2], at + m.start(2), where)
     if "p" not in fields or "residues" not in fields:
         raise ValueError("periodic-set text needs at least p=... and residues={...}")
-
-    def number(name: str) -> int:
-        raw, start = fields.get(name, ("0", 0))
-        return read_int(raw, start, f"field {name!r}")
-
-    def intset(name: str) -> set[int]:
-        raw, start = fields.get(name, ("{}", 0))
-        if raw.startswith("{"):
-            raw, start = raw[1:-1], start + 1
-        return set(read_ints(raw, start, f"field {name!r}"))
-
-    return PeriodicSet(number("p"), intset("residues"), number("t"), intset("prefix"))
+    return PeriodicSet(fields["p"], fields["residues"], fields.get("t", 0), fields.get("prefix", ()))

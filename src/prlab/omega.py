@@ -284,8 +284,8 @@ class _TermParser(Cursor):
         return Atom(val)
 
 
-def parse_term(text: str) -> OmegaTerm:
-    parser = _TermParser(_TERM_TOKEN_RE, text)
+def parse_term(text: str, position: int = 0) -> OmegaTerm:
+    parser = _TermParser(_TERM_TOKEN_RE, text, position)
     t = parser.expr()
     kind, val, _ = parser.peek()
     if kind != "end":

@@ -372,7 +372,7 @@ def parametric_solution(P: Poly, J) -> ParametricSolution:
         raise ValueError("polynomial must be homogeneous linear")
     variables = P.variables()
     coeff = dict(zip(variables, coeffs))
-    j_vars = tuple(sorted(J))
+    j_vars = tuple(sorted(set(J)))
     if not j_vars or any(v not in variables for v in j_vars):
         raise ValueError("subset must be a nonempty set of the polynomial's variables")
     other_vars = tuple(v for v in variables if v not in set(j_vars))

@@ -319,8 +319,20 @@ def test_integer_readers_position_their_errors():
         (["poly", "construct3513", "--linear", "x+y-z", "--subsets", "1|2,|3", "-n", "2"],
          "expected an integer in --subsets at position 4"),
         (["folkman", "fs", "1,,2"], "expected a natural number in the set at position 2"),
+        # every other list is split by the same splitter, and each item is
+        # read where it stands
+        (["parametric", "x+y-z", "--subset", "x,,z"], "expected an integer in --subset at position 2"),
+        (["omega", "tensorized", "a;b+"], "expected a term at position 4"),
+        (["omega", "tensorized", "a;;b"], "empty input at position 2"),
+        (["embed", "classify", "p=3; residues={1}; q=7"], "unknown field 'q' at position 19"),
+        (["folkman", "fs", "{1,2"], "unexpected character '{' in the set at position 0"),
     ):
         assert run(argv) == (3, "", f"error: {message}\n"), argv[:2]
+
+
+def test_an_empty_subsets_list_is_the_empty_index_set():
+    code, out, err = run(["poly", "construct3513", "--linear", "x+y-z", "--subsets", "1||2", "-n", "2"])
+    assert (code, out, err) == (0, "x*y1+y-y2*z\nstatus: IPR_certified\n", "")
 
 
 def test_signed_integer_readers_take_one_leading_sign():
@@ -470,10 +482,16 @@ def test_retired_threads_and_seed_flags_exit_three():
     (["poly", "reciprocal", "x^3 + x*y^2 - z^3", "--degree", "3"],
      "unrecognized arguments: --degree 3"),
     (["embed", "probe-family", "--family", "affinity", "--bounds", "a=1..2, b"],
-     "bad bounds fragment 'b'; expected name=lo..hi"),
+     "bad bounds fragment 'b'; expected name=lo..hi at position 8"),
+    (["embed", "fmap", "--set", "1", "--in", "2", "--family", "translation", "--bounds", "m=0..3,,"],
+     "bad bounds fragment ''; expected name=lo..hi at position 7"),
+    (["embed", "fmap", "--set", "1", "--in", "2", "--family", "affinity",
+      "--bounds", "a=1..2,a=3..4,b=0..4"],
+     "bounds name 'a' given twice at position 7"),
 ], ids=["unknown-kind", "polynomial-name", "polynomial-degree", "probe-polynomial-degree-cap",
         "fmap-polynomial-degree-cap", "polynomial-leading-zero",
-        "unknown-parameter", "empty-range", "retired-degree", "bounds-fragment"])
+        "unknown-parameter", "empty-range", "retired-degree", "bounds-fragment",
+        "bounds-empty-fragment", "bounds-repeated-name"])
 def test_family_usage_error_messages(argv, message):
     assert run(argv) == (3, "", f"error: {message}\n")
 
@@ -702,7 +720,7 @@ HELP_AND_USAGE = [
      'error: --periodic and --in-periodic go together\n'),
     (['blocking-prime', ' \t'], 3,
      '',
-     'error: expected a comma-separated list of integers\n'),
+     'error: empty coefficient list\n'),
 ]
 
 

@@ -217,8 +217,12 @@ def test_coloring_validation():
     lambda: PeriodicSet(2, [1.0]),
     lambda: blocking_prime(["3", 1]),
     lambda: verify_table_construction(["3"], [3]),
+    lambda: Coloring(1.5, [1, 2]),
+    lambda: PeriodicSet(2.0, {0}),
+    lambda: PeriodicSet(2, {0}, threshold=1.5),
 ], ids=["poly-coefficient", "poly-constant", "matrix-float", "matrix-text", "coloring-text",
-        "coloring-float", "finite-set", "periodic-set", "blocking-prime", "table-weights"])
+        "coloring-float", "finite-set", "periodic-set", "blocking-prime", "table-weights",
+        "coloring-lo", "periodic-period", "periodic-threshold"])
 def test_constructors_refuse_text_and_floats(build):
     # text is read by the readers alone; a float is never truncated
     with pytest.raises(TypeError):

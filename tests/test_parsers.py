@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import prlab
 from prlab.core import Coloring, ParseError, parse_finite, parse_matrix, parse_periodic, parse_poly
-from prlab.core.poly import read_ints
+from prlab.core.poly import SPACE, read_items, read_ints
 from prlab.omega import parse_term
 
 # whitespace of several kinds, uppercase, stray symbols, non-ASCII digits
@@ -24,11 +24,15 @@ TERM_PIECES = ["a", "b", "c1", "0", "3", "17", "+", "*", "(", ")", ",", " ",
                "S1(", "S2(", "S0(", "S", "heart(", "diamond(", "heart", "Foo"]
 PERIODIC_PIECES = ["p=", "residues=", "t=", "prefix=", "{", "}", ",", ";", " ",
                    "0", "1", "2", "4", "12", "-1", "p", "q="]
+FINITE_PIECES = ["{", "}", ",", " ", "0", "1", "2", "12", "-1"]
 MATRIX_PIECES = ["1", "-2", "+3", "0", "12", " ", " ", "\n", "\n", "\t", "-", "+", "1_0", "٣", "--1"]
 COLORING_PIECES = ["1", "2", "3", "+2", "0", "-1", " ", " ", "\n", "1_0", "٣", "+"]
 # the value checks of the types the two file readers build
 MATRIX_VALUE_ERRORS = ("empty matrix text", "ragged rows: matrix must be rectangular")
 COLORING_VALUE_ERRORS = ("empty coloring text", "colors are 1-based positive integers")
+PERIODIC_VALUE_ERRORS = ("period must be >= 1", "threshold must be >= 0",
+                         "residues must lie in [0, period)", "prefix must lie in [0, threshold)",
+                         "periodic-set text needs at least p=... and residues={...}")
 
 
 def texts(pieces):
@@ -78,8 +82,23 @@ def test_term_parser_raises_only_positioned_errors(text):
 @given(texts(PERIODIC_PIECES))
 @example("p=4; residues={1,3}")
 @example("p=0; residues={0}")
+@example("0")
 def test_periodic_parser_raises_only_value_errors(text):
-    outcome(parse_periodic, text)
+    assert_positioned(outcome(parse_periodic, text), text, PERIODIC_VALUE_ERRORS)
+
+
+@settings(max_examples=300)
+@given(texts(FINITE_PIECES))
+@example("{1,2")
+@example("{{1}}")
+@example("1,2}")
+def test_finite_sets_take_braces_only_as_one_pair_around_the_list(text):
+    got = outcome(parse_finite, text)
+    assert_positioned(got, text)
+    body = text.strip(SPACE)
+    inner = body[1:-1] if len(body) > 1 and body[0] + body[-1] == "{}" else body
+    if "{" in inner or "}" in inner:
+        assert isinstance(got, ParseError)
 
 
 @settings(max_examples=300)
@@ -105,6 +124,21 @@ ASCII_SPACE = st.text(" \t\n\r\f\v", max_size=2)
 def test_integer_lists_read_back_with_whitespace_around_items(items):
     text = ",".join(f"{before}{n}{after}" for before, n, after in items)
     assert read_ints(text, signed=True) == [n for _, n, _ in items]
+
+
+@given(st.lists(st.tuples(ASCII_SPACE, st.text("ab1{}=.", max_size=3), ASCII_SPACE), max_size=6),
+       st.sampled_from([",", ";", "|"]), st.integers(0, 50))
+def test_items_come_back_with_the_positions_where_they_stand(items, sep, position):
+    text = sep.join(before + item + after for before, item, after in items)
+    got = read_items(text, sep, position)
+    if not text.strip(SPACE):
+        assert got == []
+        return
+    assert [item for item, _ in got] == [item for _, item, _ in items]
+    start = position  # an item stands after the whitespace before it, an empty one at its end
+    for (before, item, after), (_, at) in zip(items, got):
+        assert at == start + len(before if item else before + after)
+        start += len(before + item + after) + 1
 
 
 @given(st.lists(st.integers(0, 99).map(str), min_size=1, max_size=5), ASCII_SPACE, st.data())
@@ -158,6 +192,22 @@ def test_an_empty_list_item_is_refused_where_it_is(items, blank, data):
     pytest.param(parse_periodic, "p=5; residues={0}; t=3; prefix={1,}",
                  "expected a natural number in field 'prefix' at position 34",
                  id="periodic-empty-prefix-item"),
+    # fields are split at ';' and each is read where it stands
+    pytest.param(parse_periodic, "p=4; residues={1}; junk",
+                 "bad field 'junk' in periodic-set text at position 19", id="periodic-bad-field"),
+    pytest.param(parse_periodic, "p=4; residues={1};", "bad field '' in periodic-set text at position 18",
+                 id="periodic-blank-field"),
+    pytest.param(parse_periodic, "p=4; residues={1}; q=7", "unknown field 'q' at position 19",
+                 id="periodic-unknown-field"),
+    pytest.param(parse_periodic, "p=4; p=5; residues={1}", "repeated field 'p' at position 5",
+                 id="periodic-repeated-field"),
+    # braces only as one pair around the whole list
+    pytest.param(parse_finite, "{1,2", "unexpected character '{' in the set at position 0",
+                 id="finite-open-brace"),
+    pytest.param(parse_finite, " {{1,2}}", "unexpected character '{' in the set at position 2",
+                 id="finite-double-brace"),
+    pytest.param(parse_finite, "1,2}", "unexpected character '}' in the set at position 3",
+                 id="finite-close-brace"),
     # the file readers take signed integers by the same rule
     pytest.param(parse_matrix, "1 2\n1 ٣", "unexpected character '٣' in line 2 of the matrix at position 6",
                  id="matrix-non-ascii-digit"),

@@ -366,6 +366,13 @@ def test_parametric_rejects_non_zero_sum_subset():
         parametric_solution(parse_poly("x+y-z"), [])
 
 
+def test_parametric_subset_is_a_set():
+    # y named twice once gave y two values and a family that misses 2x = y + z
+    with pytest.raises(ValueError, match="does not sum to zero"):
+        parametric_solution(parse_poly("2*x-y-z"), ["x", "y", "y"])
+    assert parametric_solution(parse_poly("x+y-z"), ["x", "z", "x"]).j_vars == ("x", "z")
+
+
 def test_parametric_random_planted_families():
     rng = random.Random(20260823)
     for _ in range(60):
