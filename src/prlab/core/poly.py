@@ -287,13 +287,13 @@ def read_items(text: str, sep: str | None = ",", position: int = 0) -> list[tupl
     """The one splitter of outside text: each item of text, stripped of the
     ASCII whitespace around it, with the position where it stands (text
     starts at position of its input).  Items are split at every sep, or at
-    runs of whitespace when sep is None; no item is dropped, so an empty
+    runs of ASCII whitespace when sep is None; no item is dropped, so an empty
     item stands between its separators.  Blank text has no items."""
     if not text.strip(SPACE):
         return []
     pattern = r"\S+" if sep is None else "(?<![^{0}])[^{0}]*".format(re.escape(sep))
     return [(m[0].strip(SPACE), position + m.end() - len(m[0].lstrip(SPACE)))
-            for m in re.finditer(pattern, text)]
+            for m in re.finditer(pattern, text, re.ASCII)]
 
 
 def read_ints(text: str, position: int = 0, where: str = "", signed: bool = False,
@@ -308,7 +308,7 @@ class Cursor:
     of its input, read front to back and closed by ("end", None, its end)."""
 
     def __init__(self, pattern: re.Pattern, text: str, position: int = 0):
-        if text is None or not text.strip():
+        if text is None or not text.strip(SPACE):
             raise ParseError("empty input", position)
         self.tokens = []
         for m in pattern.finditer(text):
@@ -341,10 +341,11 @@ class Cursor:
 # term   := integer | integer '*' factor ('*' factor)* | factor ('*' factor)*
 # factor := var ('^' posint)?
 #
-# Integers are ASCII digits; no implicit multiplication; whitespace is ignored.
+# Integers are ASCII digits; no implicit multiplication; ASCII whitespace is
+# ignored.
 
 _POLY_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>[0-9]+)|(?P<var>[a-z][a-z0-9_]*)|(?P<sym>[+\-*^])|(?P<bad>\S))")
+    r"\s*(?:(?P<int>[0-9]+)|(?P<var>[a-z][a-z0-9_]*)|(?P<sym>[+\-*^])|(?P<bad>\S))", re.ASCII)
 
 
 def parse_poly(text: str) -> Poly:

@@ -223,11 +223,12 @@ def tensor_pair_R(a: OmegaTerm, b: OmegaTerm) -> bool:
 # primary := nat | atom | '(' expr ')' | Sk '(' expr ')'
 #          | ('heart' | 'diamond') '(' expr ',' expr ')'
 #
-# A nat is any run of the ASCII digits 0-9, as in polynomials; whitespace is
-# ignored.
+# A nat is any run of the ASCII digits 0-9, as in polynomials; ASCII
+# whitespace is ignored.
 
 _TERM_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<sym>[+*(),])|(?P<bad>\S))")
+    r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<sym>[+*(),])|(?P<bad>\S))",
+    re.ASCII)
 
 # Parentheses, stars, heart and diamond nest at most this deep; each level
 # takes three parser frames, so deeper input would exhaust the interpreter's

@@ -135,6 +135,7 @@ class _PolyResidual:
         }
         self.scan = max(key[-1] for key in self.start) > 2
         self.lo, self.hi = lo, hi
+        self.table: tuple = (None, None)  # (c1, c2) and its table of z
 
     def feasible(self, state, depth: int) -> bool:
         lo = hi = 0
@@ -155,11 +156,44 @@ class _PolyResidual:
             out[rest] = out.get(rest, 0) + c * x ** key[0]
         return out
 
-    def last_values(self, state, values):
-        if self.scan:
-            return [x for x in values if sum(c * x**e for (e,), c in state.items()) == 0]
-        get = state.get
-        return _quadratic_roots(get((0,), 0), get((1,), 0), get((2,), 0), self.lo, self.hi)
+    def last_pairs(self, state, ys, values):
+        """The (y, z) with y from ys that solve the state, ascending in y and
+        then z; values is the same list on every call.  Up to degree 2 in y
+        and z the state is c0(y) + c1(y)·z + c2(y)·z².  When c1 and c2 do not
+        depend on y, each y is one lookup of c0(y) in a table of the z over
+        values by -(c1·z + c2·z²), and only the last table is kept: the
+        earlier variables can give each (c1, c2) its own."""
+        if self.scan or any(i > 2 for i, _ in state):  # fold y in, then solve or scan z
+            for y in ys:
+                rest = self.assign(state, 0, y)
+                if self.scan:
+                    zs = (z for z in values if sum(c * z**e for (e,), c in rest.items()) == 0)
+                else:
+                    zs = _quadratic_roots(*(rest.get((e,), 0) for e in range(3)), self.lo, self.hi)
+                yield from ((y, z) for z in zs)
+            return
+        c = [0] * 9  # c[3 * j + i]: the coefficient of y^i z^j
+        for (i, j), v in state.items():
+            c[3 * j + i] = v
+        a0, a1, a2, b0, b1, b2, d0, d1, d2 = c
+        if b1 or b2 or d1 or d2:
+            lo, hi = self.lo, self.hi
+            for y in ys:
+                c0, c1, c2 = a0 + (a1 + a2 * y) * y, b0 + (b1 + b2 * y) * y, d0 + (d1 + d2 * y) * y
+                for z in _quadratic_roots(c0, c1, c2, lo, hi):
+                    yield y, z
+            return
+        if self.table[0] != (b0, d0):
+            table: dict[int, list[int]] = {}
+            for z in values:
+                table.setdefault(-(b0 + d0 * z) * z, []).append(z)
+            self.table = ((b0, d0), table)
+        get = self.table[1].get
+        for y in ys:
+            zs = get(a0 + (a1 + a2 * y) * y)
+            if zs:  # most y have none
+                for z in zs:
+                    yield y, z
 
 
 def _reach(mask: int, c: int, values) -> int:
@@ -267,33 +301,43 @@ class _LinearRows:
     def assign(self, owed, depth: int, x: int):
         return tuple(need - row[depth] * x for need, row in zip(owed, self.rows))
 
-    def last_values(self, owed, values):
-        """Solve the last variable one row at a time: a row with a nonzero
-        coefficient fixes the value, a zero coefficient must owe nothing."""
-        x = None
-        for need, row in zip(owed, self.rows):
-            a = row[-1]
-            if a == 0:
+    def last_pairs(self, owed, ys, values):
+        """The (y, z) with y from ys that solve every row, ascending in y and
+        then z: z = (need - a·y) / b for one row a·y + b·z = need with b != 0,
+        and otherwise a row with b != 0 fixes z, one with b = 0 must owe
+        nothing, and every z solves when no row fixes it."""
+        if len(self.rows) == 1 and self.rows[0][-1]:
+            (need,), (a, b) = owed, self.rows[0][-2:]
+            for y in ys:
+                z, rem = divmod(need - a * y, b)
+                if not rem:
+                    yield y, z
+            return
+        for y in ys:
+            z = None
+            for need, row in zip(owed, self.rows):
+                need -= row[-2] * y
+                if row[-1]:
+                    q, need = divmod(need, row[-1])
+                    if z not in (None, q):
+                        break
+                    z = q
                 if need:
-                    return ()
-                continue
-            q, rem = divmod(need, a)
-            if rem or x not in (None, q):
-                return ()
-            x = q
-        return values if x is None else (x,)
+                    break
+            else:
+                yield from ((y, v) for v in (values if z is None else (z,)))
 
 
 def _walk(constraint, k: int, values, injective: bool):
     """Depth-first walk over assignments of k >= 2 variables from the
     ascending value list, yielding every solution of the constraint in
-    lexicographic order.  Above the last level the constraint's feasibility
-    test prunes and its candidates are the values tried; the last variable
-    is solved exactly in the loop over the second-last one's candidates.
-    One stack holds a (state, candidate iterator) pair per open depth."""
+    lexicographic order.  Above the last two levels the constraint's
+    feasibility test prunes and its candidates are the values tried; its
+    last_pairs solves the last two together over the second-last one's
+    candidates.  One stack holds a (state, candidate iterator) per depth."""
     members = set(values)
-    feasible, candidates, assign, last_values = (
-        constraint.feasible, constraint.candidates, constraint.assign, constraint.last_values
+    feasible, candidates, assign, last_pairs = (
+        constraint.feasible, constraint.candidates, constraint.assign, constraint.last_pairs
     )
     start, last = constraint.start, k - 2
     prefix: list[int] = []  # the values taken at the depths below the top
@@ -301,15 +345,16 @@ def _walk(constraint, k: int, values, injective: bool):
     while stack:
         state, xs = stack[-1]
         depth = len(prefix)
+        if depth == last:
+            for y, z in last_pairs(state, xs, values):
+                if z in members and not (injective and (y == z or y in prefix or z in prefix)):
+                    yield (*prefix, y, z)
+            xs = ()  # every candidate is spent: back up
         for x in xs:
             if injective and x in prefix:
                 continue
             child = assign(state, depth, x)
-            if depth == last:
-                for z in last_values(child, values):
-                    if z in members and not (injective and (z == x or z in prefix)):
-                        yield (*prefix, x, z)
-            elif feasible(child, depth + 1):
+            if feasible(child, depth + 1):
                 prefix.append(x)
                 stack.append((child, iter(candidates(child, depth + 1, values))))
                 break

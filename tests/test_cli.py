@@ -330,6 +330,21 @@ def test_integer_readers_position_their_errors():
         assert run(argv) == (3, "", f"error: {message}\n"), argv[:2]
 
 
+def test_readers_take_ascii_whitespace_only(tmp_path):
+    # an em space (U+2003) is no whitespace to any reader, the two grammars
+    # included: it is refused where it stands, as read_int refuses it
+    (tmp_path / "coloring").write_text("1\u20031 1\n", encoding="utf-8")
+    for argv, message in (
+        (["check-linear", "x+\u2003y-z"], "unexpected character '\\u2003' at position 2"),
+        (["check-linear", "\u2003"], "unexpected character '\\u2003' at position 0"),
+        (["omega", "eval", "a+\u2003b"], "unexpected character '\\u2003' at position 2"),
+        (["omega", "tensorized", "a;\u2003"], "unexpected character '\\u2003' at position 2"),
+        (["search", "witness", "--poly", "x+y-z", "--coloring", str(tmp_path / "coloring")],
+         "unexpected character '\\u2003' in the coloring at position 1"),
+    ):
+        assert run(argv) == (3, "", f"error: {message}\n"), argv[:2]
+
+
 def test_an_empty_subsets_list_is_the_empty_index_set():
     code, out, err = run(["poly", "construct3513", "--linear", "x+y-z", "--subsets", "1||2", "-n", "2"])
     assert (code, out, err) == (0, "x*y1+y-y2*z\nstatus: IPR_certified\n", "")

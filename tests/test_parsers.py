@@ -271,6 +271,27 @@ def test_int_is_called_in_the_core_reader_only():
     assert _int_uses() == {("core/poly.py", "read_int", "call")}
 
 
+def test_every_whitespace_pattern_is_ascii():
+    # \s and \S match every Unicode space, such as the em space U+2003;
+    # whitespace in input is ASCII, so a pattern that names it passes
+    # re.ASCII.  A pattern built at run time counts as one that names it.
+    root = Path(prlab.__file__).parent
+    calls = ("compile", "match", "fullmatch", "search", "finditer", "findall", "split", "sub")
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and ast.unparse(node.func.value) == "re" and node.func.attr in calls):
+                continue
+            pattern = node.args[0]
+            spaced = not isinstance(pattern, ast.Constant) or any(
+                c in pattern.value for c in ("\\s", "\\S"))
+            flags = [ast.unparse(a) for a in node.args[1:] + [k.value for k in node.keywords]]
+            if spaced and not any("re.ASCII" in f for f in flags):
+                found.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert found == []
+
+
 def test_no_pattern_matches_unicode_digits():
     # \d matches every Unicode decimal digit; integers are ASCII [0-9]
     root = Path(prlab.__file__).parent

@@ -1,6 +1,9 @@
 import ast
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from itertools import combinations, product
 from pathlib import Path
@@ -763,6 +766,88 @@ def test_vanishing_last_coefficients_admit_every_value():
             want = brute_witness(holds, 3, coloring, injective)
             assert mono_witness(coloring, poly_system(P, injective=injective)) == want
     assert mono_witness(Coloring(1, (1,) * 5), poly_system(P)) == (1, 1, 1)
+
+
+# Every path of last_pairs, which solves the last two variables together:
+# (text, holds) for a polynomial, (rows, constants) for linear rows.
+LAST_PAIRS_CASES = [
+    # z's coefficients are constant: one table for the whole walk
+    ("x^2+y^2-z^2", lambda v: v[0] ** 2 + v[1] ** 2 == v[2] ** 2),
+    ("x*y-2*z+1", lambda v: v[0] * v[1] - 2 * v[2] + 1 == 0),
+    # z's coefficient changes with x: a new table for every x
+    ("x^2-y^2+x*z-3*z", lambda v: v[0] ** 2 - v[1] ** 2 + v[0] * v[2] - 3 * v[2] == 0),
+    # z's coefficients change with y: each y's quadratic is solved
+    ("x^2-y*z", lambda v: v[0] ** 2 == v[1] * v[2]),
+    ("x+y^2*z^2-y*z-2", lambda v: v[0] + v[1] ** 2 * v[2] ** 2 - v[1] * v[2] - 2 == 0),
+    ("x-y^2*z+y*z^2", lambda v: v[0] - v[1] ** 2 * v[2] + v[1] * v[2] ** 2 == 0),
+    # at x = 1 both of z's coefficients vanish: every z solves once y = 1
+    ("x*z^2-z^2+x*z-z+y-1", lambda v: (v[0] - 1) * (v[2] ** 2 + v[2]) + v[1] - 1 == 0),
+    # z of degree 3, then y of degree 3: each y is folded in and z scanned or solved
+    ("x+y-z^3", lambda v: v[0] + v[1] == v[2] ** 3),
+    ("x+y^3-z^2-z", lambda v: v[0] + v[1] ** 3 == v[2] ** 2 + v[2]),
+    # one row, with and without a constant, and with a zero last coefficient
+    (([1, 2, -3],), (1,)),
+    (([2, -1],), (0,)),
+    (([1, -2, 0],), (0,)),
+    # several rows, with a zero last coefficient in one of them, or two
+    # rows that each fix z
+    (([1, 1, -1, 0], [0, 1, 1, -1]), (0, 0)),
+    (([1, 1, -2], [2, -1, -1]), (0, 0)),
+    (([1, 2, -1], [1, 0, -1]), (0, 0)),
+    (([1, -1, 0], [0, 2, -1]), (0, 0)),
+    (([1, -1, 2], [2, 0, 0]), (-1, -2)),
+]
+
+
+@pytest.mark.parametrize("case, holds", LAST_PAIRS_CASES,
+                         ids=[str(c) if isinstance(c, str) else f"rows{i}"
+                              for i, (c, _) in enumerate(LAST_PAIRS_CASES)])
+def test_last_pairs_match_brute_force_on_color_classes(case, holds):
+    # every solution over each class of seeded colorings whose domains start
+    # at -2..2, so classes have gaps and may hold zero and negatives
+    rng = random.Random(f"last pairs {case}")
+    if isinstance(case, str):
+        P = parse_poly(case)
+        make = lambda injective: poly_system(P, injective)
+        k = len(P.variables())
+    else:
+        rows, constants = case, holds
+        holds = lambda v: all(sum(a * x for a, x in zip(r, v)) + c == 0
+                              for r, c in zip(rows, constants))
+        make = lambda injective: search.SolutionSystem(len(rows[0]), injective, rows, constants)
+        k = len(rows[0])
+    found = 0
+    for _ in range(30):
+        injective = rng.random() < 0.3
+        coloring = Coloring(rng.randint(-2, 2), [rng.randint(1, 3) for _ in range(rng.randint(1, 12))])
+        for _, cls in coloring.classes:
+            want = [xs for xs in product(cls, repeat=k)
+                    if holds(xs) and (not injective or len(set(xs)) == k)]
+            assert list(search._solutions(make(injective), cls)) == want, (case, cls, injective)
+            found += len(want)
+    assert found
+
+
+def test_one_table_at_a_time():
+    # every x of x^2-y^2+x*z-3*z gives z its own coefficient, so a table per
+    # coefficient pair would hold about 180 MB at n = 1,000; one table at a
+    # time adds almost nothing to the peak resident memory of a fresh run
+    script = (
+        "import resource\n"
+        "from prlab.core import parse_poly\n"
+        "from prlab.search import enumerate_solutions, poly_system\n"
+        "system = poly_system(parse_poly('x^2-y^2+x*z-3*z'))\n"
+        "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "before = peak()\n"
+        "count = len(enumerate_solutions(system, 1000))\n"
+        "print(count, peak() - before)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(prlab.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, check=True, timeout=60).stdout.split()
+    scale = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in bytes there, KiB here
+    assert int(out[0]) == 4363
+    assert int(out[1]) * scale < 20 * 2**20
 
 
 # -- the linear walker's second-last variable -------------------------------
