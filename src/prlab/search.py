@@ -126,18 +126,19 @@ class _PolyResidual:
 
     def __init__(self, P: Poly, order, lo: int, hi: int):
         k = len(order)
-        self.start = {(0,) * k: P.constant}
+        start = {(0,) * k: P.constant}
         for key, coeff in P.monomials.items():
-            self.start[tuple(dict(key).get(v, 0) for v in order)] = coeff
+            start[tuple(dict(key).get(v, 0) for v in order)] = coeff
         self.ranges = {
             key[d:]: _monomial_range(key[d:], lo, hi)
-            for key in self.start for d in range(k)
+            for key in start for d in range(k)
         }
-        self.scan = max(key[-1] for key in self.start) > 2
+        self.scan = max(key[-1] for key in start) > 2
         self.lo, self.hi = lo, hi
         self.table: tuple = (None, None)  # (c1, c2) and its table of z
+        self.start = start if self._feasible(start) else None
 
-    def feasible(self, state, depth: int) -> bool:
+    def _feasible(self, state) -> bool:
         lo = hi = 0
         for key, c in state.items():
             mlo, mhi = self.ranges[key]
@@ -145,27 +146,26 @@ class _PolyResidual:
             hi += c * (mhi if c > 0 else mlo)
         return lo <= 0 <= hi
 
-    def candidates(self, state, depth: int, values):
-        return values
-
     def assign(self, state, depth: int, x: int):
         """Fold c * x**e0 into each key with its first exponent dropped."""
         out: dict[tuple[int, ...], int] = {}
         for key, c in state.items():
             rest = key[1:]
             out[rest] = out.get(rest, 0) + c * x ** key[0]
-        return out
+        return out if self._feasible(out) else None
 
-    def last_pairs(self, state, ys, values):
-        """The (y, z) with y from ys that solve the state, ascending in y and
+    def last_pairs(self, state, values):
+        """The (y, z) over values that solve the state, ascending in y and
         then z; values is the same list on every call.  Up to degree 2 in y
         and z the state is c0(y) + c1(y)·z + c2(y)·z².  When c1 and c2 do not
         depend on y, each y is one lookup of c0(y) in a table of the z over
         values by -(c1·z + c2·z²), and only the last table is kept: the
         earlier variables can give each (c1, c2) its own."""
         if self.scan or any(i > 2 for i, _ in state):  # fold y in, then solve or scan z
-            for y in ys:
+            for y in values:
                 rest = self.assign(state, 0, y)
+                if rest is None:
+                    continue
                 if self.scan:
                     zs = (z for z in values if sum(c * z**e for (e,), c in rest.items()) == 0)
                 else:
@@ -178,7 +178,7 @@ class _PolyResidual:
         a0, a1, a2, b0, b1, b2, d0, d1, d2 = c
         if b1 or b2 or d1 or d2:
             lo, hi = self.lo, self.hi
-            for y in ys:
+            for y in values:
                 c0, c1, c2 = a0 + (a1 + a2 * y) * y, b0 + (b1 + b2 * y) * y, d0 + (d1 + d2 * y) * y
                 for z in _quadratic_roots(c0, c1, c2, lo, hi):
                     yield y, z
@@ -189,7 +189,7 @@ class _PolyResidual:
                 table.setdefault(-(b0 + d0 * z) * z, []).append(z)
             self.table = ((b0, d0), table)
         get = self.table[1].get
-        for y in ys:
+        for y in values:
             zs = get(a0 + (a1 + a2 * y) * y)
             if zs:  # most y have none
                 for z in zs:
@@ -221,17 +221,16 @@ class _LinearRows:
     per matrix row.  The state is what each row's unassigned variables still
     owe; variables j and later reach sums in [lows[j], highs[j]].  When a row's
     masks fit in MAX_MASK_BITS, masks[j] for j >= 1 has bit s - lows[j] set
-    for every reachable s, which makes feasibility exact.
+    for every reachable s, which makes the pruning of assign exact.
 
-    _walk asks depth 0 once, of the start state, so depth 0 is decided here.
-    A start outside some row's depth-0 interval needs no masks at all.
-    Otherwise masks[0], the largest, is never built: its bit for the start is
-    one AND of masks[1] with the shifts -c0·x of the first variable."""
+    Depth 0 is decided here: start is None when it fails.  A start outside
+    some row's depth-0 interval needs no masks at all.  Otherwise masks[0],
+    the largest, is never built: its bit for the start is one AND of
+    masks[1] with the shifts -c0·x of the first variable."""
 
     def __init__(self, rows, constants, values):
         self.rows = rows
-        self.start = tuple(-b for b in constants)
-        self.last = len(rows[0]) - 2  # the second-last variable's depth
+        start = tuple(-b for b in constants)
         vmin, vmax = values[0], values[-1]
         self.tables = []
         for row in rows:
@@ -240,10 +239,10 @@ class _LinearRows:
                 ends = (row[j] * vmin, row[j] * vmax)
                 lows[j], highs[j] = lows[j + 1] + min(ends), highs[j + 1] + max(ends)
             self.tables.append([lows, highs, None])
-        self.start_reachable = all(
-            lows[0] <= need <= highs[0] for need, (lows, highs, _) in zip(self.start, self.tables))
-        for need, row, table in zip(self.start, rows, self.tables):
-            if not self.start_reachable:
+        reachable = all(
+            lows[0] <= need <= highs[0] for need, (lows, highs, _) in zip(start, self.tables))
+        for need, row, table in zip(start, rows, self.tables):
+            if not reachable:
                 break
             if len(row) * sum(map(abs, row)) * (vmax - vmin) > MAX_MASK_BITS:
                 continue
@@ -252,28 +251,26 @@ class _LinearRows:
                 masks[j] = _reach(masks[j + 1], row[j], values)
             shift = need - lows[1] + min(-row[0] * vmin, -row[0] * vmax)
             hits = masks[1] >> shift if shift >= 0 else masks[1] << -shift
-            self.start_reachable = bool(hits & _reach(1, -row[0], values))
+            reachable = bool(hits & _reach(1, -row[0], values))
             table[2] = masks
+        self.start = start if reachable else None
 
-    def feasible(self, owed, depth: int) -> bool:
-        if not depth:
-            return self.start_reachable
+    def assign(self, owed, depth: int, x: int):
+        owed = tuple(need - row[depth] * x for need, row in zip(owed, self.rows))
+        depth += 1
         for need, (lows, highs, masks) in zip(owed, self.tables):
             low = lows[depth]
             if not low <= need <= highs[depth]:
-                return False
+                return None
             if masks and not masks[depth] >> (need - low) & 1:
-                return False
-        return True
+                return None
+        return owed
 
-    def candidates(self, owed, depth: int, values):
-        """The values worth trying at this depth, ascending.  At the
-        second-last variable y, the first row a·y + b·z = need with b != 0
-        keeps only the y that leave z an integer between the least and the
-        largest value: a·y ≡ need (mod |b|), one residue class of y, and
-        need - a·y within b times that range, an interval of y."""
-        if depth != self.last:
-            return values
+    def _second_last(self, owed, values):
+        """The values of the second-last variable y worth trying, ascending.
+        The first row a·y + b·z = need with b != 0 keeps the y that leave z an
+        integer in [values[0], values[-1]]: one residue class of y, a·y ≡ need
+        (mod |b|), within an interval of y."""
         for need, row in zip(owed, self.rows):
             a, b = row[-2:]
             if b:
@@ -298,20 +295,16 @@ class _LinearRows:
         span = values[bisect_left(values, start):bisect_right(values, yhi)]
         return span if m == 1 else [y for y in span if (y - y0) % m == 0]
 
-    def assign(self, owed, depth: int, x: int):
-        return tuple(need - row[depth] * x for need, row in zip(owed, self.rows))
-
-    def last_pairs(self, owed, ys, values):
-        """The (y, z) with y from ys that solve every row, ascending in y and
-        then z: z = (need - a·y) / b for one row a·y + b·z = need with b != 0,
-        and otherwise a row with b != 0 fixes z, one with b = 0 must owe
-        nothing, and every z solves when no row fixes it."""
+    def last_pairs(self, owed, values):
+        """The (y, z) that solve every row over the y of _second_last, ascending
+        in y and then z.  One row a·y + b·z = need, b != 0: z = (need - a·y) // b,
+        exact in y's residue class.  Several: a row with b != 0 fixes z, one with
+        b = 0 must owe nothing, and every z solves when no row fixes it."""
+        ys = self._second_last(owed, values)
         if len(self.rows) == 1 and self.rows[0][-1]:
             (need,), (a, b) = owed, self.rows[0][-2:]
             for y in ys:
-                z, rem = divmod(need - a * y, b)
-                if not rem:
-                    yield y, z
+                yield y, (need - a * y) // b
             return
         for y in ys:
             z = None
@@ -331,32 +324,30 @@ class _LinearRows:
 def _walk(constraint, k: int, values, injective: bool):
     """Depth-first walk over assignments of k >= 2 variables from the
     ascending value list, yielding every solution of the constraint in
-    lexicographic order.  Above the last two levels the constraint's
-    feasibility test prunes and its candidates are the values tried; its
-    last_pairs solves the last two together over the second-last one's
-    candidates.  One stack holds a (state, candidate iterator) per depth."""
+    lexicographic order.  Above the last two levels the constraint's assign
+    gives each value's child state, or None when it has no completion; its
+    last_pairs picks the second-last variable's values and solves the last
+    two together.  One stack holds a (state, value iterator) per depth."""
     members = set(values)
-    feasible, candidates, assign, last_pairs = (
-        constraint.feasible, constraint.candidates, constraint.assign, constraint.last_pairs
-    )
+    assign, last_pairs = constraint.assign, constraint.last_pairs
     start, last = constraint.start, k - 2
     prefix: list[int] = []  # the values taken at the depths below the top
-    stack = [(start, iter(candidates(start, 0, values)))] if feasible(start, 0) else []
+    stack = [] if start is None else [(start, iter(values))]
     while stack:
         state, xs = stack[-1]
         depth = len(prefix)
         if depth == last:
-            for y, z in last_pairs(state, xs, values):
+            for y, z in last_pairs(state, values):
                 if z in members and not (injective and (y == z or y in prefix or z in prefix)):
                     yield (*prefix, y, z)
-            xs = ()  # every candidate is spent: back up
+            xs = ()  # every value is spent: back up
         for x in xs:
             if injective and x in prefix:
                 continue
             child = assign(state, depth, x)
-            if feasible(child, depth + 1):
+            if child is not None:
                 prefix.append(x)
-                stack.append((child, iter(candidates(child, depth + 1, values))))
+                stack.append((child, iter(values)))
                 break
         else:
             stack.pop()

@@ -891,13 +891,14 @@ def test_linear_walk_matches_brute_force(case, injective, lo, data):
 
 
 def lin_candidates(rows, constants, values):
-    lin = _LinearRows(rows, constants, values)
-    return lin.candidates(lin.start, 0, values)
+    # the owed tuple by hand: start is None when the rows have no solution
+    owed = tuple(-c for c in constants)
+    return _LinearRows(rows, constants, values)._second_last(owed, values)
 
 
 def test_second_last_candidates_are_the_values_the_last_completes():
     # y stays exactly when an integer z in [values[0], values[-1]] solves the
-    # first row whose last coefficient is nonzero; other depths keep every value
+    # first row whose last coefficient is nonzero
     rng = random.Random(14)
     coeffs = (0, -6, -4, -3, -2, -1, 1, 2, 3, 4, 6)  # gcd(a, b) > 1, a = 0, b < 0
     for _ in range(600):
@@ -910,10 +911,10 @@ def test_second_last_candidates_are_the_values_the_last_completes():
         if rng.random() < 0.5:  # a color class: ascending, with gaps
             values = sorted(rng.sample(values, rng.randint(1, len(values))))
         lin = _LinearRows(rows, constants, values)
-        owed = lin.start
+        owed = tuple(-c for c in constants)
         for depth in range(k - 2):
-            assert lin.candidates(owed, depth, values) is values
-            owed = lin.assign(owed, depth, rng.choice(values))
+            x = rng.choice(values)
+            owed = tuple(need - row[depth] * x for need, row in zip(owed, rows))
         lead = [(need, row) for need, row in zip(owed, rows) if row[-1]]
         if not lead:
             want = list(values)
@@ -921,7 +922,7 @@ def test_second_last_candidates_are_the_values_the_last_completes():
             need, (*_, a, b) = lead[0]
             zs = range(values[0], values[-1] + 1)
             want = [y for y in values if any(a * y + b * z == need for z in zs)]
-        assert list(lin.candidates(owed, k - 2, values)) == want, (rows, constants, values)
+        assert list(lin._second_last(owed, values)) == want, (rows, constants, values)
     # 4y + 6z = 20 over 1..9: y = 2 (y = 5 needs z = 0); 21 is odd
     assert list(lin_candidates([[4, 6]], [-20], range(1, 10))) == [2]
     assert lin_candidates([[4, 6]], [-21], range(1, 10)) == ()
@@ -929,6 +930,48 @@ def test_second_last_candidates_are_the_values_the_last_completes():
     assert lin_candidates([[0, 3]], [-7], [1, 2, 5]) == ()
     assert lin_candidates([[0, 0], [-2, 0]], [0, 4], [1, 2, 5]) == [1, 2, 5]
     assert lin_candidates([[1, -1]], [3], [1, 2, 4, 5, 7]) == [1, 2, 4]
+
+
+@pytest.mark.parametrize("mask_bits", [search.MAX_MASK_BITS, 0], ids=["masks", "intervals"])
+def test_linear_pruning_is_exact(monkeypatch, mask_bits):
+    # with its masks, assign refuses a value exactly when the variables after
+    # it cannot complete one row, and start is None exactly when the row has
+    # no solution; with several rows, or intervals alone, a refusal is sound
+    monkeypatch.setattr(search, "MAX_MASK_BITS", mask_bits)
+    rng = random.Random(27)
+    coeffs = (-3, -2, -1, 0, 1, 2, 3, 4, 6)
+    checked = 0
+    for _ in range(700):
+        k = rng.randint(2, 4)
+        rows = [[rng.choice(coeffs) for _ in range(k)] for _ in range(rng.choice((1, 1, 2, 3)))]
+        constants = [rng.randint(-24, 24) for _ in rows]
+        values = range(rng.randint(-2, 5), rng.randint(6, 13))
+        if rng.random() < 0.5:  # a color class: ascending, with gaps
+            values = sorted(rng.sample(values, rng.randint(1, len(values))))
+        exact = len(rows) == 1 and mask_bits
+        # paid[d]: the sums of every row over the variables d and later
+        paid = [{(0,) * len(rows)}]
+        for d in reversed(range(k)):
+            paid.insert(0, {tuple(s + row[d] * x for s, row in zip(sums, rows))
+                            for sums in paid[0] for x in values})
+        lin = _LinearRows(rows, constants, values)
+        owed = tuple(-c for c in constants)
+        assert lin.start is None or lin.start == owed
+        if exact:
+            assert (lin.start is None) == (owed not in paid[0]), (rows, constants, values)
+        elif lin.start is None:
+            assert owed not in paid[0], (rows, constants, values)
+        for depth in range(k - 1):
+            for x in values:
+                child = tuple(need - row[depth] * x for need, row in zip(owed, rows))
+                got = lin.assign(owed, depth, x)
+                assert got is None or got == child
+                if exact or got is None:
+                    assert (got is None) == (child not in paid[depth + 1]), (rows, owed, depth, x)
+                checked += 1
+            x = rng.choice(values)
+            owed = tuple(need - row[depth] * x for need, row in zip(owed, rows))
+    assert checked > 8000, checked
 
 
 # -- explicit result checks -------------------------------------------------
