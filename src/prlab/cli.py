@@ -191,22 +191,22 @@ def _parametric(args):
 
 # -- search verbs ------------------------------------------------------------
 
-def _system_from_args(args, injective: bool = False):
+def _system_from_args(args):
     from . import search
     given = [x for x in (args.poly, args.matrix, args.ap) if x is not None]
     if len(given) != 1:
         raise ValueError("give exactly one of --poly, --matrix, --ap")
     if args.poly is not None:
-        return search.poly_system(parse_poly(args.poly), injective=injective)
+        return search.poly_system(parse_poly(args.poly), injective=args.injective)
     if args.matrix is not None:
         M = parse_matrix(_read_text(args.matrix))
-        return search.matrix_system(M, injective=injective)
+        return search.matrix_system(M, injective=args.injective)
     return search.ap_system(args.ap)
 
 
 def _good_coloring(args):
     from . import search
-    system = _system_from_args(args, injective=args.injective)
+    system = _system_from_args(args)
     budget = search.NodeBudget(args.max_nodes)
     bounds = {"max_nodes": budget.limit, "n": args.n, "r": args.r}
     try:
@@ -225,7 +225,7 @@ def _good_coloring(args):
 
 def _forcing_number(args):
     from . import search
-    system = _system_from_args(args, injective=args.injective)
+    system = _system_from_args(args)
     budget = search.NodeBudget(args.max_nodes)
     bounds = {"max_nodes": budget.limit, "r": args.r, "max": args.max}
     try:
@@ -239,7 +239,7 @@ def _forcing_number(args):
 
 def _witness(args):
     from . import search
-    system = _system_from_args(args, injective=args.injective)
+    system = _system_from_args(args)
     coloring = Coloring.from_text(_read_text(args.coloring))
     w = search.mono_witness(coloring, system)
     if w is None:

@@ -336,10 +336,10 @@ def _coefficient_table(coeffs):
     return tuple(row(i) for i in range(1, nn + 1)), row(0)
 
 
-def vector_term(vec, atom: str = "a") -> OmegaTerm:
-    """The term sum_k vec[k] * S_k(atom), positions indexed from depth 0."""
+def vector_term(vec) -> OmegaTerm:
+    """The term sum_k vec[k] * S_k(a), positions indexed from depth 0."""
     out = None
-    base = Atom(atom)
+    base = Atom("a")
     for k, v in enumerate(vec):
         if v == 0:
             continue

@@ -134,8 +134,11 @@ def attach_products(L: Poly, subsets, n: int) -> ConstructResult:
         raise ValueError("n must be >= 0")
     if _zero_sum_subset(coeffs) is None:
         raise ValueError("linear part has no zero-sum coefficient subset")
-    fresh = [f"y{j}" for j in range(1, n + 1)]
-    if any(v in fresh for v in variables):
+    # v is a fresh name y<j> when j is 1..n written without a leading zero:
+    # such digit strings order as their values when the shorter comes first
+    top = (len(str(n)), str(n))
+    if any(v[:1] == "y" and v[1:].isascii() and v[1:].isdigit() and v[1] != "0"
+           and (len(v) - 1, v[1:]) <= top for v in variables):
         raise ValueError("variable names collide with the fresh y variables")
     items = []
     for v, a, F in zip(variables, coeffs, subsets):
@@ -219,29 +222,19 @@ class InvarianceFlags(NamedTuple):
     multiplicative: bool
 
 
-def _fresh(P: Poly, base: str) -> str:
-    used = set(P.variables())
-    name = base
-    while name in used:
-        name += "0"
-    return name
-
-
 def invariance(P: Poly) -> InvarianceFlags:
-    """Exact symbolic checks: invariance under adding a common shift to all
-    variables, homogeneity (scaling), additivity P(x+y) = P(x) + P(y), and
-    the two-monomial multiplicative shape M1 - M2 with equal total degrees."""
+    """Exact rules on the exponents: a common shift t leaves P unchanged when
+    the t-coefficient of P(x+t), the sum of the partial derivatives, is zero;
+    scaling when P is homogeneous; P(x+y) = P(x) + P(y) when every monomial
+    has degree 1 (at y = x a degree-d part comes back 2^d - 2 times); and the
+    multiplicative shape is M1 - M2 with equal total degrees."""
     _require_zero_constant(P)
     props = poly_props(P)
-    t = Poly.variable(_fresh(P, "t"))
-    shifted = P.substitute({v: Poly.variable(v) + t for v in P.variables()})
-    translation = shifted == P
-
-    a_vars = {v: Poly.variable(v + "_a") for v in P.variables()}
-    b_vars = {v: Poly.variable(v + "_b") for v in P.variables()}
-    both = {v: a_vars[v] + b_vars[v] for v in P.variables()}
-    additive = P.substitute(both) == P.substitute(a_vars) + P.substitute(b_vars)
-
+    derivative_sum = Poly(
+        (key[:i] + (((v, e - 1),) if e > 1 else ()) + key[i + 1:], e * coeff)
+        for key, coeff in P.monomials.items()
+        for i, (v, e) in enumerate(key)
+    )
     items = P.monomials.items()
     multiplicative = (
         len(items) == 2
@@ -249,8 +242,8 @@ def invariance(P: Poly) -> InvarianceFlags:
         and len({sum(e for _, e in key) for key, _ in items}) == 1
     )
     return InvarianceFlags(
-        translation_invariant=translation,
+        translation_invariant=derivative_sum.is_zero(),
         dilation_invariant=props.is_homogeneous,
-        additive=additive,
+        additive=props.degree == 1,
         multiplicative=multiplicative,
     )

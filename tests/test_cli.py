@@ -223,7 +223,7 @@ def test_internal_check_failure_exits_three(monkeypatch, tmp_path):
     # squared entries: a uniform rescaling of every vector would still vanish
     vector_term = omega.vector_term
     monkeypatch.setattr(omega, "vector_term",
-                        lambda vec, atom="a": vector_term([x * x for x in vec], atom))
+                        lambda vec: vector_term([x * x for x in vec]))
     # one multiplier moved: moving every one by the same amount keeps the family
     monkeypatch.setattr(rado, "_normalize_bezout", lambda coeffs, bez: [bez[0] + 1, *bez[1:]])
     monkeypatch.setattr(polyreg, "sufficient_ipr", lambda P: polyreg.PrVerdict("unknown"))

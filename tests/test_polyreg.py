@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -329,6 +330,87 @@ def test_translation_invariance_matches_coefficient_sum_for_linear_forms():
         flags = invariance(parse_poly(text))
         assert flags.translation_invariant == (sum(coeffs) == 0)
         assert flags.additive
+
+
+def _substitution_flags(P):
+    """The common-shift and additivity flags from their defining identities,
+    P(x + t) = P(x) and P(x_a + x_b) = P(x_a) + P(x_b), expanded by
+    substitution; t is renamed t0, t00, ... until no variable of P has it."""
+    variables = P.variables()
+    t = "t"
+    while t in variables:
+        t += "0"
+    shift = Poly.variable(t)
+    shifted = P.substitute({v: Poly.variable(v) + shift for v in variables})
+    a_vars = {v: Poly.variable(v + "_a") for v in variables}
+    b_vars = {v: Poly.variable(v + "_b") for v in variables}
+    both = {v: a_vars[v] + b_vars[v] for v in variables}
+    additive = P.substitute(both) == P.substitute(a_vars) + P.substitute(b_vars)
+    return shifted == P, additive
+
+
+def test_invariance_flags_match_the_substitution_identities():
+    """Seeded polynomials over names that the identities' own fresh names
+    could meet: random ones, linear forms, and polynomials in differences
+    x - y, which are all invariant under a common shift."""
+    names = ["x", "y", "z", "t", "t0", "x_a", "x_b"]
+    rng = random.Random(20261020)
+    seen = {True: 0, False: 0}
+    checked = 0
+    for case in range(2400):
+        if case % 3 == 0:
+            P = Poly.zero()
+            for v in rng.sample(names, rng.randint(1, 4)):
+                P = P + rng.choice([-3, -2, -1, 1, 2, 3]) * Poly.variable(v)
+        else:
+            P = Poly.zero()
+            for _ in range(rng.randint(1, 4)):
+                term = Poly.const(rng.choice([c for c in range(-4, 5) if c]))
+                for _ in range(rng.randint(1, 3 if case % 3 == 1 else 2)):
+                    if case % 3 == 1:
+                        factor = Poly.variable(rng.choice(names)) ** rng.randint(1, 3)
+                    else:
+                        u, w = rng.sample(names, 2)
+                        factor = (Poly.variable(u) - Poly.variable(w)) ** rng.randint(1, 2)
+                    term = term * factor
+                P = P + term
+        if P.is_zero():
+            continue
+        flags = invariance(P)
+        translation, additive = _substitution_flags(P)
+        assert (flags.translation_invariant, flags.additive) == (translation, additive), str(P)
+        assert flags.dilation_invariant == poly_props(P).is_homogeneous
+        seen[translation] += 1
+        checked += 1
+    assert checked >= 2000
+    assert min(seen.values()) >= 200, seen
+
+
+def test_invariance_reads_the_exponents_without_substituting(monkeypatch):
+    def refuse(self, mapping):
+        raise AssertionError("invariance must not expand a substitution")
+
+    monkeypatch.setattr(Poly, "substitute", refuse)
+    product_24 = parse_poly("*".join(f"x{i}" for i in range(1, 25)))
+    assert invariance(product_24) == (False, True, False, False)
+    assert invariance(parse_poly("x^2-2*x*y+y^2+x-y")) == (True, False, False, False)
+
+
+def test_fresh_name_clashes_are_decided_without_listing_the_names():
+    tracemalloc.start()
+    try:
+        got = attach_products(parse_poly("x+y-z"), [(1,), (2,), ()], 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.poly == parse_poly("x*y1+y*y2-z")
+    assert peak < 10**6
+    for name, n in (("y3", 3), ("y10", 10), ("y9", 10)):
+        with pytest.raises(ValueError, match="^variable names collide with the fresh y variables$"):
+            attach_products(parse_poly(f"x+{name}-z"), [(1,), (2,), ()], n)
+    for name, n in (("y3", 2), ("y0", 3), ("y03", 3), ("y10", 9)):
+        got = attach_products(parse_poly(f"x+{name}-z"), [(1,), (2,), ()], n)
+        assert got.poly == parse_poly(f"x*y1+{name}*y2-z")
 
 
 # -- observed forcing for certified polynomials -----------------------------
