@@ -608,7 +608,7 @@ VERBS = (
     Verb("poly expsum", "difference of power products, compared by exponent sums",
          "exponent-sum-comparison",
          (_arg("--left", required=True), _arg("--right", required=True)), _poly_expsum),
-    Verb("poly invariance", "structural invariance flags", "symbolic-substitution-identities",
+    Verb("poly invariance", "structural invariance flags", "exponent-rules",
          _EXPR, _poly_invariance),
     Verb("omega eval", "canonical form and height", "star-depth-normal-form",
          (_arg("term"),), _omega_eval),

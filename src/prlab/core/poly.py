@@ -67,10 +67,6 @@ class Poly:
         else:
             self.monomials[key] = cur
 
-    def _add_powers(self, powers: dict[str, int], coeff: int) -> None:
-        key = tuple(sorted((v, e) for v, e in powers.items() if e))
-        self._add_key(key, coeff)
-
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -351,14 +347,14 @@ _POLY_TOKEN_RE = re.compile(
 def parse_poly(text: str) -> Poly:
     """Parse an expression string into normal reduced form."""
     cur = Cursor(_POLY_TOKEN_RE, text)
-    out = Poly()
+    items = []
     sign = cur.take()[1] if cur.peek()[1] in ("+", "-") else "+"
     while True:
         coeff, powers = _poly_term(cur)
-        out._add_powers(powers, -coeff if sign == "-" else coeff)
+        items.append((tuple(sorted(powers.items())), -coeff if sign == "-" else coeff))
         kind, sign, _ = cur.peek()
         if kind == "end":
-            return out
+            return Poly(items)
         if sign not in ("+", "-"):
             cur.fail(f"expected '+' or '-', got {sign!r}")
         cur.take()

@@ -50,8 +50,7 @@ class SolutionSystem(NamedTuple):
     """What the colorings must avoid, read once when built: k variables over
     positive integers, pairwise distinct when injective, solving the linear
     rows (rows · x + constants = 0), the nonlinear equation poly = 0, or,
-    with neither, forming an increasing k-term arithmetic progression.  A
-    linear equation keeps its poly too, for the enumeration caps."""
+    with neither, forming an increasing k-term arithmetic progression."""
 
     k: int
     injective: bool = False
@@ -67,7 +66,7 @@ def poly_system(P: Poly, injective: bool = False) -> SolutionSystem:
     coeffs = linear_coefficients(P)
     if coeffs is None:
         return SolutionSystem(k, injective, poly=P)
-    return SolutionSystem(k, injective, (coeffs,), (P.constant,), P)
+    return SolutionSystem(k, injective, (coeffs,), (P.constant,))
 
 
 def matrix_system(M: IntMatrix, injective: bool = False) -> SolutionSystem:
@@ -384,8 +383,7 @@ def enumerate_solutions(system: SolutionSystem, n: int):
             raise ValueError(f"too many variables (max {MAX_POLY_VARS})")
         if props.max_partial_degree > MAX_POLY_PARTIAL_DEGREE:
             raise ValueError(f"partial degree exceeds enumeration bound {MAX_POLY_PARTIAL_DEGREE}")
-        if system.rows is None:
-            order = sorted(P.variables(), key=lambda v: (-props.partial_degrees[v], v))
+        order = sorted(P.variables(), key=lambda v: (-props.partial_degrees[v], v))
     sols = _solutions(system, range(1, n + 1), order)
     if order is not None:
         slots = [order.index(v) for v in P.variables()]

@@ -893,6 +893,19 @@ def test_forcing_numbers_via_cli():
     assert env["verdict"] == 9
 
 
+def test_linear_poly_past_six_variables_answers_as_its_matrix(tmp_path):
+    # a linear --poly equation is its row: no cap on its variables, and the
+    # same search prints what the one-row --matrix prints
+    row = tmp_path / "row.txt"
+    row.write_text("1 1 1 1 1 1 1 -1\n")
+    tail = ["-n", "12", "-r", "2"]
+    want = run(["search", "good-coloring", "--matrix", str(row), *tail])
+    assert want[0] == 0
+    assert run(["search", "good-coloring", "--poly", "a+b+c+d+e+f+g-h", *tail]) == want
+    code, out, _ = run(["search", "forcing-number", "--poly", "a+b+c+d+e+f-g", "-r", "1", "--max", "10"])
+    assert (code, out) == (0, "forcing number: 6\n")
+
+
 def test_witness_verb(tmp_path):
     f = tmp_path / "c.txt"
     f.write_text("1 1 2 2 1\n")
@@ -1660,7 +1673,7 @@ EXACT = [
                   'additive': True,
                   'multiplicative': False},
       'certificate': None,
-      'provenance': 'symbolic-substitution-identities',
+      'provenance': 'exponent-rules',
       'bounds': None}),
     (['poly', 'invariance', 'x*y-z^2'],
      0,
@@ -1670,7 +1683,7 @@ EXACT = [
                   'additive': False,
                   'multiplicative': True},
       'certificate': None,
-      'provenance': 'symbolic-substitution-identities',
+      'provenance': 'exponent-rules',
       'bounds': None}),
     (['omega', 'eval', 'heart(a, S1(b)) * 3'],
      0,

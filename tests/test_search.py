@@ -13,7 +13,8 @@ from hypothesis import assume, given, strategies as st
 
 import prlab
 from prlab import search
-from prlab.core import Coloring, FiniteSet, Poly, linear_coefficients, parse_matrix, parse_poly
+from prlab.core import (
+    Coloring, FiniteSet, IntMatrix, Poly, linear_coefficients, parse_matrix, parse_poly)
 from prlab.rado import blocking_prime, smod
 from prlab.search import (
     NodeBudget,
@@ -103,9 +104,8 @@ def test_enumerate_quadratic_equation():
 
 
 def test_enumeration_caps():
-    seven = "+".join(f"x{i}" for i in range(7))
-    with pytest.raises(ValueError):
-        enumerate_solutions(poly_system(parse_poly(seven)), 3)
+    with pytest.raises(ValueError, match=r"too many variables \(max 6\)"):
+        enumerate_solutions(poly_system(parse_poly("a*b+c+d+e+f-g")), 3)
     with pytest.raises(ValueError):
         enumerate_solutions(poly_system(parse_poly("x^3-y")), 3)
     with pytest.raises(ValueError):
@@ -122,6 +122,27 @@ def test_system_constructors_validate():
 def test_matrix_enumeration_agrees_with_poly():
     M = parse_matrix("1 1 -1")
     assert enumerate_solutions(matrix_system(M), 5) == enumerate_solutions(SCHUR, 5)
+
+
+def test_linear_poly_and_matrix_are_one_system():
+    # a linear equation is its row of coefficients, past six variables too:
+    # given as a polynomial or as a one-row matrix it enumerates, searches,
+    # sweeps and finds witnesses alike
+    rng = random.Random(29)
+    for case in range(48):
+        k = 2 + case % 8
+        coeffs = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(k)]
+        if all(c > 0 for c in coeffs) or all(c < 0 for c in coeffs):
+            coeffs[-1] = -coeffs[-1]
+        P = Poly({((f"x{i}", 1),): c for i, c in enumerate(coeffs)})
+        n = rng.randint(2, 13 - k)
+        coloring = Coloring(1, [rng.randint(1, 3) for _ in range(n)])
+        for injective in (False, True):
+            systems = poly_system(P, injective), matrix_system(IntMatrix([coeffs]), injective)
+            got = [(enumerate_solutions(system, n), good_coloring(system, n, 2),
+                    forcing_number(system, 2, n), mono_witness(coloring, system))
+                   for system in systems]
+            assert got[0] == got[1], (coeffs, n, injective)
 
 
 def test_two_row_system_enumeration():
