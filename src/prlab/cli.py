@@ -171,6 +171,7 @@ def _blocking_prime(args):
 def _parametric(args):
     from . import rado
     P = parse_poly(args.expr)
+    rado.homogeneous_coefficients(P)  # a bad expression is reported before --subset is read
     names, subset = P.variables(), []
     for item, at in read_items(args.subset):  # a variable's name or its 1-based position
         if item not in names:

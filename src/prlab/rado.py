@@ -109,35 +109,25 @@ class ColumnsConditionVerdict(NamedTuple):
 
 
 def verify_columns_certificate(M: IntMatrix, cert: ColumnsConditionCertificate) -> bool:
-    """Independent exact re-check of a certificate against the matrix."""
+    """Independent exact re-check of a certificate against the matrix.  The
+    first block is the empty combination of no earlier columns, so one test
+    covers every block: the combination minus the block's sum is zero."""
     seen = [c for block in cert.blocks for c in block]
     if sorted(seen) != list(range(1, M.cols + 1)):
         return False
     if len(cert.combinations) != len(cert.blocks) - 1:
         return False
-
-    def colsum(block):
-        out = [0] * M.rows
-        for c in block:
-            col = M.column(c - 1)
-            out = [a + b for a, b in zip(out, col)]
-        return out
-
-    if any(colsum(cert.blocks[0])):
-        return False
     earlier: list[tuple[int, ...]] = []
-    for t, block in enumerate(cert.blocks):
-        if t >= 1:
-            combo = cert.combinations[t - 1]
-            if len(combo) != len(earlier):
-                return False
-            target = colsum(block)
-            acc = [Fraction(0)] * M.rows
-            for coef, col in zip(combo, earlier):
-                acc = [a + coef * x for a, x in zip(acc, col)]
-            if any(a != b for a, b in zip(acc, target)):
-                return False
-        earlier.extend(M.column(c - 1) for c in block)
+    for block, combo in zip(cert.blocks, ((),) + cert.combinations):
+        if len(combo) != len(earlier):
+            return False
+        cols = [M.column(c - 1) for c in block]
+        acc = [-sum(col[r] for col in cols) for r in range(M.rows)]
+        for coef, col in zip(combo, earlier):
+            acc = [a + coef * x for a, x in zip(acc, col)]
+        if any(acc):
+            return False
+        earlier.extend(cols)
     return True
 
 
@@ -181,6 +171,14 @@ def columns_condition(M: IntMatrix) -> ColumnsConditionVerdict:
 
 
 # -- single linear equations ------------------------------------------------
+
+def homogeneous_coefficients(P: Poly) -> tuple[int, ...]:
+    """P's coefficients, in P.variables() order, when P is homogeneous linear."""
+    coeffs = linear_coefficients(P)
+    if coeffs is None or P.constant:
+        raise ValueError("polynomial must be homogeneous linear")
+    return coeffs
+
 
 def _zero_sum_subset(coeffs) -> tuple[int, ...] | None:
     """Indices of the first (smallest, then lex) nonempty subset summing to 0."""
@@ -246,9 +244,7 @@ def linear_pr(P: Poly) -> LinearPrVerdict:
     """Zero-sum-subset criterion for a homogeneous linear equation P = 0:
     regular iff some nonempty subset of the coefficients sums to zero;
     otherwise the verdict carries the smallest blocking prime."""
-    coeffs = linear_coefficients(P)
-    if coeffs is None or P.constant:
-        raise ValueError("polynomial must be homogeneous linear")
+    coeffs = homogeneous_coefficients(P)
     variables = P.variables()
     if len(variables) < 2:
         raise ValueError("need at least two variables")
@@ -297,34 +293,20 @@ def affine_pr(P: Poly) -> AffinePrVerdict:
 
 # -- parametric solution families ------------------------------------------
 
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y = g = gcd(|a|, |b|) >= 0."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
 def _bezout_list(nums) -> tuple[int, list[int]]:
     """Fold extended Euclid over the list: g > 0 and coefficients b with
     sum(n_i * b_i) = g."""
     g, coeffs = abs(nums[0]), [1 if nums[0] > 0 else -1]
     for c in nums[1:]:
-        g2, x, y = _egcd(g, c)
-        coeffs = [cf * x for cf in coeffs] + [y]
-        g = g2
+        # remainders r with r = x*g + y*c, down to the last nonzero one
+        (r0, x0, y0), (r1, x1, y1) = (g, 1, 0), (c, 0, 1)
+        while r1:
+            q = r0 // r1
+            (r0, x0, y0), (r1, x1, y1) = (r1, x1, y1), (r0 - q * r1, x0 - q * x1, y0 - q * y1)
+        if r0 < 0:
+            r0, x0, y0 = -r0, -x0, -y0
+        g, coeffs = r0, [cf * x0 for cf in coeffs] + [y0]
     return g, coeffs
-
-
-def _round_nearest(num: int, den: int) -> int:
-    return math.floor(Fraction(num, den) + Fraction(1, 2))
 
 
 def _normalize_bezout(coeffs, bez):
@@ -337,7 +319,7 @@ def _normalize_bezout(coeffs, bez):
         step_i, step_j = b // g, a // g
         if step_i == 0:
             continue
-        t = _round_nearest(bez[i], step_i)
+        t = (2 * bez[i] + step_i) // (2 * step_i)  # bez[i] / step_i rounded half up
         bez[i] -= t * step_i
         bez[i + 1] += t * step_j
     return bez
@@ -346,13 +328,11 @@ def _normalize_bezout(coeffs, bez):
 class ParametricSolution(NamedTuple):
     """Two-parameter solution family for a homogeneous linear equation.
 
-    Variables in the zero-sum subset J receive a + zs_i * b, the others m * b;
-    bezout holds the raw extended-Euclid multipliers (sum c_i*bezout_i = c) and
-    zs = z * bezout the scaled ones actually used by the assignment.
+    Variables in the zero-sum subset J receive a + zs_i * b, the others m * b,
+    where zs = z * (extended-Euclid multipliers b_i with sum c_i * b_i = c).
     """
 
     zs: tuple[int, ...]
-    bezout: tuple[int, ...]
     m: int
     c: int
     d: int
@@ -367,9 +347,7 @@ class ParametricSolution(NamedTuple):
 
 
 def parametric_solution(P: Poly, J) -> ParametricSolution:
-    coeffs = linear_coefficients(P)
-    if coeffs is None or P.constant:
-        raise ValueError("polynomial must be homogeneous linear")
+    coeffs = homogeneous_coefficients(P)
     variables = P.variables()
     coeff = dict(zip(variables, coeffs))
     j_vars = tuple(sorted(set(J)))
@@ -391,16 +369,7 @@ def parametric_solution(P: Poly, J) -> ParametricSolution:
     coef_b = sum(ci * zi for ci, zi in zip(cj, zs)) + m * d
     if coef_a != 0 or coef_b != 0:
         raise RuntimeError("internal check failed: parametric family does not vanish")
-    return ParametricSolution(
-        zs=zs,
-        bezout=tuple(bez),
-        m=m,
-        c=c,
-        d=d,
-        z=z,
-        j_vars=j_vars,
-        other_vars=other_vars,
-    )
+    return ParametricSolution(zs=zs, m=m, c=c, d=d, z=z, j_vars=j_vars, other_vars=other_vars)
 
 
 # -- super-modulo coloring --------------------------------------------------

@@ -396,8 +396,9 @@ def enumerate_solutions(system: SolutionSystem, n: int):
 
 def solutions_by_max(system: SolutionSystem, n: int):
     """Distinct value sets of solutions, indexed by their maximum element.
-    This is the index the backtracking search consults when it colors the
-    element that completes a solution."""
+    The search colors from the per-element bitmasks that _value_sets builds
+    from these sets; the maxima serve only forcing_number, which keeps at
+    each n of its sweep the sets whose maximum is at most n."""
     index: dict[int, list[tuple[int, ...]]] = {}
     seen: set[tuple[int, ...]] = set()
     for sol in enumerate_solutions(system, n):

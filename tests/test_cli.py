@@ -330,6 +330,17 @@ def test_integer_readers_position_their_errors():
         assert run(argv) == (3, "", f"error: {message}\n"), argv[:2]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["parametric", "x-x+y-y", "--subset", "y"], "zero polynomial"),
+    (["parametric", "5", "--subset", "1"], "polynomial must be homogeneous linear"),
+], ids=["zero-polynomial", "constant"])
+def test_parametric_reports_a_bad_expression_before_its_subset(argv, message):
+    # the expression is judged before --subset is read against its variables,
+    # so the message is the one check-linear gives for the same expression
+    assert run(argv) == (3, "", f"error: {message}\n")
+    assert run(["check-linear", argv[1]]) == (3, "", f"error: {message}\n")
+
+
 def test_readers_take_ascii_whitespace_only(tmp_path):
     # an em space (U+2003) is no whitespace to any reader, the two grammars
     # included: it is refused where it stands, as read_int refuses it

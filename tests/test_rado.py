@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from prlab.core import Poly, parse_matrix, parse_poly
 from prlab.rado import (
     ColumnsConditionCertificate,
+    _bezout_list,
     affine_pr,
     blocking_prime,
     columns_condition,
@@ -157,12 +159,15 @@ PLANTED_BAD_CERTIFICATES = [
     lambda c: c._replace(combinations=(c.combinations[0], c.combinations[1][:-1], c.combinations[2])),
     lambda c: c._replace(combinations=c.combinations[:2] + (
         (c.combinations[2][0] + 1, *c.combinations[2][1:]),)),
+    lambda c: c._replace(blocks=c.blocks[1:] + c.blocks[:1]),
+    lambda c: c._replace(combinations=c.combinations[:-1]),
 ]
 
 
 @pytest.mark.parametrize("tamper", PLANTED_BAD_CERTIFICATES, ids=[
     "column-missing", "column-repeated", "combination-too-many", "combination-wrong-length",
-    "combination-misses-the-block-sum"])
+    "combination-misses-the-block-sum", "first-block-not-zero-sum",
+    "combination-too-few"])
 def test_planted_bad_certificates_are_rejected(tamper):
     M = parse_matrix("1 -2 -1 1 0 2\n1 -3 1 -3 3 0")
     good = columns_condition(M).certificate
@@ -345,8 +350,8 @@ def test_parametric_schur_family():
     ps = parametric_solution(parse_poly("x+y-z"), ["x", "z"])
     assert (len(ps.j_vars), ps.c, ps.d, ps.m, ps.z) == (2, 1, 1, 1, -1)
     assert ps.j_vars == ("x", "z") and ps.other_vars == ("y",)
-    # raw multipliers satisfy the gcd identity over the subset
-    assert 1 * ps.bezout[0] + (-1) * ps.bezout[1] == ps.c
+    # the scaled multipliers satisfy z times the gcd identity over the subset
+    assert 1 * ps.zs[0] + (-1) * ps.zs[1] == ps.z * ps.c
     poly = parse_poly("x+y-z")
     for a, b in product(range(-4, 5), repeat=2):
         assert poly.evaluate(ps.assignment(a, b)) == 0
@@ -391,11 +396,22 @@ def test_parametric_random_planted_families():
         text = "+".join(f"{c}*{v}" for c, v in zip(coeffs, names)).replace("+-", "-")
         poly = parse_poly(text)
         ps = parametric_solution(poly, names[:k])
-        assert sum(c * b for c, b in zip(sorted_coeffs(poly, ps.j_vars), ps.bezout)) == ps.c
+        assert sum(c * s for c, s in zip(sorted_coeffs(poly, ps.j_vars), ps.zs)) == ps.z * ps.c
         assert ps.c * ps.z + ps.d * ps.m == 0
         for _ in range(20):
             a, b = rng.randint(-50, 50), rng.randint(-50, 50)
             assert poly.evaluate(ps.assignment(a, b)) == 0
+
+
+def test_bezout_list_seeded():
+    rng = random.Random(20261021)
+    for t in range(2000):
+        factor = rng.choice([2, 3, 6]) if t % 3 == 0 else 1  # a third share a factor
+        pool = [c for c in range(-40, 41) if c and c % factor == 0]
+        nums = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
+        g, bez = _bezout_list(nums)
+        assert len(bez) == len(nums)
+        assert sum(n * b for n, b in zip(nums, bez)) == g == math.gcd(*nums) > 0
 
 
 def sorted_coeffs(poly, names):
