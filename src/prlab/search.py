@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from itertools import islice
+from operator import sub
 from typing import NamedTuple
 
 from .core import Coloring, FiniteSet, IntMatrix, Poly, linear_coefficients, poly_props
@@ -195,23 +197,33 @@ class _PolyResidual:
                     yield y, z
 
 
-def _reach(mask: int, c: int, values) -> int:
-    """The OR of mask << (c*x - m) over the ascending value list, where m is
-    the least c*x: the sums reachable once c*x joins those in mask.  Values
-    without gaps (a range) are covered by doubling, others by one shift each."""
-    if len(values) < values[-1] - values[0] + 1:
-        low = min(c * values[0], c * values[-1])
-        acc = 0
-        for x in values:
-            acc |= mask << (c * x - low)
-        return acc
-    # the shifts are |c| * t for t < len(values), either sign of c; mask covers t < span
-    span, count = 1, len(values)
-    while span < count:
-        grow = min(span, count - span)
-        mask |= mask << (abs(c) * grow)
-        span += grow
-    return mask
+def _runs(values):
+    """The ascending value list as arithmetic runs (first, d, count): d is 1
+    when the list has no gaps (a range is one run), else the most common gap
+    between neighbours, and each value extends the run ending d below it."""
+    if values[-1] - values[0] == len(values) - 1:  # no gaps
+        return [(values[0], 1, len(values))]
+    d = Counter(map(sub, values[1:], values)).most_common(1)[0][0]
+    ends: dict[int, list[int]] = {}  # an open run's last value: [first, count]
+    for x in values:
+        ends[x] = run = ends.pop(x - d, None) or [x, 0]
+        run[1] += 1
+    return [(first, d, count) for first, count in ends.values()]
+
+
+def _reach(mask: int, c: int, runs) -> int:
+    """The OR of mask << (c*x - m) over the values of the runs, where m is
+    the least c*x: the sums reachable once c*x joins those in mask.  Each run
+    takes about log2(count) doubling shifts of |c|·d, then one to its least c*x."""
+    starts = [c * a if c > 0 else c * (a + d * (count - 1)) for a, d, count in runs]
+    low, acc = min(starts), 0
+    for start, (_, d, count) in zip(starts, runs):
+        part, span, step = mask, 1, abs(c) * d  # part covers the shifts step·s for s < span
+        while span < count:
+            grow = span if 2 * span <= count else count - span
+            part, span = part | part << (step * grow), span + grow
+        acc |= part << (start - low)
+    return acc
 
 
 class _LinearRows:
@@ -219,8 +231,9 @@ class _LinearRows:
     an ascending value list: a linear equation is one row, A x = 0 has one row
     per matrix row.  The state is what each row's unassigned variables still
     owe; variables j and later reach sums in [lows[j], highs[j]].  When a row's
-    masks fit in MAX_MASK_BITS, masks[j] for j >= 1 has bit s - lows[j] set
-    for every reachable s, which makes the pruning of assign exact.
+    masks fit in MAX_MASK_BITS, masks[j] for j >= 1 has bit s - lows[j] set for
+    every reachable s, which makes the pruning of assign exact.  _reach builds
+    them over the values split once into runs whose step is the commonest gap.
 
     Depth 0 is decided here: start is None when it fails.  A start outside
     some row's depth-0 interval needs no masks at all.  Otherwise masks[0],
@@ -240,17 +253,19 @@ class _LinearRows:
             self.tables.append([lows, highs, None])
         reachable = all(
             lows[0] <= need <= highs[0] for need, (lows, highs, _) in zip(start, self.tables))
+        runs = None  # the values' _runs, split once some row's masks fit
         for need, row, table in zip(start, rows, self.tables):
             if not reachable:
                 break
             if len(row) * sum(map(abs, row)) * (vmax - vmin) > MAX_MASK_BITS:
                 continue
+            runs = runs or _runs(values)
             lows, masks = table[0], [None] * len(row) + [1]
             for j in reversed(range(1, len(row))):
-                masks[j] = _reach(masks[j + 1], row[j], values)
+                masks[j] = _reach(masks[j + 1], row[j], runs)
             shift = need - lows[1] + min(-row[0] * vmin, -row[0] * vmax)
             hits = masks[1] >> shift if shift >= 0 else masks[1] << -shift
-            reachable = bool(hits & _reach(1, -row[0], values))
+            reachable = bool(hits & _reach(1, -row[0], runs))
             table[2] = masks
         self.start = start if reachable else None
 

@@ -22,6 +22,7 @@ from prlab.search import (
     _LinearRows,
     _check_good_coloring,
     _reach,
+    _runs,
     ap_system,
     contains_ap,
     enumerate_solutions,
@@ -214,20 +215,44 @@ def test_exact_matrix_enumeration_matches_brute_force():
             assert enumerate_solutions(matrix_system(M, injective), n) == want, (entries, n)
 
 
+SMOD_CLASSES = [
+    [m for m in range(1, 2001) if smod(p, m) == c] for p in (5, 7, 11) for c in range(1, p)]
+
+
+def test_runs_split_values_into_arithmetic_progressions():
+    rng = random.Random(31)
+    cases = [[0], [-3, 0, 2], [-3, -2, -1, 0, 1], list(range(-7, 40, 3))] + SMOD_CLASSES
+    for _ in range(200):
+        cases.append(sorted(rng.sample(range(-30, 80), rng.randint(1, 40))))
+    for values in cases:
+        runs = _runs(values)
+        covered = [a + d * t for a, d, count in runs for t in range(count)]
+        assert sorted(covered) == values, values  # every value in exactly one run
+        assert len({d for _, d, _ in runs}) == 1 and runs[0][1] >= 1
+        assert min(count for _, _, count in runs) >= 1
+    for values in (range(-3, 9), range(1, 2001), list(range(0, 5))):
+        assert _runs(values) == [(values[0], 1, len(values))]
+    for values in SMOD_CLASSES:
+        assert 4 * len(_runs(values)) <= len(values), len(values)
+
+
 def test_reachable_sums_match_one_shift_per_value():
     # value lists with gaps, as color classes are, and lists and ranges without
     rng = random.Random(13)
+    cases = []
     for _ in range(300):
         values = sorted(rng.sample(range(-20, 60), rng.randint(1, 30)))
         if rng.random() < 0.4:
             values = range(rng.randint(-5, 5), rng.randint(6, 40))
             values = list(values) if rng.random() < 0.5 else values
-        c = rng.choice([x for x in range(-9, 10) if x])
+        cases.append((values, rng.choice([x for x in range(-9, 10) if x])))
+    cases += [(values, rng.choice((-4, -3, -1, 1, 2, 5))) for values in SMOD_CLASSES]
+    for values, c in cases:
         mask = rng.getrandbits(40) | 1
         low, want = min(c * values[0], c * values[-1]), 0
         for x in values:
             want |= mask << (c * x - low)
-        assert _reach(mask, c, values) == want, (values, c)
+        assert _reach(mask, c, _runs(values)) == want, (values, c)
 
 
 def test_solutions_indexed_by_maximum():
@@ -697,7 +722,7 @@ def test_blocking_colorings_admit_no_witness_for_the_sweep_rows():
                 continue
             p = blocking_prime(row)
             if p not in colorings:
-                colorings[p] = Coloring(1, [smod(p, m) for m in range(1, 501)])
+                colorings[p] = Coloring(1, [smod(p, m) for m in range(1, 2001)])
             P = Poly({(("wxyz"[i], 1),): c for i, c in enumerate(row)})
             assert mono_witness(colorings[p], poly_system(P)) is None, row
             rows += 1
@@ -707,9 +732,9 @@ def test_blocking_colorings_admit_no_witness_for_the_sweep_rows():
 def test_depth_zero_builds_no_mask_for_the_first_variable(monkeypatch):
     calls = []
 
-    def counted(mask, c, values):
+    def counted(mask, c, runs):
         calls.append(c)
-        return _reach(mask, c, values)
+        return _reach(mask, c, runs)
 
     monkeypatch.setattr(search, "_reach", counted)
     coloring = Coloring(1, [smod(5, n) for n in range(1, 2001)])
