@@ -2,8 +2,8 @@
 criteria for single equations (homogeneous and affine), parametric solution
 families, and the super-modulo counterexample coloring.
 
-Everything here is exact: integer subset sums, rational Gaussian elimination
-for span membership, extended-Euclid coefficient certificates.
+Everything here is exact: integer subset sums, fraction-free integer
+elimination for span membership, extended-Euclid coefficient certificates.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from typing import NamedTuple
 
 from .core import IntMatrix, Poly, linear_coefficients
 
-MAX_COLUMNS = 20
 MAX_COEFFS = 20
 # trial division decides primality up to here in well under a second
 MAX_SMOD_MODULUS = 10**12
@@ -44,49 +43,6 @@ def _next_prime(n: int) -> int:
     while not _is_prime(n):
         n += 1
     return n
-
-
-# -- exact rational span with coordinate tracking ---------------------------
-
-class RationalSpan:
-    """Incrementally built rational span of integer vectors.
-
-    solve(v) returns coefficients over the added generators (in insertion
-    order) expressing v exactly, or None if v is outside the span.  A vector
-    stays integer until it is reduced against a pivot row.
-    """
-
-    def __init__(self):
-        self.rows: list[tuple[int, list, dict[int, Fraction]]] = []
-        self.n_added = 0
-
-    def _reduce(self, vec):
-        v = list(vec)
-        coeffs: dict[int, Fraction] = {}
-        for pivot, rvec, rrep in self.rows:
-            if v[pivot]:
-                f = Fraction(v[pivot]) / rvec[pivot]
-                v = [a - f * b for a, b in zip(v, rvec)]
-                for i, c in rrep.items():
-                    coeffs[i] = coeffs.get(i, Fraction(0)) + f * c
-        return v, coeffs
-
-    def solve(self, vec):
-        v, coeffs = self._reduce(vec)
-        if any(v):
-            return None
-        return coeffs
-
-    def add(self, vec) -> None:
-        idx = self.n_added
-        v, coeffs = self._reduce(vec)
-        if any(v):
-            rrep = {idx: Fraction(1)}
-            for i, c in coeffs.items():
-                rrep[i] = -c
-            pivot = next(k for k, x in enumerate(v) if x)
-            self.rows.append((pivot, v, rrep))
-        self.n_added += 1
 
 
 # -- columns condition ------------------------------------------------------
@@ -131,38 +87,65 @@ def verify_columns_certificate(M: IntMatrix, cert: ColumnsConditionCertificate) 
     return True
 
 
+def _remainder(rows, vec, n) -> tuple[int, list[int], list[int]]:
+    """Fraction-free remainder of vec modulo the span of the pivot rows:
+    (s, r, coords) with r = s*vec - sum(coords[g] * column g), zero at every
+    pivot.  Each row (p, w, rep), w = sum(rep[g] * column g), clears r[p] by
+    r -> w[p]*r - r[p]*w, scaling by w[p] even where r[p] is 0, so s, the
+    product of the pivots, is the same for every vec: remainders add as the
+    vectors do, and a sum lies in the span exactly when they sum to zero."""
+    s, r, coords = 1, list(vec), [0] * n
+    for p, w, rep in rows:
+        f, a = w[p], r[p]
+        s *= f
+        r = [f * x - a * y for x, y in zip(r, w)]
+        coords = [f * c + a * e for c, e in zip(coords, rep)]
+    return s, r, coords
+
+
 def columns_condition(M: IntMatrix) -> ColumnsConditionVerdict:
     """Ordered block partition of the columns whose first block sums to zero
     and whose later block sums lie in the rational span of all earlier
-    columns.  Each block is the first remaining subset, in _zero_sum_subset's
-    order (smallest first, then lexicographic), whose sum lies in the span of
-    the columns placed so far (an empty span holds only the zero vector).
+    columns.  Each block is the subset that _zero_sum_subset finds among the
+    remaining columns' remainders modulo the span of the columns placed so
+    far (an empty span holds only the zero vector): the first, smallest
+    first and then lexicographic, whose sum lies in that span.
 
     No choice is ever undone.  The span only grows, so a block that is valid
     now stays valid after any other valid block B is placed, once B's columns
     are removed from it: the removed part sums into B's span.  Hence if any
     partition completes the columns placed so far, one completes them after
-    B too, and a step that finds no valid block proves there is none.
+    B too, and a step where _zero_sum_subset finds no subset proves there is
+    none.
     """
     n = M.cols
-    if n > MAX_COLUMNS:
-        raise ValueError(f"too many columns for exhaustive search (max {MAX_COLUMNS})")
+    if n > MAX_COEFFS:
+        raise ValueError(f"too many columns for exhaustive search (max {MAX_COEFFS})")
     cols = [M.column(j) for j in range(n)]
-    span = RationalSpan()
+    rows: list[tuple[int, list[int], list[int]]] = []  # (p, w, rep) as _remainder reads them
     remaining = list(range(n))
     blocks, combos = [], []
     while remaining:
-        sizes = range(1, len(remaining) + 1)
-        for block in (b for size in sizes for b in combinations(remaining, size)):
-            sol = span.solve([sum(x) for x in zip(*(cols[c] for c in block))])
-            if sol is not None:
-                break
-        else:
+        rems = [_remainder(rows, cols[c], n) for c in remaining]
+        # every coordinate sum of a subset stays below half the base, so a
+        # packed sum is zero exactly when the subset's remainders sum to zero
+        base = 2 * sum(abs(x) for _, r, _ in rems for x in r) + 1
+        sub = _zero_sum_subset([sum(x * base**i for i, x in enumerate(r)) for _, r, _ in rems])
+        if sub is None:
             return ColumnsConditionVerdict(False, None)
+        s = rems[0][0]
+        combos.append(tuple(Fraction(sum(rems[i][2][g - 1] for i in sub), s)
+                            for b in blocks for g in b))
+        block = [remaining[i] for i in sub]
         blocks.append(tuple(c + 1 for c in block))
-        combos.append(tuple(sol.get(i, Fraction(0)) for i in range(span.n_added)))
         for c in block:
-            span.add(cols[c])
+            s, r, coords = _remainder(rows, cols[c], n)
+            if any(r):
+                rep = [s if g == c else -x for g, x in enumerate(coords)]
+                # with the content left in, entries double in length per row
+                k = math.gcd(*r, *rep)
+                rows.append((next(p for p, x in enumerate(r) if x), [x // k for x in r],
+                             [x // k for x in rep]))
         remaining = [c for c in remaining if c not in block]
     cert = ColumnsConditionCertificate(tuple(blocks), tuple(combos[1:]))
     if not verify_columns_certificate(M, cert):
@@ -181,7 +164,9 @@ def homogeneous_coefficients(P: Poly) -> tuple[int, ...]:
 
 
 def _zero_sum_subset(coeffs) -> tuple[int, ...] | None:
-    """Indices of the first (smallest, then lex) nonempty subset summing to 0."""
+    """Indices of the first nonempty subset, smallest first and then lex, that
+    sums to zero: of an equation's coefficients, or of columns_condition's
+    packed remainders."""
     if len(coeffs) > MAX_COEFFS:
         raise ValueError(f"more than {MAX_COEFFS} coefficients")
     idx = range(len(coeffs))

@@ -1275,6 +1275,7 @@ FILES = {
     "sum": "1 1 -1\n",
     "bad": "2 3\n",
     "pairs13": " ".join(["1 -1"] * 6) + " 0\n" + " ".join(["0"] * 12) + " 1\n",
+    "cols21": " ".join(["1"] * 21) + "\n",
     "c5": "1 1 2 2 1\n",
     "good4": "1 2 2 1\n",
     "c111": "1 1 1\n",
@@ -1315,6 +1316,7 @@ EXACT = [
       'certificate': None,
       'provenance': 'ordered-block-partition-search',
       'bounds': None}),
+    (['check-matrix', '@cols21'], 3, '', None),
     (['check-matrix', '@missing'], 3, '', None),
     (['check-linear', 'x+y-z'],
      0,

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prlab.core import Poly, parse_matrix, parse_poly
+from prlab.folkman import folkman_matrix
 from prlab.rado import (
     ColumnsConditionCertificate,
     _bezout_list,
+    _zero_sum_subset,
     affine_pr,
     blocking_prime,
     columns_condition,
@@ -58,7 +60,9 @@ OUTSIDE_PAIRS_13 = " ".join(["1 -1"] * 6) + " 0\n" + " ".join(["0"] * 12) + " 1"
 
 
 def test_identity_matrix_fails():
-    for text in ("1 0\n0 1", OUTSIDE_PAIRS_13):
+    # the last: all four columns sum to (3, -1), which a base of 3, taken from
+    # the largest entry rather than the sum of all of them, would pack to 0
+    for text in ("1 0\n0 1", OUTSIDE_PAIRS_13, "1 1 1 0\n0 0 0 -1"):
         assert not columns_condition(parse_matrix(text)).satisfied
 
 
@@ -74,6 +78,22 @@ def test_multi_block_certificate_literal():
     v = columns_condition(parse_matrix("-3 -1 2 3 1 1 1 0"))
     assert v.certificate.blocks == ((8,), (1, 4), (2,), (3,), (5,), (6,), (7,))
     assert v.certificate.combinations[:2] == ((F(0),), (F(0), F(1, 3), F(0)))
+    v = columns_condition(parse_matrix("2 -2\n-1 1"))
+    assert v.certificate == (((1, 2),), ())
+    v = columns_condition(folkman_matrix(3))
+    assert v.certificate.blocks == ((1, 4, 7, 8, 10), (2, 5, 9), (3, 6))
+    assert v.certificate.combinations == tuple(tuple(map(F, c)) for c in (
+        (1, 1, 0, 1, 0),
+        (0, 0, 1, -1, 0, 1, 1, 0),
+    ))
+    v = columns_condition(folkman_matrix(4))
+    assert v.certificate.blocks == (
+        (1, 5, 9, 10, 11, 15, 16, 17, 19), (2, 6, 12, 13, 18), (3, 7, 14), (4, 8))
+    assert v.certificate.combinations == tuple(tuple(map(F, c)) for c in (
+        (1, 1, 0, 1, 1, 0, 0, 1, 0),
+        (0, 0, 1, -1, 0, 0, 1, -1, 0, 1, 1, 0, 1, 0),
+        (0, 0, 0, 1, -1, 1, -1, 0, 0, 0, 0, 1, -1, 0, 1, 1, 0),
+    ))
 
 
 def _rank(vectors):
@@ -176,17 +196,22 @@ def test_planted_bad_certificates_are_rejected(tamper):
 
 
 def test_column_cap_enforced():
+    # the front check names columns, ahead of the subset scan's own cap
     M = parse_matrix(" ".join(["1"] * 21))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^too many columns for exhaustive search \(max 20\)$"):
         columns_condition(M)
 
 
 def test_single_row_agreement_with_zero_sum_subset():
-    """On 1-row matrices the block search agrees with plain subset search."""
-    for n in (2, 3):
+    """On 1-row matrices the block search agrees with plain subset search,
+    and its first block is the subset that _zero_sum_subset finds."""
+    for n in (2, 3, 4):
         for entries in product([-3, -2, -1, 1, 2, 3], repeat=n):
-            M = parse_matrix(" ".join(map(str, entries)))
-            assert columns_condition(M).satisfied == brute_zero_sum(entries)
+            v = columns_condition(parse_matrix(" ".join(map(str, entries))))
+            assert v.satisfied == brute_zero_sum(entries)
+            sub = _zero_sum_subset(entries)
+            assert (v.certificate.blocks[0] if v.satisfied else None) == (
+                None if sub is None else tuple(i + 1 for i in sub))
 
 
 # -- linear equations -------------------------------------------------------
