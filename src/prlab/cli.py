@@ -8,9 +8,10 @@ bounds.
 
 The verb table VERBS is the single list of verbs.  Each row gives the verb
 path, help text, provenance, argument specs and handler; a handler returns
-(exit code, text lines, verdict[, certificate[, bounds]]).  build_parser
-and main are loops over the table, and main alone adds the provenance and
-builds the envelope.
+(exit code, text lines, verdict[, certificate[, bounds]]).  An argument spec
+with one_of="<name>" belongs to that either-or group, of which argparse
+requires exactly one flag.  build_parser and main are loops over the table,
+and main alone adds the provenance and builds the envelope.
 
 One invocation pays only for the verb it runs: main builds the parser of
 the verb that argv names (the whole table only for help listings and
@@ -194,9 +195,6 @@ def _parametric(args):
 
 def _system_from_args(args):
     from . import search
-    given = [x for x in (args.poly, args.matrix, args.ap) if x is not None]
-    if len(given) != 1:
-        raise ValueError("give exactly one of --poly, --matrix, --ap")
     if args.poly is not None:
         return search.poly_system(parse_poly(args.poly), injective=args.injective)
     if args.matrix is not None:
@@ -334,8 +332,6 @@ def _poly_reciprocal(args):
 
 def _poly_transform(args):
     from . import polyreg
-    if args.negate == (args.power is not None):
-        raise ValueError("give exactly one of --negate, --power")
     P = parse_poly(args.expr)
     if args.negate:
         result = polyreg.transform(P, "negate_vars")
@@ -411,23 +407,12 @@ def _omega_verify354(args):
 
 def _embed_fe(args):
     from . import embed
-    finite_pair = args.finite is not None or args.target is not None
-    periodic_pair = args.periodic is not None or args.target_periodic is not None
-    if finite_pair == periodic_pair:
-        raise ValueError("give either --finite with --in, or --periodic with --in-periodic")
-    if finite_pair:
-        if args.finite is None or args.target is None:
-            raise ValueError("--finite and --in go together")
-        n = embed.fe_shift(parse_finite(args.finite), parse_finite(args.target))
-        if n is None:
-            return 1, ["not embeddable"], "not-embeddable"
-        return 0, [f"embeds with shift {n}"], "embeddable", {"shift": n}
-    if args.periodic is None or args.target_periodic is None:
-        raise ValueError("--periodic and --in-periodic go together")
-    A = parse_periodic(args.periodic)
-    B = parse_periodic(args.target_periodic)
-    ok = embed.fe_periodic(A, B)
-    return _yes_no(ok, "finitely embeddable", "not finitely embeddable")
+    A = parse_periodic(args.periodic) if args.finite is None else parse_finite(args.finite)
+    B = parse_periodic(args.target_periodic) if args.target is None else parse_finite(args.target)
+    n = embed.fe_shift(A, B)
+    if n is None:
+        return 1, ["not embeddable"], "not-embeddable"
+    return 0, [f"embeds with shift {n}"], "embeddable", {"shift": n}
 
 
 def _embed_classify(args):
@@ -506,7 +491,7 @@ def _arg(*names, **kwargs):
 class Verb(NamedTuple):
     path: str  # "verb" or "group action"
     help: str
-    provenance: str | Callable  # a function of the parsed args where the method depends on them
+    provenance: str
     args: tuple  # _arg specs, after the common --json
     handler: Callable  # args -> (code, lines, verdict[, certificate[, bounds]])
 
@@ -520,9 +505,9 @@ class _Reply(NamedTuple):
 
 
 _SYSTEM = (
-    _arg("--poly", help="polynomial equation P = 0"),
-    _arg("--matrix", help="file with a homogeneous system, one row per line"),
-    _arg("--ap", type=_int_arg, help="length of the arithmetic progression"),
+    _arg("--poly", one_of="system", help="polynomial equation P = 0"),
+    _arg("--matrix", one_of="system", help="file with a homogeneous system, one row per line"),
+    _arg("--ap", one_of="system", type=_int_arg, help="length of the arithmetic progression"),
 )
 _MAX_NODES = _arg("--max-nodes", type=_int_arg, help="total search node budget (>= 0)")
 _INJECTIVE = _arg("--injective", action="store_true", help="only count solutions with distinct values")
@@ -603,8 +588,10 @@ VERBS = (
     Verb("poly reciprocal", "reverse the exponent pattern of a homogeneous polynomial",
          "degree-complement-exponent-flip", _EXPR, _poly_reciprocal),
     Verb("poly transform", "regularity-preserving substitutions", "variable-wise-substitution",
-         (_arg("expr"), _arg("--negate", action="store_true", help="negate every variable"),
-          _arg("--power", type=_int_arg, help="raise every variable to this power")),
+         (_arg("expr"),
+          _arg("--negate", one_of="transform", action="store_true", help="negate every variable"),
+          _arg("--power", one_of="transform", type=_int_arg,
+               help="raise every variable to this power")),
          _poly_transform),
     Verb("poly expsum", "difference of power products, compared by exponent sums",
          "exponent-sum-comparison",
@@ -623,13 +610,11 @@ VERBS = (
           _arg("--d", required=True, help="comma-separated positive weights"),
           _arg("--ledger", action="store_true", help="print the per-depth coefficient identities")),
          _omega_verify354),
-    Verb("embed fe", "finite embeddability",
-         lambda a: "least-shift-scan" if a.finite is not None
-         else "pinned-shift-scan",
-         (_arg("--finite", help="finite pattern, comma-separated"),
-          _arg("--in", dest="target", help="finite target, comma-separated"),
-          _arg("--periodic", help="periodic pattern, p=..; residues={..} form"),
-          _arg("--in-periodic", dest="target_periodic", help="periodic target")),
+    Verb("embed fe", "finite embeddability", "least-shift-scan",
+         (_arg("--finite", one_of="pattern", help="finite pattern, comma-separated"),
+          _arg("--periodic", one_of="pattern", help="periodic pattern, p=..; residues={..} form"),
+          _arg("--in", one_of="target", dest="target", help="finite target, comma-separated"),
+          _arg("--in-periodic", one_of="target", dest="target_periodic", help="periodic target")),
          _embed_fe),
     Verb("embed classify", "thick / syndetic / piecewise syndetic / finite",
          "residue-set-analysis", _SPEC, _embed_classify),
@@ -660,8 +645,13 @@ def build_parser(rows=VERBS) -> _ArgumentParser:
             parent = subparsers[""].add_parser(group, help=_GROUPS[group])
             subparsers[group] = parent.add_subparsers(dest="action", metavar="action")
         p = subparsers[group].add_parser(name, help=verb.help, parents=[common])
+        either = {}  # one required, mutually exclusive group per one_of name
         for names, kwargs in verb.args:
-            p.add_argument(*names, **kwargs)
+            kwargs = dict(kwargs)
+            one_of = kwargs.pop("one_of", None)
+            if one_of is not None and one_of not in either:
+                either[one_of] = p.add_mutually_exclusive_group(required=True)
+            (p if one_of is None else either[one_of]).add_argument(*names, **kwargs)
         p.set_defaults(row=verb)
     return root
 
@@ -697,11 +687,10 @@ def main(argv=None) -> int:
         return 3
     timing = round((time.perf_counter() - start) * 1000, 3)
     if args.json:
-        provenance = verb.provenance(args) if callable(verb.provenance) else verb.provenance
         envelope = {
             "verdict": reply.verdict,
             "certificate": reply.certificate,
-            "provenance": provenance,
+            "provenance": verb.provenance,
             "timing_ms": timing,
             "bounds": reply.bounds,
         }

@@ -22,21 +22,6 @@ from .search import NodeBudget, contains_ap
 
 # -- finite embeddability ---------------------------------------------------
 
-def fe_shift(F: FiniteSet, B: FiniteSet):
-    """Least n >= 0 with n + F a subset of B, or None.  None is definitive
-    because B is finite: any witness must place min(F) on an element of B."""
-    if not F:
-        raise ValueError("pattern must be nonempty")
-    base = F.min()
-    for b in B.elements:
-        n = b - base
-        if n < 0:
-            continue
-        if all((x + n) in B for x in F.elements):
-            return n
-    return None
-
-
 # One periodic set may expand to at most this many residues mod the common
 # period; coprime periods near 10^9 would build sets of about 10^9.
 MAX_EXPANDED_RESIDUES = 10**6
@@ -48,26 +33,30 @@ def _expanded_residues(A: PeriodicSet, p: int):
     return {r + k * A.period for r in A.residues for k in range(p // A.period)}
 
 
-def fe_periodic(A: PeriodicSet, B: PeriodicSet) -> bool:
-    """Whether every finite subset of A shifts into B.
+def fe_shift(A, B):
+    """Least n >= 0 with n + A a subset of B, or None; A and B are finite or
+    eventually periodic.  Every finite subset of A shifts into B exactly
+    when such an n exists, and an empty A shifts by 0.
 
-    That holds exactly when one shift n sends all of A into B, and such an n
-    sends A's least element a into B: either n + a is a prefix member of B,
-    or n >= max(0, t_B - a).  In the second case all of A lands at or above
-    B's threshold, where only n mod p (the lcm of the periods) matters, so
-    the least such n in each class that sends a onto one of B's residues
-    stands for its class.  Each of these at most |B.prefix| + |residues of B
-    mod p| shifts is checked whole: A's tail residues rotate into B's, every
-    prefix member of A lands in B, and so does every tail member of A that
-    lands below B's threshold.
+    A shift n must send A's least element a into B: either n + a is a
+    prefix member of B, or n >= max(0, t_B - a).  In the second case all of
+    A lands at or above B's threshold, where only n mod p (the lcm of the
+    periods) matters, so the least such n in each class that sends a onto
+    one of B's residues stands for its class.  These at most |B.prefix| +
+    |residues of B mod p| shifts are tried in ascending order, each checked
+    whole: A's tail residues rotate into B's, every prefix member of A lands
+    in B, and so does every tail member of A that lands below B's threshold.
     """
+    # a finite set is a periodic set with no residues past its maximum
+    A, B = (X if isinstance(X, PeriodicSet)
+            else PeriodicSet(1, (), X.max() + 1 if X else 0, X.elements) for X in (A, B))
     p = math.lcm(A.period, B.period)
     ra = _expanded_residues(A, p)
     rb = _expanded_residues(B, p)
     starts = [A.threshold + (r - A.threshold) % A.period for r in A.residues]
     a = min(A.prefix.union(starts), default=None)
     if a is None:
-        return True
+        return 0
     low = max(0, B.threshold - a)
     shifts = {q - a for q in B.prefix if q >= a} | {low + (b - a - low) % p for b in rb}
 
@@ -76,7 +65,12 @@ def fe_periodic(A: PeriodicSet, B: PeriodicSet) -> bool:
                 and all(n + q in B for q in A.prefix)
                 and all(n + x in B for x0 in starts for x in range(x0, B.threshold - n, A.period)))
 
-    return any(sends(n) for n in shifts)
+    return next((n for n in sorted(shifts) if sends(n)), None)
+
+
+def fe_periodic(A, B) -> bool:
+    """Whether every finite subset of A shifts into B."""
+    return fe_shift(A, B) is not None
 
 
 # -- classification and density ---------------------------------------------

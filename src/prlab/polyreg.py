@@ -14,9 +14,8 @@ from math import prod
 from typing import NamedTuple
 
 from .core import Poly, linear_coefficients, poly_props
-from .rado import _zero_sum_subset, blocking_prime
+from .rado import _zero_sum_subset, blocking_prime, homogeneous_coefficients
 
-MAX_EXCLUSIVE_MONOMIALS = 16
 MAX_EXCLUSIVE_SETS = 10**5
 
 
@@ -46,8 +45,6 @@ def _private_variables(P: Poly) -> list[tuple[str, ...]]:
     """For each monomial, its variables that occur in no other monomial."""
     _require_zero_constant(P)
     monomials = list(P.monomials)
-    if len(monomials) > MAX_EXCLUSIVE_MONOMIALS:
-        raise ValueError(f"too many monomials (max {MAX_EXCLUSIVE_MONOMIALS})")
     occurrences: dict[str, int] = {}
     for key in monomials:
         for v, _ in key:
@@ -122,9 +119,7 @@ def attach_products(L: Poly, subsets, n: int) -> ConstructResult:
     """Lift a regular linear form sum(a_i * x_i) to the certified nonlinear
     polynomial sum(a_i * x_i * prod_{j in F_i} y_j): each x_i stays exclusive
     to its monomial and the reduct keeps L's coefficients."""
-    coeffs = linear_coefficients(L)
-    if coeffs is None or L.constant:
-        raise ValueError("linear part must be homogeneous linear")
+    coeffs = homogeneous_coefficients(L)
     variables = L.variables()
     if len(variables) < 3:
         raise ValueError("need at least three variables")

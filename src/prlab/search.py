@@ -415,12 +415,7 @@ def solutions_by_max(system: SolutionSystem, n: int):
     from these sets; the maxima serve only forcing_number, which keeps at
     each n of its sweep the sets whose maximum is at most n."""
     index: dict[int, list[tuple[int, ...]]] = {}
-    seen: set[tuple[int, ...]] = set()
-    for sol in enumerate_solutions(system, n):
-        values = tuple(sorted(set(sol)))
-        if values in seen:
-            continue
-        seen.add(values)
+    for values in dict.fromkeys(tuple(sorted(set(sol))) for sol in enumerate_solutions(system, n)):
         index.setdefault(values[-1], []).append(values)
     return index
 

@@ -398,7 +398,7 @@ def test_coprime_periods_decide_at_once():
     # those are tried: trying every one below lcm(10007, 10009) ran past 60 s
     argv = ["embed", "fe", "--periodic", "p=10007; residues={1}",
             "--in-periodic", "p=10009; residues={1}"]
-    assert run_process(argv) == (1, "not finitely embeddable\n", "")
+    assert run_process(argv) == (1, "not embeddable\n", "")
 
 
 def test_embed_fe_tries_no_shift_below_the_threshold():
@@ -408,7 +408,7 @@ def test_embed_fe_tries_no_shift_below_the_threshold():
     target = "p=2; residues={0}; t=10000000"
     for source in ("p=1; residues={0}", "p=2; residues={0}; t=2; prefix={1}"):
         argv = ["embed", "fe", "--periodic", source, "--in-periodic", target]
-        assert run_process(argv) == (1, "not finitely embeddable\n", "")
+        assert run_process(argv) == (1, "not embeddable\n", "")
 
 
 def test_embed_apmax_reads_a_residue_as_a_progression():
@@ -426,7 +426,7 @@ def test_embed_fe_refuses_periodic_sets_past_a_million_residues():
         3, "", "error: a periodic set expands to more than 10^6 residues mod the lcm of the periods\n")
     argv = ["embed", "fe", "--periodic", "p=999983; residues={1}",
             "--in-periodic", "p=999979; residues={1}"]
-    assert run_process(argv) == (1, "not finitely embeddable\n", "")
+    assert run_process(argv) == (1, "not embeddable\n", "")
 
 
 def test_smod_refuses_a_modulus_above_ten_to_the_twelve():
@@ -653,9 +653,9 @@ HELP_AND_USAGE = [
      '  --json      emit one JSON envelope\n',
      ''),
     (['search', 'good-coloring', '-h'], 0,
-     'usage: prlab search good-coloring [-h] [--json] [--poly POLY]\n'
-     '                                  [--matrix MATRIX] [--ap AP] -n N -r R\n'
-     '                                  [--injective] [--max-nodes MAX_NODES]\n'
+     'usage: prlab search good-coloring [-h] [--json]\n'
+     '                                  (--poly POLY | --matrix MATRIX | --ap AP) -n\n'
+     '                                  N -r R [--injective] [--max-nodes MAX_NODES]\n'
      '\n'
      'options:\n'
      '  -h, --help            show this help message and exit\n'
@@ -743,7 +743,19 @@ HELP_AND_USAGE = [
      'error: unrecognized arguments: --bogus\n'),
     (['embed', 'fe', '--periodic', 'p=2; residues={1}'], 3,
      '',
-     'error: --periodic and --in-periodic go together\n'),
+     'error: one of the arguments --in --in-periodic is required\n'),
+    (['embed', 'fe', '--finite', '1', '--periodic', 'p=1; residues={0}', '--in', '1'], 3,
+     '',
+     'error: argument --periodic: not allowed with argument --finite\n'),
+    (['search', 'good-coloring', '-n', '5', '-r', '2'], 3,
+     '',
+     'error: one of the arguments --poly --matrix --ap is required\n'),
+    (['poly', 'transform', 'x+y', '--negate', '--power', '2'], 3,
+     '',
+     'error: argument --power: not allowed with argument --negate\n'),
+    (['poly', 'construct3513', '--linear', 'x+y-z+1', '--subsets', '1|2|3', '-n', '3'], 3,
+     '',
+     'error: polynomial must be homogeneous linear\n'),
     (['blocking-prime', ' \t'], 3,
      '',
      'error: empty coefficient list\n'),
@@ -1129,11 +1141,20 @@ def test_embed_fe_periodic_verb():
     assert code == 1
 
 
-def test_embed_fe_rejects_mixed_flags():
-    code, _, err = run([
-        "embed", "fe", "--finite", "1,2", "--in-periodic", "p=2; residues={0}",
-    ])
-    assert code == 3
+def test_embed_fe_reads_each_set_in_the_form_its_flag_names():
+    # one scan answers every pairing of a finite and a periodic set
+    assert run(["embed", "fe", "--finite", "1,2", "--in-periodic", "p=2; residues={0}"]) == (
+        1, "not embeddable\n", "")
+    code, env = run_json(["embed", "fe", "--finite", "1,3", "--in-periodic", "p=2; residues={0}"])
+    assert (code, env["verdict"], env["certificate"]) == (0, "embeddable", {"shift": 1})
+    assert run(["embed", "fe", "--periodic", "p=2; residues={1}", "--in", "1,3,5"]) == (
+        1, "not embeddable\n", "")
+    assert run(["embed", "fe", "--periodic", "p=2; residues={}; t=6; prefix={1,5}",
+                "--in", "0,4,8"]) == (0, "embeds with shift 3\n", "")
+    # an empty pattern shifts by 0 in either form
+    assert run(["embed", "fe", "--finite", "", "--in", "4"]) == (0, "embeds with shift 0\n", "")
+    assert run(["embed", "fe", "--periodic", "p=3; residues={}", "--in", "4"]) == (
+        0, "embeds with shift 0\n", "")
 
 
 def test_embed_classify_verb():
@@ -1806,17 +1827,17 @@ EXACT = [
       'bounds': None}),
     (['embed', 'fe', '--periodic', 'p=2; residues={1}', '--in-periodic', 'p=2; residues={0}'],
      0,
-     'finitely embeddable\n',
-     {'verdict': True,
-      'certificate': None,
-      'provenance': 'pinned-shift-scan',
+     'embeds with shift 1\n',
+     {'verdict': 'embeddable',
+      'certificate': {'shift': 1},
+      'provenance': 'least-shift-scan',
       'bounds': None}),
     (['embed', 'fe', '--periodic', 'p=1; residues={0}', '--in-periodic', 'p=2; residues={1}'],
      1,
-     'not finitely embeddable\n',
-     {'verdict': False,
+     'not embeddable\n',
+     {'verdict': 'not-embeddable',
       'certificate': None,
-      'provenance': 'pinned-shift-scan',
+      'provenance': 'least-shift-scan',
       'bounds': None}),
     (['embed', 'fe', '--finite', '1,2'], 3, '', None),
     (['embed', 'classify', 'p=4; residues={0,1}'],

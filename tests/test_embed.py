@@ -70,9 +70,10 @@ def test_fe_shift_fixtures():
     assert fe_shift(FiniteSet((0, 1)), FiniteSet((3, 4, 7, 8))) == 3
 
 
-def test_fe_shift_requires_pattern():
-    with pytest.raises(ValueError):
-        fe_shift(FiniteSet(), FiniteSet((1,)))
+def test_fe_shift_empty_pattern_shifts_by_zero():
+    for empty in (FiniteSet(), PeriodicSet(3, set(), 2, ())):
+        for B in (FiniteSet(), FiniteSet((1,)), PeriodicSet(2, {0}), PeriodicSet(1, set())):
+            assert fe_shift(empty, B) == 0
 
 
 def test_fe_shift_returns_least_witness():
@@ -110,6 +111,49 @@ def test_fe_shift_witnesses_compose():
         direct = fe_shift(F, C)
         assert direct is not None and direct <= n + m
     assert composed > 20
+
+
+# -- fe on finite and eventually periodic sets alike -------------------------
+
+def least_shift(A, B):
+    """Brute-force least n with n + A inside B: a chunk of A that holds each
+    of its tail residues past both thresholds, and every shift up to a bound
+    that the least one never exceeds.  A finite set has period 1 and its
+    maximum + 1 as threshold."""
+    def shape(X):
+        return (X.period, X.threshold) if isinstance(X, PeriodicSet) else (1, len(X) and X.max() + 1)
+
+    (pa, ta), (pb, tb) = shape(A), shape(B)
+    p = math.lcm(pa, pb)
+    chunk = [x for x in range(4 * p + ta + tb + 1) if x in A]
+    return next((n for n in range(4 * p + tb + 1) if all(n + x in B for x in chunk)), None)
+
+
+def random_set(rng, periodic: bool):
+    """A finite set (maybe empty), or a periodic set with period up to 6 and
+    threshold up to 5, maybe without residues or prefix."""
+    if not periodic:
+        return FiniteSet(rng.sample(range(16), rng.randint(0, 8)))
+    p, t = rng.randint(1, 6), rng.randint(0, 5)
+    return PeriodicSet(p, {r for r in range(p) if rng.random() < 0.6}, t,
+                       {x for x in range(t) if rng.random() < 0.5})
+
+
+def fe_shift_corpus(pairs: int, seed: int):
+    """Seeded (A, B) pairs, a quarter in each finite/periodic combination."""
+    rng = random.Random(seed)
+    forms = list(product((False, True), repeat=2))
+    return [tuple(random_set(rng, f) for f in forms[i % 4]) for i in range(pairs)]
+
+
+def test_fe_shift_is_the_least_shift_for_every_pair_of_forms():
+    answers = set()
+    for A, B in fe_shift_corpus(20000, 33):
+        want = least_shift(A, B)
+        assert fe_shift(A, B) == want, (A, B)
+        assert fe_periodic(A, B) is (want is not None)
+        answers.add((type(A), type(B), want is None))
+    assert len(answers) == 8  # each combination of forms meets "yes" and "no"
 
 
 # -- fe on eventually periodic sets ------------------------------------------

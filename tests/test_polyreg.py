@@ -69,10 +69,14 @@ def test_exclusive_sets_of_linear_form():
     assert exclusive_sets(parse_poly("x+y-z")) == (("x", "y", "z"),)
 
 
-def test_exclusive_sets_monomial_cap():
-    many = "+".join(f"x{i}" for i in range(17))
-    with pytest.raises(ValueError):
-        exclusive_sets(parse_poly(many))
+def test_exclusive_sets_have_no_monomial_cap():
+    # the set-count cap and the 20-coefficient scan cap bound the work
+    names = tuple(f"x{i}" for i in range(17))
+    assert exclusive_sets(parse_poly("+".join(names))) == (names,)
+    products = "+".join(f"a{i}*b{i}" for i in range(1, 18)) + "-c*d"
+    assert sufficient_ipr(parse_poly(products)).status == "IPR_certified"
+    with pytest.raises(ValueError, match="^more than 20 coefficients$"):
+        sufficient_ipr(parse_poly("+".join(f"x{i}" for i in range(20)) + "-y"))
 
 
 def test_exclusive_sets_count_cap(monkeypatch):

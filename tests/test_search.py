@@ -478,6 +478,53 @@ def test_race_returns_the_lexicographically_least_coloring(system, n, r):
     assert out.coloring.values() == plain_least_good_coloring(value_sets, n, r)
 
 
+def walk_alone(sets, n, r, fail_first):
+    """One walker run to its end: its node count and its answer."""
+    walker = search._colorings(sets, n, r, fail_first)
+    nodes = 0
+    while True:
+        try:
+            next(walker)
+        except StopIteration as stop:
+            return nodes, stop.value
+        nodes += 1
+
+
+# good and forced (n, r) around known values: van der Waerden W(3;2) = 9,
+# W(3;3) = 27, W(4;2) = 35, Schur S(2) = 4, S(3) = 13, S(4) = 44, weak Schur
+# WS(2) = 8, WS(3) = 23, and the Pythagorean and a*x + b*y = a*z equations
+VALUE_SET_ORDER_CORPUS = [
+    pytest.param(system, n, r, id=f"{name}-n{n}-r{r}")
+    for name, system, cases in (
+        ("ap3", ap_system(3), ((8, 2), (9, 2), (25, 3), (26, 3), (27, 3))),
+        ("ap4", ap_system(4), ((34, 2), (35, 2))),
+        ("x+y-z", SCHUR, ((4, 2), (5, 2), (13, 3), (14, 3), (44, 4))),
+        ("x^2+y^2-z^2", poly_system(parse_poly("x^2+y^2-z^2")), ((5, 1), (60, 2), (100, 2))),
+        ("x+y-z-injective", poly_system(parse_poly("x+y-z"), injective=True),
+         ((8, 2), (9, 2), (23, 3), (24, 3))),
+        ("2*x+3*y-2*z", poly_system(parse_poly("2*x+3*y-2*z")), ((20, 2), (40, 3))),
+        ("x+2*y-z", poly_system(parse_poly("x+2*y-z")), ((37, 3),)),
+        ("3*x+y-3*z", poly_system(parse_poly("3*x+y-3*z")), ((12, 2), (30, 3))),
+    )
+    for n, r in cases
+]
+
+
+@pytest.mark.parametrize("system, n, r", VALUE_SET_ORDER_CORPUS)
+def test_walkers_do_not_depend_on_the_order_of_each_value_set_list(system, n, r):
+    # unit propagation reaches one fixpoint, or a conflict, in any order of
+    # sets[u], and fail-first breaks ties by the number of sets, so each
+    # walker's nodes and answer, and hence the race's, stay put
+    sets = search._value_sets(solutions_by_max(system, n), n)
+    assert sets is not None
+    rng = random.Random(1000 * n + r)
+    for fail_first in (False, True):
+        want = walk_alone(sets, n, r, fail_first)
+        for _ in range(5):
+            shuffled = [rng.sample(at_u, len(at_u)) for at_u in sets]
+            assert walk_alone(shuffled, n, r, fail_first) == want, fail_first
+
+
 def test_node_budget_counts_the_nodes_of_both_walkers(monkeypatch):
     steps = {False: 0, True: 0}  # nodes per walker, by fail_first
     walk = search._colorings
