@@ -1,6 +1,6 @@
 """Shared exact-arithmetic value types: polynomials, matrices, colorings, sets."""
 
-from .coloring import Coloring
+from .coloring import Coloring, arithmetic_runs
 from .matrix import IntMatrix, parse_matrix
 from .poly import (
     ParseError,
@@ -20,6 +20,7 @@ __all__ = [
     "PeriodicSet",
     "Poly",
     "PolyProps",
+    "arithmetic_runs",
     "linear_coefficients",
     "parse_finite",
     "parse_matrix",

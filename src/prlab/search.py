@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from functools import partial
 from itertools import islice
-from operator import sub
 from typing import NamedTuple
 
-from .core import Coloring, FiniteSet, IntMatrix, Poly, linear_coefficients, poly_props
+from .core import (
+    Coloring, FiniteSet, IntMatrix, Poly, arithmetic_runs, linear_coefficients, poly_props)
 
 MAX_POLY_VARS = 6
 MAX_POLY_PARTIAL_DEGREE = 2
@@ -197,20 +197,6 @@ class _PolyResidual:
                     yield y, z
 
 
-def _runs(values):
-    """The ascending value list as arithmetic runs (first, d, count): d is 1
-    when the list has no gaps (a range is one run), else the most common gap
-    between neighbours, and each value extends the run ending d below it."""
-    if values[-1] - values[0] == len(values) - 1:  # no gaps
-        return [(values[0], 1, len(values))]
-    d = Counter(map(sub, values[1:], values)).most_common(1)[0][0]
-    ends: dict[int, list[int]] = {}  # an open run's last value: [first, count]
-    for x in values:
-        ends[x] = run = ends.pop(x - d, None) or [x, 0]
-        run[1] += 1
-    return [(first, d, count) for first, count in ends.values()]
-
-
 def _reach(mask: int, c: int, runs) -> int:
     """The OR of mask << (c*x - m) over the values of the runs, where m is
     the least c*x: the sums reachable once c*x joins those in mask.  Each run
@@ -233,15 +219,18 @@ class _LinearRows:
     owe; variables j and later reach sums in [lows[j], highs[j]].  When a row's
     masks fit in MAX_MASK_BITS, masks[j] for j >= 1 has bit s - lows[j] set for
     every reachable s, which makes the pruning of assign exact.  _reach builds
-    them over the values split once into runs whose step is the commonest gap.
+    them over the values' arithmetic runs, asked of runs() once, when the
+    first row's masks fit: by default it splits the values, and mono_witness
+    passes the runs that the Coloring keeps for the class.
 
     Depth 0 is decided here: start is None when it fails.  A start outside
     some row's depth-0 interval needs no masks at all.  Otherwise masks[0],
     the largest, is never built: its bit for the start is one AND of
     masks[1] with the shifts -c0·x of the first variable."""
 
-    def __init__(self, rows, constants, values):
+    def __init__(self, rows, constants, values, runs=None):
         self.rows = rows
+        runs = runs or partial(arithmetic_runs, values)
         start = tuple(-b for b in constants)
         vmin, vmax = values[0], values[-1]
         self.tables = []
@@ -253,19 +242,19 @@ class _LinearRows:
             self.tables.append([lows, highs, None])
         reachable = all(
             lows[0] <= need <= highs[0] for need, (lows, highs, _) in zip(start, self.tables))
-        runs = None  # the values' _runs, split once some row's masks fit
+        split = None  # runs(), asked for once some row's masks fit
         for need, row, table in zip(start, rows, self.tables):
             if not reachable:
                 break
             if len(row) * sum(map(abs, row)) * (vmax - vmin) > MAX_MASK_BITS:
                 continue
-            runs = runs or _runs(values)
+            split = split or runs()
             lows, masks = table[0], [None] * len(row) + [1]
             for j in reversed(range(1, len(row))):
-                masks[j] = _reach(masks[j + 1], row[j], runs)
+                masks[j] = _reach(masks[j + 1], row[j], split)
             shift = need - lows[1] + min(-row[0] * vmin, -row[0] * vmax)
             hits = masks[1] >> shift if shift >= 0 else masks[1] << -shift
-            reachable = bool(hits & _reach(1, -row[0], runs))
+            reachable = bool(hits & _reach(1, -row[0], split))
             table[2] = masks
         self.start = start if reachable else None
 
@@ -342,11 +331,13 @@ def _walk(constraint, k: int, values, injective: bool):
     gives each value's child state, or None when it has no completion; its
     last_pairs picks the second-last variable's values and solves the last
     two together.  One stack holds a (state, value iterator) per depth."""
+    start, last = constraint.start, k - 2
+    if start is None:  # refuted at depth 0: nothing to build
+        return
     members = set(values)
     assign, last_pairs = constraint.assign, constraint.last_pairs
-    start, last = constraint.start, k - 2
     prefix: list[int] = []  # the values taken at the depths below the top
-    stack = [] if start is None else [(start, iter(values))]
+    stack = [(start, iter(values))]
     while stack:
         state, xs = stack[-1]
         depth = len(prefix)
@@ -368,14 +359,14 @@ def _walk(constraint, k: int, values, injective: bool):
             del prefix[-1:]
 
 
-def _solutions(system: SolutionSystem, values, order=None):
+def _solutions(system: SolutionSystem, values, order=None, runs=None):
     """One lazy stream of the solutions of the system with every value in the
     ascending list, in lexicographic order; a nonlinear equation's variables
     are walked in the given order (by default their names' order), and its
-    solutions come in that order."""
+    solutions come in that order.  runs goes to _LinearRows."""
     k = system.k
     if system.rows is not None:
-        constraint = _LinearRows(system.rows, system.constants, values)
+        constraint = _LinearRows(system.rows, system.constants, values, runs)
     elif system.poly is not None:
         P = system.poly
         constraint = _PolyResidual(P, order or P.variables(), values[0], values[-1])
@@ -649,8 +640,12 @@ def forcing_number(
 
 def mono_witness(coloring: Coloring, system: SolutionSystem):
     """Lexicographically least monochromatic solution whose values all lie in
-    one color class of the coloring, or None."""
-    found = (next(_solutions(system, values), None) for _, values in coloring.classes)
+    one color class of the coloring, or None.  Each class is split into
+    arithmetic runs at most once for the coloring, by the first row whose
+    masks fit."""
+    found = (
+        next(_solutions(system, values, runs=partial(coloring.runs, c)), None)
+        for c, values in coloring.classes)
     return min((w for w in found if w is not None), default=None)
 
 

@@ -14,7 +14,9 @@ from hypothesis import assume, given, strategies as st
 import prlab
 from prlab import search
 from prlab.core import (
-    Coloring, FiniteSet, IntMatrix, Poly, linear_coefficients, parse_matrix, parse_poly)
+    Coloring, FiniteSet, IntMatrix, Poly, arithmetic_runs, linear_coefficients, parse_matrix,
+    parse_poly)
+from prlab.core import coloring as coloring_module
 from prlab.rado import blocking_prime, smod
 from prlab.search import (
     NodeBudget,
@@ -22,7 +24,7 @@ from prlab.search import (
     _LinearRows,
     _check_good_coloring,
     _reach,
-    _runs,
+    _walk,
     ap_system,
     contains_ap,
     enumerate_solutions,
@@ -216,7 +218,7 @@ def test_exact_matrix_enumeration_matches_brute_force():
 
 
 SMOD_CLASSES = [
-    [m for m in range(1, 2001) if smod(p, m) == c] for p in (5, 7, 11) for c in range(1, p)]
+    [m for m in range(1, 2001) if smod(p, m) == c] for p in (3, 5, 7, 11) for c in range(1, p)]
 
 
 def test_runs_split_values_into_arithmetic_progressions():
@@ -225,15 +227,18 @@ def test_runs_split_values_into_arithmetic_progressions():
     for _ in range(200):
         cases.append(sorted(rng.sample(range(-30, 80), rng.randint(1, 40))))
     for values in cases:
-        runs = _runs(values)
+        runs = arithmetic_runs(values)
         covered = [a + d * t for a, d, count in runs for t in range(count)]
         assert sorted(covered) == values, values  # every value in exactly one run
         assert len({d for _, d, _ in runs}) == 1 and runs[0][1] >= 1
         assert min(count for _, _, count in runs) >= 1
     for values in (range(-3, 9), range(1, 2001), list(range(0, 5))):
-        assert _runs(values) == [(values[0], 1, len(values))]
+        assert arithmetic_runs(values) == [(values[0], 1, len(values))]
     for values in SMOD_CLASSES:
-        assert 4 * len(_runs(values)) <= len(values), len(values)
+        assert 4 * len(arithmetic_runs(values)) <= len(values), len(values)
+    # class 1 of smod-3 has gaps 1, 2 and 3 about equally often between
+    # neighbours; with the second neighbours' gaps its period 3 wins
+    assert {d for _, d, _ in arithmetic_runs(SMOD_CLASSES[0])} == {3}
 
 
 def test_reachable_sums_match_one_shift_per_value():
@@ -252,7 +257,7 @@ def test_reachable_sums_match_one_shift_per_value():
         low, want = min(c * values[0], c * values[-1]), 0
         for x in values:
             want |= mask << (c * x - low)
-        assert _reach(mask, c, _runs(values)) == want, (values, c)
+        assert _reach(mask, c, arithmetic_runs(values)) == want, (values, c)
 
 
 def test_solutions_indexed_by_maximum():
@@ -758,9 +763,22 @@ def test_witness_matches_brute_force_on_seeded_linear_systems():
     assert 100 <= found <= 300
 
 
-def test_blocking_colorings_admit_no_witness_for_the_sweep_rows():
+def counted_splits(monkeypatch):
+    """The value lists that Coloring.runs splits from now on."""
+    splits = []
+
+    def counted(values):
+        splits.append(values)
+        return arithmetic_runs(values)
+
+    monkeypatch.setattr(coloring_module, "arithmetic_runs", counted)
+    return splits
+
+
+def test_blocking_colorings_admit_no_witness_for_the_sweep_rows(monkeypatch):
     # Rado: a row with no zero-sum subset has no monochromatic solution under
     # the super-modulo coloring of its least blocking prime
+    splits = counted_splits(monkeypatch)
     entries = (-3, -2, -1, 1, 2, 3)
     colorings, rows = {}, 0
     for k in (2, 3, 4):
@@ -774,6 +792,15 @@ def test_blocking_colorings_admit_no_witness_for_the_sweep_rows():
             assert mono_witness(colorings[p], poly_system(P)) is None, row
             rows += 1
     assert rows == 428  # 234 of them with coefficients of one sign
+    # each class of the smod-3, 5, 7 and 11 colorings is split at most once
+    assert sorted(colorings) == [3, 5, 7, 11]
+    assert len(splits) == len(set(map(tuple, splits))) <= 2 + 4 + 6 + 10
+    # the runs live with their coloring: an equal, fresh one splits again
+    fresh = Coloring(1, colorings[5].values())
+    assert fresh == colorings[5]
+    before = len(splits)
+    assert mono_witness(fresh, poly_system(parse_poly("x+y-3*z"))) is None
+    assert len(splits) == before + len(fresh.classes)
 
 
 def test_depth_zero_builds_no_mask_for_the_first_variable(monkeypatch):
@@ -784,12 +811,13 @@ def test_depth_zero_builds_no_mask_for_the_first_variable(monkeypatch):
         return _reach(mask, c, runs)
 
     monkeypatch.setattr(search, "_reach", counted)
+    splits = counted_splits(monkeypatch)
     coloring = Coloring(1, [smod(5, n) for n in range(1, 2001)])
     # positive coefficients never sum to zero over positive values: no masks
     for text in ("x+2*y+3*z", "x+y+z+4*w"):
         assert mono_witness(coloring, poly_system(parse_poly(text))) is None
     assert mono_witness(coloring, matrix_system(parse_matrix("1 1 -3\n1 2 3"))) is None
-    assert calls == []
+    assert calls == [] and splits == []
     # masks for z and y, then the first variable's shifts -1*x: three per class
     assert mono_witness(coloring, poly_system(parse_poly("x+y-3*z"))) is None
     assert calls == [-3, 1, -1] * len(coloring.classes)
@@ -981,6 +1009,17 @@ def test_linear_walk_matches_brute_force(case, injective, lo, data):
         if holds(xs) and (not injective or len(set(xs)) == k)
     ]
     assert mono_witness(coloring, system) == min(mono, default=None)
+
+
+def test_walk_refuted_at_depth_zero_reads_no_values():
+    class Refuted:  # a constraint whose depth 0 already fails
+        start = assign = last_pairs = None
+
+    class Unreadable:
+        def __iter__(self):
+            raise AssertionError("the values were read")
+
+    assert list(_walk(Refuted(), 3, Unreadable(), False)) == []
 
 
 def lin_candidates(rows, constants, values):
